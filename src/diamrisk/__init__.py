@@ -40,7 +40,6 @@ from .optimizer import (
     EveryK,
     PerturbQueue,
     RunTrace,
-    make_batches,
     select_worst,
     sgd_drm_run,
     sgd_erm_run,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .losses import LossModel
 from .params import NormKind, ParamVector, axpy, sample_sphere
-from .risk import label_risk_curves
+from .risk import label_risk_curves, neighborhood_risks, window_grid
 
 
 def g17(x: float) -> str:
@@ -75,22 +75,6 @@ def _as_points(pts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> np.ndarray:
-    """Uniform grid on [lo, hi] augmented with every loss breakpoint and every
-    breakpoint shifted by +-gamma that lands inside the window."""
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
-    pts = [np.linspace(lo, hi, grid_points)]
-    extra = []
-    for b in getattr(model, "breakpoints", ()):
-        for x in (b, b - gamma, b + gamma):
-            if lo <= x <= hi:
-                extra.append(x)
-    if extra:
-        pts.append(np.array(extra, dtype=np.float64))
-    return np.unique(np.concatenate(pts))
-
-
 def _neighborhood_matrix(model, w_grid: np.ndarray, gamma: float, inner_points: int) -> np.ndarray:
     """(N, K) evaluation points: row n spans [w_n - gamma, w_n + gamma]
     uniformly, plus one column per loss breakpoint clipped into the row's
@@ -123,6 +107,10 @@ def _spawn_seed(rng: Union[np.random.Generator, int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Floor under the fitted quantiles, so the log in the slope fit stays finite.
+EPS_FLOOR = 1e-12
+
+
 @dataclass
 class RateRecord:
     m: int
@@ -140,7 +128,6 @@ class RateStudyResult:
     records: list[RateRecord]
     slope: Optional[float]
     alpha: float
-    eps_floor: float
     all_nonpositive: bool
     gamma_mode: str
 
@@ -157,13 +144,12 @@ def rate_study(
     *,
     inner_points: int = 257,
     gamma_mode: str = "fixed",
-    eps_floor: float = 1e-12,
 ) -> RateStudyResult:
     """Quantiles of G_m = max over the window grid of (true risk - neighborhood
     sup of the empirical risk), across freshly drawn datasets of each size m.
 
     Reports per-m quantiles of G_m and the least-squares slope of
-    log max(q_m, eps_floor) vs log m over the records with q_m > 0, where q_m
+    log max(q_m, EPS_FLOOR) vs log m over the records with q_m > 0, where q_m
     is the empirical (1 - alpha) quantile. gamma_mode "inverse_m" shrinks the
     radius proportionally to 1/m (anchored at the first m).
     """
@@ -184,7 +170,7 @@ def rate_study(
     records = []
     for mi, m in enumerate(m_list):
         gamma_m = gamma if gamma_mode == "fixed" else gamma * m_list[0] / m
-        w_grid = _window_grid(model, lo, hi, gamma_m, grid_points)
+        w_grid = window_grid(model, lo, hi, gamma_m, grid_points)
         X = _neighborhood_matrix(model, w_grid, gamma_m, inner_points)
         r_true = model.true_risk_curve(w_grid)
         gaps = np.empty(trials)
@@ -209,7 +195,7 @@ def rate_study(
             )
         )
 
-    positive = [(rec.m, max(rec.q_alpha, eps_floor)) for rec in records if rec.q_alpha > 0]
+    positive = [(rec.m, max(rec.q_alpha, EPS_FLOOR)) for rec in records if rec.q_alpha > 0]
     slope = None
     if len(positive) >= 2:
         xs = np.log([m for m, _ in positive])
@@ -219,7 +205,6 @@ def rate_study(
         records=records,
         slope=slope,
         alpha=alpha,
-        eps_floor=eps_floor,
         all_nonpositive=all(rec.q_alpha <= 0 for rec in records),
         gamma_mode=gamma_mode,
     )
@@ -228,7 +213,7 @@ def rate_study(
 def write_rate_csv(result: RateStudyResult, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# alpha={g17(result.alpha)}\n")
-        fh.write(f"# eps_floor={g17(result.eps_floor)}\n")
+        fh.write(f"# eps_floor={g17(EPS_FLOOR)}\n")
         fh.write(f"# gamma_mode={result.gamma_mode}\n")
         fh.write(f"# all_nonpositive={int(result.all_nonpositive)}\n")
         fh.write(
@@ -293,7 +278,7 @@ def confidence_region_check(
         raise ValueError("need at least one epsilon")
     lo, hi = float(interval[0]), float(interval[1])
     base_seed = _spawn_seed(rng)
-    w_grid = _window_grid(model, lo, hi, gamma, grid_points)
+    w_grid = window_grid(model, lo, hi, gamma, grid_points)
     cell = float(np.max(np.diff(w_grid)))
     X = _neighborhood_matrix(model, w_grid, gamma, inner_points)
     r_true = model.true_risk_curve(w_grid)
@@ -378,7 +363,7 @@ def erm_drm_gap_table(
     risk and of its neighborhood sup (argmin ties go to the lowest index)."""
     lo, hi = float(interval[0]), float(interval[1])
     base_seed = _spawn_seed(rng)
-    w_grid = _window_grid(model, lo, hi, gamma, grid_points)
+    w_grid = window_grid(model, lo, hi, gamma, grid_points)
     X = _neighborhood_matrix(model, w_grid, gamma, inner_points)
     r_true = model.true_risk_curve(w_grid)
     out = []
@@ -461,6 +446,8 @@ def landscape_histogram(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     if shared_directions is not None:
         if len(shared_directions) != n_samples:
             raise ValueError(
@@ -473,23 +460,24 @@ def landscape_histogram(
         directions = sample_directions(w_center, gamma, kind, n_samples, rng)
 
     samples = S.samples if hasattr(S, "samples") else S
-    values = np.empty(n_samples)
-
-    def _evaluate(i: int) -> None:
-        values[i] = model.batch_risk(axpy(w_center, 1.0, directions[i]), samples)
-
     if max_workers > 1:
+        values = np.empty(n_samples)
+
+        def _evaluate(i: int) -> None:
+            values[i] = model.batch_risk(axpy(w_center, 1.0, directions[i]), samples)
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             list(pool.map(_evaluate, range(n_samples)))
     else:
-        for i in range(n_samples):
-            _evaluate(i)
+        values = neighborhood_risks(model, w_center, directions, samples)
 
     reference = model.batch_risk(w_center, samples)
     try:
         counts, edges = np.histogram(values, bins=bins)
-    except ValueError:
+    except ValueError as exc:
         # Value range too narrow to split into the requested bins.
+        if "Too many bins" not in str(exc):
+            raise
         counts, edges = np.histogram(values, bins=1)
     return Histogram(
         values=values,

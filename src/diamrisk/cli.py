@@ -140,6 +140,8 @@ def _cmd_confidence(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
+    if args.n < 1 or args.bins < 1:
+        raise ConfigError(f"--n and --bins must be >= 1, got {args.n} and {args.bins}")
     cfg = load_experiment_config(args.config)
     try:
         w = ParamVector.load(args.checkpoint)

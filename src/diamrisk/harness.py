@@ -98,12 +98,15 @@ def _take(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _num(section: dict, key: str, default, where: str, kind=float):
+def _num(section: dict, key: str, default, where: str, kind=float, minimum=None):
     value = section.get(key, default)
     try:
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}.{key} must be a {kind.__name__}, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value!r}")
+    return value
 
 
 # Defaults mirror the documented desk-scale label-noise experiment; gamma was
@@ -131,10 +134,10 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     )
     dataset = DatasetConfig(
         generator=str(ds.get("generator", "gaussian_blobs")),
-        n_train=_num(ds, "n_train", 300, "dataset", int),
-        n_test=_num(ds, "n_test", 600, "dataset", int),
+        n_train=_num(ds, "n_train", 300, "dataset", int, minimum=1),
+        n_test=_num(ds, "n_test", 600, "dataset", int, minimum=1),
         input_dim=_num(ds, "input_dim", 20, "dataset", int),
-        num_classes=_num(ds, "num_classes", 3, "dataset", int),
+        num_classes=_num(ds, "num_classes", 3, "dataset", int, minimum=2),
         noise_frac=_num(ds, "noise_frac", 0.5, "dataset", float),
         separation=_num(ds, "separation", 10.0, "dataset", float),
         seed=_num(ds, "seed", 0, "dataset", int),
@@ -143,10 +146,22 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown dataset generator {dataset.generator!r}")
     if not 0.0 <= dataset.noise_frac <= 1.0:
         raise ConfigError("dataset.noise_frac must be in [0, 1]")
+    if dataset.input_dim < dataset.num_classes:
+        raise ConfigError("dataset.input_dim must be >= dataset.num_classes")
+    if not dataset.separation > 0:
+        raise ConfigError("dataset.separation must be > 0")
 
     mlp = obj.get("mlp", {})
     _take(mlp, {"hidden_dims", "seed"}, "mlp")
-    hidden = tuple(int(h) for h in mlp.get("hidden_dims", DEFAULT_HIDDEN))
+    hidden_raw = mlp.get("hidden_dims", DEFAULT_HIDDEN)
+    try:
+        hidden = tuple(int(h) for h in hidden_raw)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"mlp.hidden_dims must be a list of integers, got {hidden_raw!r}"
+        ) from None
+    if any(h < 1 for h in hidden):
+        raise ConfigError(f"mlp.hidden_dims must all be >= 1, got {list(hidden)}")
     mlp_seed = _num(mlp, "seed", 0, "mlp", int)
 
     drm = obj.get("drm", {})
@@ -161,7 +176,7 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     if "sample_every" in drm and "p" in drm:
         raise ConfigError("drm: give either sample_every or p, not both")
     if "p" in drm:
-        schedule: Union[float, EveryK] = float(drm["p"])
+        schedule: Union[float, EveryK] = _num(drm, "p", None, "drm", float)
     else:
         schedule = EveryK(_num(drm, "sample_every", 5, "drm", int))
     epochs = _num(drm, "epochs", DEFAULT_EPOCHS, "drm", int)
@@ -227,8 +242,8 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         mlp_seed=mlp_seed,
         drm=drm_cfg,
         epochs=epochs,
-        landscape_n=_num(land, "n_samples", 2000, "landscape", int),
-        landscape_bins=_num(land, "bins", 50, "landscape", int),
+        landscape_n=_num(land, "n_samples", 2000, "landscape", int, minimum=1),
+        landscape_bins=_num(land, "bins", 50, "landscape", int, minimum=1),
         out_dir=obj.get("out_dir"),
         raw=obj,
     )

@@ -218,9 +218,6 @@ class TentLoss(ScalarLossModel):
     def true_risk(self, w) -> float:
         return tent_true_risk(w)
 
-    def true_risk_curve(self, w_points: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(w_points, dtype=np.float64))
-
 
 def reciprocal_eval(w: float, z: int) -> float:
     """Reciprocal loss: 1/w (z=0) or -1/w (z=1) for w > 0, zero otherwise."""
@@ -256,9 +253,6 @@ class ReciprocalLoss(ScalarLossModel):
 
     def true_risk(self, w) -> float:
         return 0.0
-
-    def true_risk_curve(self, w_points: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(w_points, dtype=np.float64))
 
 
 def quadratic_eval(w: ParamVector, z: Sample) -> float:

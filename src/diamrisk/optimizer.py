@@ -1,27 +1,29 @@
 """SGD loops for empirical and diametrical risk minimization.
 
-Three training routines share one loop skeleton:
+Two loops share one skeleton:
 
   sgd_erm_run         plain SGD on the empirical risk (baseline).
-  simple_sgd_drm_run  every iteration: draw r directions of norm gamma, pick
-                      the one with worst batch risk, and take the gradient
-                      step from the perturbed point.
-  sgd_drm_run         same idea, but fresh directions are drawn only on
+  sgd_drm_run         fresh directions of norm gamma are drawn only on
                       sampling events (every k-th iteration or with
-                      probability p) and past winners are kept in a FIFO
-                      queue of capacity q for reuse; every iteration the
-                      gradient is taken at the worst queued perturbation.
+                      probability p) and the worst of each draw is kept in a
+                      FIFO queue of capacity q; every iteration the gradient
+                      is taken at the worst queued perturbation.
+
+simple_sgd_drm_run is sgd_drm_run with q = 1 and sampling every iteration.
+simple_sgd_drm_step, one such step on its own, is the reference it is
+checked against.
 
 All randomness is split into independent streams derived from the config
 seed (batching, perturbations, the sampling coin, per-epoch evaluation), so
-runs that should coincide do so bitwise: gamma = 0 reduces both DRM variants
-to the ERM baseline, and q = 1 with sampling every iteration reduces the
-queued algorithm to the simple one, trace for trace.
+runs that should coincide do so bitwise: gamma = 0 reduces DRM to the ERM
+baseline, and q = 1 with sampling every iteration reduces the queued loop to
+repeated simple steps.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ import numpy as np
 
 from .losses import LossModel, Sample
 from .params import FeasibleSet, NormKind, ParamVector, Unbounded, axpy, project, sample_sphere
-from .risk import diametrical_risk_sampled
+from .risk import diametrical_risk_sampled, neighborhood_risks
 
 # Sub-stream tags for seed derivation; fixed so traces are reproducible.
 _STREAM_INIT = 0
@@ -218,14 +220,6 @@ def make_batch_indices(m: int, batch_size: int, epoch_seed) -> list[np.ndarray]:
     return [order[i : i + batch_size] for i in range(0, m, batch_size)]
 
 
-def make_batches(data, batch_size: int, epoch_seed) -> list[list[Sample]]:
-    samples = data.samples if hasattr(data, "samples") else data
-    return [
-        [samples[i] for i in idx]
-        for idx in make_batch_indices(len(samples), batch_size, epoch_seed)
-    ]
-
-
 def select_worst(
     model: LossModel, w: ParamVector, batch: Sequence[Sample], candidates: Sequence[ParamVector]
 ) -> tuple[int, ParamVector, float]:
@@ -233,13 +227,9 @@ def select_worst(
     lowest index."""
     if len(candidates) == 0:
         raise ValueError("empty candidate set")
-    best_index = -1
-    best_value = -np.inf
-    for i, u in enumerate(candidates):
-        value = model.batch_risk(axpy(w, 1.0, u), batch)
-        if value > best_value:
-            best_index, best_value = i, value
-    return best_index, candidates[best_index], best_value
+    values = neighborhood_risks(model, w, candidates, batch)
+    best_index = int(np.argmax(values))
+    return best_index, candidates[best_index], float(values[best_index])
 
 
 def simple_sgd_drm_step(
@@ -278,7 +268,7 @@ def _run_loop(
     queue_probe: Optional[Callable[[int, PerturbQueue], None]] = None,
 ) -> tuple[ParamVector, RunTrace]:
     cfg.validate()
-    if algorithm not in ("erm", "simple", "drm"):
+    if algorithm not in ("erm", "drm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     samples = data.samples if hasattr(data, "samples") else list(data)
     if len(samples) == 0:
@@ -306,7 +296,7 @@ def _run_loop(
             digest.update(idx.astype(np.int64).tobytes())
             batch = [samples[i] for i in idx]
             lr = cfg.lr_at(t)
-            event = _next_event(cfg.p, t, rng_coin) if algorithm != "simple" else True
+            event = _next_event(cfg.p, t, rng_coin)
             batch_risk = model.batch_risk(w, batch)
 
             if algorithm == "erm":
@@ -318,13 +308,9 @@ def _run_loop(
                         sample_sphere(w, cfg.gamma, cfg.norm_kind, rng_perturb)
                         for _ in range(cfg.r)
                     ]
-                    _, u_star, u_risk = select_worst(model, w, batch, candidates)
-                    if algorithm == "drm":
-                        queue.push(u_star)
-                if algorithm == "simple":
-                    v_star, perturbed_risk = u_star, u_risk
-                else:
-                    _, v_star, perturbed_risk = select_worst(model, w, batch, queue.entries)
+                    _, u_star, _ = select_worst(model, w, batch, candidates)
+                    queue.push(u_star)
+                _, v_star, perturbed_risk = select_worst(model, w, batch, queue.entries)
                 grad_point = axpy(w, 1.0, v_star)
             if queue_probe is not None:
                 queue_probe(t, queue)
@@ -360,8 +346,10 @@ def sgd_erm_run(model, data, test, cfg: DrmConfig, w0=None) -> tuple[ParamVector
 
 
 def simple_sgd_drm_run(model, data, test, cfg: DrmConfig, w0=None) -> tuple[ParamVector, RunTrace]:
-    """Simple DRM loop: fresh perturbations every iteration, no reuse queue."""
-    return _run_loop(model, data, test, cfg, "simple", w0)
+    """Simple DRM loop: the queued loop with q = 1 and fresh perturbations
+    every iteration, whatever cfg.q and cfg.p say."""
+    cfg.validate()
+    return _run_loop(model, data, test, dataclasses.replace(cfg, q=1, p=EveryK(1)), "drm", w0)
 
 
 def sgd_drm_run(

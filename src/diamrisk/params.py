@@ -34,12 +34,12 @@ class ParamVector:
 
     __slots__ = ("_names", "_arrays")
 
-    def __init__(self, layers: Iterable[tuple[str, np.ndarray]], validate: bool = True):
+    def __init__(self, layers: Iterable[tuple[str, np.ndarray]]):
         names: list[str] = []
         arrays: list[np.ndarray] = []
         for name, values in layers:
             arr = np.array(values, dtype=np.float64)
-            if validate and arr.size and not np.all(np.isfinite(arr)):
+            if arr.size and not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in layer {name!r}")
             arr.flags.writeable = False
             names.append(str(name))
@@ -169,10 +169,6 @@ def axpy(w: ParamVector, alpha: float, d: ParamVector) -> ParamVector:
     return ParamVector(
         (n, a + alpha * b) for (n, a), b in zip(w, d.arrays)
     )
-
-
-def scale(w: ParamVector, alpha: float) -> ParamVector:
-    return ParamVector((n, alpha * a) for n, a in w)
 
 
 def norm(v: ParamVector, kind: NormKind):

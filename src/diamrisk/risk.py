@@ -125,17 +125,30 @@ def true_risk(model: LossModel, w, mc: Optional[McConfig] = None) -> TrueRiskEst
     )
 
 
-def neighborhood_grid_1d(model, w: float, gamma: float, grid_points: int) -> np.ndarray:
-    """Evaluation grid on [w - gamma, w + gamma]: uniform points, the center,
-    plus every declared loss breakpoint that falls inside the interval."""
+def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> np.ndarray:
+    """Uniform grid on [lo, hi] augmented with every loss breakpoint and every
+    breakpoint shifted by +-gamma that lands inside the window."""
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    lo, hi = w - gamma, w + gamma
-    pts = [np.linspace(lo, hi, grid_points), np.array([w])]
-    bps = [b for b in getattr(model, "breakpoints", ()) if lo <= b <= hi]
-    if bps:
-        pts.append(np.array(bps, dtype=np.float64))
+    pts = [np.linspace(lo, hi, grid_points)]
+    extra = []
+    for b in getattr(model, "breakpoints", ()):
+        for x in (b, b - gamma, b + gamma):
+            if lo <= x <= hi:
+                extra.append(x)
+    if extra:
+        pts.append(np.array(extra, dtype=np.float64))
     return np.unique(np.concatenate(pts))
+
+
+def neighborhood_risks(
+    model: LossModel, w: ParamVector, directions: Sequence[ParamVector], S
+) -> np.ndarray:
+    """Empirical risk at w + u for each direction u, in order. Callers take
+    np.argmax, which breaks ties to the lowest index."""
+    samples = _samples_of(S)
+    values = [model.batch_risk(axpy(w, 1.0, u), samples) for u in directions]
+    return np.array(values, dtype=np.float64)
 
 
 def diametrical_risk_grid_1d(
@@ -153,7 +166,8 @@ def diametrical_risk_grid_1d(
     if gamma == 0.0:
         wrapped = model.wrap(w) if hasattr(model, "wrap") else w
         return RiskEstimate(value=empirical_risk(model, wrapped, S), method=Exact(), gamma=0.0)
-    pts = neighborhood_grid_1d(model, w, gamma, grid_points)
+    # The centre plus uniform points and in-range breakpoints of the interval.
+    pts = np.union1d(window_grid(model, w - gamma, w + gamma, 0.0, grid_points), [w])
     values = empirical_risk_curve(model, pts, S)
     return RiskEstimate(value=float(values.max()), method=Grid(len(pts)), gamma=gamma)
 
@@ -179,19 +193,13 @@ def diametrical_risk_sampled(
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
         rng = np.random.default_rng(seed)
-    samples = _samples_of(S)
-    best_value = -np.inf
-    best_index = -1
-    best_direction = None
-    for i in range(r):
-        u = sample_sphere(w, gamma, kind, rng)
-        value = model.batch_risk(axpy(w, 1.0, u), samples)
-        if value > best_value:
-            best_value, best_index, best_direction = value, i, u
+    directions = [sample_sphere(w, gamma, kind, rng) for _ in range(r)]
+    values = neighborhood_risks(model, w, directions, S)
+    best_index = int(np.argmax(values))
     return RiskEstimate(
-        value=float(best_value),
+        value=float(values[best_index]),
         method=Sampled(r=r, seed=seed),
         gamma=gamma,
-        worst_direction=best_direction,
+        worst_direction=directions[best_index],
         worst_index=best_index,
     )

@@ -230,9 +230,10 @@ def test_level_set_nesting_frequency():
     )
     q = study.records[0].q_alpha
     delta = 0.1
-    from diamrisk.analysis import _neighborhood_matrix, _neighborhood_sup_curve, _window_grid
+    from diamrisk.analysis import _neighborhood_matrix, _neighborhood_sup_curve
+    from diamrisk.risk import window_grid
 
-    w_grid = _window_grid(tent, -2.0, 2.0, GAMMA_LOSS, 65)
+    w_grid = window_grid(tent, -2.0, 2.0, GAMMA_LOSS, 65)
     X = _neighborhood_matrix(tent, w_grid, GAMMA_LOSS, 65)
     r_true = tent.true_risk_curve(w_grid)
     hits = 0
@@ -280,6 +281,25 @@ def test_landscape_histogram_counts_sum_to_n():
     hist = landscape_histogram(quad, quad.wrap(0.1), 0.5, NormKind.EUCLIDEAN, 10000, S, rng=10)
     assert int(hist.counts.sum()) == 10000
     assert len(hist.values) == 10000
+
+
+def test_landscape_histogram_bins_must_be_positive():
+    model = ConstantLoss(c=2.0)
+    w = ParamVector.zeros_like(model.param_template)
+    with pytest.raises(ValueError, match="bins"):
+        landscape_histogram(model, w, 1.0, NormKind.EUCLIDEAN, 10, [Sample()], rng=0, bins=0)
+
+
+def test_landscape_histogram_one_bin_when_range_is_too_narrow():
+    class TwoUlpLoss(ConstantLoss):
+        def eval(self, w, z):
+            return 1.0 if w.flat()[0] > 0 else float(np.nextafter(1.0, 2.0))
+
+    model = TwoUlpLoss()
+    w = ParamVector.zeros_like(model.param_template)
+    hist = landscape_histogram(model, w, 1.0, NormKind.EUCLIDEAN, 40, [Sample()], rng=0, bins=50)
+    assert len(set(hist.values.tolist())) == 2
+    assert hist.counts.tolist() == [40] and len(hist.bin_edges) == 2
 
 
 def test_landscape_histogram_1d_quadratic_sphere_is_two_points():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from diamrisk.cli import cli_main
+from diamrisk.harness import experiment_config_from_dict
+from diamrisk.mlp import init_params
 from diamrisk.params import ParamVector
 
 
@@ -147,3 +149,40 @@ def test_landscape_shape_mismatch_exits_1(tmp_path, capsys):
          "--gamma", "1", "--n", "10"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("landscape", "bins", 0),
+        ("landscape", "n_samples", 0),
+        ("dataset", "n_test", 0),
+        ("mlp", "hidden_dims", ["abc"]),
+        ("mlp", "hidden_dims", [0]),
+        ("drm", "p", "x"),
+    ],
+)
+def test_bad_config_values_exit_2_before_training(tmp_path, capsys, section, key, value):
+    cfg_path = tiny_config(tmp_path)
+    obj = json.loads(cfg_path.read_text())
+    obj[section][key] = value
+    if key == "p":
+        del obj["drm"]["sample_every"]
+    cfg_path.write_text(json.dumps(obj))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()  # nothing was trained or written
+
+
+@pytest.mark.parametrize("flag", ["--n", "--bins"])
+def test_landscape_nonpositive_sizes_exit_2(tmp_path, capsys, flag):
+    cfg_path = tiny_config(tmp_path)
+    spec = experiment_config_from_dict(json.loads(cfg_path.read_text())).mlp_spec()
+    checkpoint = tmp_path / "w.json"
+    init_params(spec, np.random.default_rng(0)).save(checkpoint)
+    code = cli_main(
+        ["landscape", "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+         "--gamma", "1", "--n", "10", flag, "0", "--out", str(tmp_path / "land")]
+    )
+    assert code == 2
+    assert not (tmp_path / "land").exists()

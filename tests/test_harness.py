@@ -104,6 +104,32 @@ def test_bad_values_are_config_errors():
         experiment_config_from_dict(obj)
 
 
+# Each of these used to pass the parser and fail (or silently degrade) only
+# during or after training.
+BAD_VALUES = [
+    ("landscape", "bins", 0),
+    ("landscape", "n_samples", 0),
+    ("dataset", "n_test", 0),
+    ("dataset", "num_classes", 1),
+    ("dataset", "input_dim", 2),  # fewer dimensions than classes
+    ("dataset", "separation", 0.0),
+    ("mlp", "hidden_dims", ["abc"]),
+    ("mlp", "hidden_dims", [0]),
+    ("mlp", "hidden_dims", 8),
+    ("drm", "p", "x"),
+]
+
+
+@pytest.mark.parametrize("section,key,value", BAD_VALUES)
+def test_bad_values_fail_in_the_parser(section, key, value):
+    obj = tiny_config_dict()
+    obj[section][key] = value
+    if key == "p":
+        del obj["drm"]["sample_every"]
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        experiment_config_from_dict(obj)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_experiment_config(tmp_path / "missing.json")

@@ -10,7 +10,6 @@ from diamrisk.optimizer import (
     PerturbQueue,
     constant_then_drop_schedule,
     make_batch_indices,
-    make_batches,
     select_worst,
     sgd_drm_run,
     sgd_erm_run,
@@ -96,25 +95,19 @@ def test_perturb_queue_fifo_eviction():
         assert list(q.entries) == expected
 
 
-def test_make_batches_partition_and_determinism():
-    rng = np.random.default_rng(0)
-    data = quad_data(rng, m=11)
-    batches = make_batches(data, 4, epoch_seed=[7, 1, 0])
-    sizes = [len(b) for b in batches]
-    assert sizes == [4, 4, 3]  # last short batch kept
-    flat = [id(z) for b in batches for z in b]
-    assert sorted(flat) == sorted(id(z) for z in data.samples)  # disjoint union
-    again = make_batches(data, 4, epoch_seed=[7, 1, 0])
-    assert [[id(z) for z in b] for b in batches] == [[id(z) for z in b] for b in again]
-    other = make_batches(data, 4, epoch_seed=[7, 1, 1])
-    assert [[id(z) for z in b] for b in batches] != [[id(z) for z in b] for b in other]
+def test_make_batch_indices_partition_and_determinism():
+    batches = make_batch_indices(11, 4, epoch_seed=[7, 1, 0])
+    assert [len(b) for b in batches] == [4, 4, 3]  # last short batch kept
+    assert sorted(np.concatenate(batches).tolist()) == list(range(11))  # disjoint union
+    again = make_batch_indices(11, 4, epoch_seed=[7, 1, 0])
+    assert [b.tolist() for b in batches] == [b.tolist() for b in again]
+    other = make_batch_indices(11, 4, epoch_seed=[7, 1, 1])
+    assert [b.tolist() for b in batches] != [b.tolist() for b in other]
 
 
-def test_make_batches_large_batch_is_single_shuffled_batch():
-    rng = np.random.default_rng(1)
-    data = quad_data(rng, m=5)
-    batches = make_batches(data, 100, epoch_seed=0)
-    assert len(batches) == 1 and len(batches[0]) == 5
+def test_make_batch_indices_large_batch_is_single_shuffled_batch():
+    batches = make_batch_indices(5, 100, epoch_seed=0)
+    assert len(batches) == 1 and sorted(batches[0].tolist()) == list(range(5))
 
 
 def test_select_worst_singleton_and_ties():
@@ -261,7 +254,9 @@ def test_queue_one_sampling_every_iteration_reduces_to_simple_bitwise():
         seed=13,
     )
     w0 = init_params(spec, np.random.default_rng(1))
-    final_simple, trace_simple = simple_sgd_drm_run(model, train, test, cfg, w0=w0)
+    # The simple loop ignores the queue capacity and sampling schedule.
+    other_schedule = DrmConfig(**{**cfg.__dict__, "q": 3, "p": 0.4})
+    final_simple, trace_simple = simple_sgd_drm_run(model, train, test, other_schedule, w0=w0)
     final_drm, trace_drm = sgd_drm_run(model, train, test, cfg, w0=w0)
     assert trace_simple.to_csv_text() == trace_drm.to_csv_text()
     assert final_simple == final_drm
