@@ -14,7 +14,7 @@ from .analysis import (
     landscape_histogram,
     rate_study,
 )
-from .data import Dataset, accuracy, flip_labels, gen_gaussian_blobs
+from .data import Dataset, flip_labels, gen_gaussian_blobs
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -26,7 +26,6 @@ from .losses import (
     LossModel,
     QuadraticLoss,
     ReciprocalLoss,
-    Sample,
     TentLoss,
     quadratic_eval,
     reciprocal_eval,
@@ -34,7 +33,7 @@ from .losses import (
     tent_eval,
     tent_true_risk,
 )
-from .mlp import MlpLossModel, MlpSpec, forward, init_params, loss_and_grad, nll_softmax
+from .mlp import MlpLossModel, MlpSpec, accuracy_on, init_params, loss_and_grad, nll_softmax
 from .optimizer import (
     DrmConfig,
     EveryK,

@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .data import Dataset
 from .losses import LossModel
 from .params import NormKind, ParamVector, axpy, sample_sphere
 from .risk import label_risk_curves, neighborhood_risks, window_grid
@@ -419,8 +420,7 @@ def sample_directions(
 def directions_digest(directions: Sequence[ParamVector]) -> str:
     h = hashlib.sha256()
     for u in directions:
-        for _, arr in u:
-            h.update(arr.tobytes())
+        h.update(u.flat().tobytes())
     return h.hexdigest()
 
 
@@ -430,7 +430,7 @@ def landscape_histogram(
     gamma: float,
     kind: NormKind,
     n_samples: int,
-    S,
+    S: Dataset,
     rng: Union[np.random.Generator, int, None] = None,
     shared_directions: Optional[Sequence[ParamVector]] = None,
     *,
@@ -459,19 +459,18 @@ def landscape_histogram(
             raise ValueError("need an rng when shared_directions is not given")
         directions = sample_directions(w_center, gamma, kind, n_samples, rng)
 
-    samples = S.samples if hasattr(S, "samples") else S
     if max_workers > 1:
         values = np.empty(n_samples)
 
         def _evaluate(i: int) -> None:
-            values[i] = model.batch_risk(axpy(w_center, 1.0, directions[i]), samples)
+            values[i] = model.batch_risk(axpy(w_center, 1.0, directions[i]), S)
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             list(pool.map(_evaluate, range(n_samples)))
     else:
-        values = neighborhood_risks(model, w_center, directions, samples)
+        values = neighborhood_risks(model, w_center, directions, S)
 
-    reference = model.batch_risk(w_center, samples)
+    reference = model.batch_risk(w_center, S)
     try:
         counts, edges = np.histogram(values, bins=bins)
     except ValueError as exc:

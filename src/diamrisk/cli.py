@@ -147,8 +147,16 @@ def _cmd_landscape(args) -> int:
         w = ParamVector.load(args.checkpoint)
     except FileNotFoundError:
         raise ConfigError(f"checkpoint not found: {args.checkpoint}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {args.checkpoint} is not a parameter file: {exc}") from None
+    spec = cfg.mlp_spec()
+    if w.shapes != spec.param_shapes():
+        raise ConfigError(
+            f"checkpoint {args.checkpoint} has layer shapes {list(w.shapes)}, "
+            f"but the network spec needs {list(spec.param_shapes())}"
+        )
     train, _, _ = build_datasets(cfg)
-    model = MlpLossModel(cfg.mlp_spec())
+    model = MlpLossModel(spec)
     hist = landscape_histogram(
         model,
         w,

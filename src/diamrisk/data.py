@@ -1,57 +1,79 @@
-"""Synthetic classification data with controlled label noise.
+"""Data sets as arrays, and synthetic classification data with label noise.
 
-Class-conditional Gaussian blobs stand in for image benchmarks at desk scale;
-flip_labels corrupts a chosen fraction of training labels to a uniformly
-random incorrect class while keeping the originals and a per-sample mask.
+A Dataset holds one row per record: features X of shape (m, d), integer
+labels y, and real regression targets t (read only by the quadratic
+fixture). The 1-D analytic losses use d = 0, where the label alone carries
+the randomness. Class-conditional Gaussian blobs stand in for image
+benchmarks at desk scale; flip_labels corrupts a chosen fraction of training
+labels to a uniformly random incorrect class while keeping the originals and
+a per-row mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .losses import Sample
-from .mlp import MlpSpec, accuracy_on
 
-
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    samples: list[Sample]
-    num_classes: int
-    noise_mask: np.ndarray = field(default=None)
-    original_labels: np.ndarray = field(default=None)
+    """m rows: features X (m, d), labels y in [0, num_classes), targets t
+    (zeros unless given), and for corrupted data the per-row noise mask and
+    the labels before corruption."""
+
+    X: np.ndarray
+    y: np.ndarray
+    num_classes: int = 2
+    t: np.ndarray = None
+    noise_mask: np.ndarray = None
+    original_labels: np.ndarray = None
 
     def __post_init__(self):
-        m = len(self.samples)
+        self.y = np.asarray(self.y, dtype=np.int64)
+        m = self.y.shape[0] if self.y.ndim == 1 else -1
+        self.X = np.asarray(self.X, dtype=np.float64)
+        if m < 0 or self.X.ndim != 2 or self.X.shape[0] != m:
+            raise ValueError(
+                f"need X of shape (m, d) and y of shape (m,), got {self.X.shape} and {self.y.shape}"
+            )
+        self.t = np.zeros(m) if self.t is None else np.asarray(self.t, dtype=np.float64)
         if self.noise_mask is None:
             self.noise_mask = np.zeros(m, dtype=bool)
         if self.original_labels is None:
-            self.original_labels = np.array([z.label for z in self.samples], dtype=int)
+            self.original_labels = self.y
         self.noise_mask = np.asarray(self.noise_mask, dtype=bool)
-        self.original_labels = np.asarray(self.original_labels, dtype=int)
-        if self.noise_mask.shape != (m,) or self.original_labels.shape != (m,):
-            raise ValueError("mask and original labels must have one entry per sample")
-        for z, flipped, orig in zip(self.samples, self.noise_mask, self.original_labels):
-            if not 0 <= z.label < self.num_classes:
-                raise ValueError(f"label {z.label} outside [0, {self.num_classes})")
-            if flipped and z.label == orig:
-                raise ValueError("masked sample whose label equals its original")
+        self.original_labels = np.asarray(self.original_labels, dtype=np.int64)
+        if any(a.shape != (m,) for a in (self.t, self.noise_mask, self.original_labels)):
+            raise ValueError("targets, mask and original labels must have one entry per row")
+        bad = (self.y < 0) | (self.y >= self.num_classes)
+        if bad.any():
+            raise ValueError(f"label {self.y[bad][0]} outside [0, {self.num_classes})")
+        if (self.noise_mask & (self.y == self.original_labels)).any():
+            raise ValueError("masked row whose label equals its original")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.y.shape[0]
 
-    def labels(self) -> np.ndarray:
-        return np.array([z.label for z in self.samples], dtype=int)
-
-    def features_matrix(self) -> np.ndarray:
-        return np.stack([z.features for z in self.samples])
+    def __getitem__(self, idx) -> "Dataset":
+        """The rows idx (an index array, slice or single index) as a Dataset."""
+        if isinstance(idx, (int, np.integer)):
+            idx = [idx]
+        return Dataset(
+            X=self.X[idx],
+            y=self.y[idx],
+            num_classes=self.num_classes,
+            t=self.t[idx],
+            noise_mask=self.noise_mask[idx],
+            original_labels=self.original_labels[idx],
+        )
 
     @staticmethod
     def from_labels(labels: Sequence[int], num_classes: int = 2) -> "Dataset":
         """Feature-free dataset for the 1-D analytic losses."""
-        return Dataset(samples=[Sample(label=int(l)) for l in labels], num_classes=num_classes)
+        y = np.asarray(labels, dtype=np.int64)
+        return Dataset(X=np.empty((y.shape[0], 0)), y=y, num_classes=num_classes)
 
 
 def class_means(num_classes: int, d: int, separation: float) -> np.ndarray:
@@ -67,7 +89,7 @@ def class_means(num_classes: int, d: int, separation: float) -> np.ndarray:
 def gen_gaussian_blobs(num_classes: int, n: int, d: int, separation: float, seed) -> Dataset:
     """Balanced isotropic Gaussian blobs, deterministic in the seed.
 
-    Sample i belongs to class i mod num_classes, so any prefix is as balanced
+    Row i belongs to class i mod num_classes, so any prefix is as balanced
     as it can be.
     """
     if num_classes < 2:
@@ -76,18 +98,14 @@ def gen_gaussian_blobs(num_classes: int, n: int, d: int, separation: float, seed
         raise ValueError("separation must be positive")
     rng = np.random.default_rng(seed)
     means = class_means(num_classes, d, separation)
-    samples = []
-    for i in range(n):
-        label = i % num_classes
-        features = means[label] + rng.standard_normal(d)
-        samples.append(Sample(features=features, label=label))
-    return Dataset(samples=samples, num_classes=num_classes)
+    y = np.arange(n) % num_classes
+    return Dataset(X=means[y] + rng.standard_normal((n, d)), y=y, num_classes=num_classes)
 
 
 def flip_labels(data: Dataset, frac: float, rng: np.random.Generator) -> Dataset:
     """Flip exactly round(frac * m) uniformly chosen labels to a uniformly
-    random incorrect class. Features are shared with the input dataset
-    bit-for-bit; only labels and the mask change."""
+    random incorrect class. Features and targets are shared with the input
+    dataset; only labels and the mask change."""
     if not 0.0 <= frac <= 1.0:
         raise ValueError("frac must be in [0, 1]")
     if data.num_classes < 2:
@@ -95,30 +113,19 @@ def flip_labels(data: Dataset, frac: float, rng: np.random.Generator) -> Dataset
     m = len(data)
     k = int(round(frac * m))
     chosen = rng.choice(m, size=k, replace=False) if k else np.array([], dtype=int)
-    chosen_set = set(int(i) for i in chosen)
+    y = data.y.copy()
+    # One draw per flipped row, in ascending row order; uniform over the
+    # other classes by skipping the original label.
+    for i in np.sort(chosen):
+        offset = int(rng.integers(0, data.num_classes - 1))
+        y[i] = offset if offset < y[i] else offset + 1
     mask = np.zeros(m, dtype=bool)
-    originals = data.labels()
-    samples = []
-    for i, z in enumerate(data.samples):
-        if i in chosen_set:
-            # Uniform over the other classes: skip the original label.
-            offset = int(rng.integers(0, data.num_classes - 1))
-            new_label = offset if offset < z.label else offset + 1
-            samples.append(Sample(features=z.features, label=new_label, target=z.target))
-            mask[i] = True
-        else:
-            samples.append(z)
+    mask[chosen] = True
     return Dataset(
-        samples=samples,
+        X=data.X,
+        y=y,
         num_classes=data.num_classes,
+        t=data.t,
         noise_mask=mask,
-        original_labels=originals,
+        original_labels=data.y,
     )
-
-
-def accuracy(spec: MlpSpec, w, data: Dataset) -> float:
-    """Fraction of samples whose argmax logit (ties to the lowest class index)
-    matches the label."""
-    if len(data) == 0:
-        raise ValueError("empty dataset")
-    return accuracy_on(spec, w, data.samples)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,8 +103,10 @@ def _num(section: dict, key: str, default, where: str, kind=float, minimum=None)
     value = section.get(key, default)
     try:
         value = kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}.{key} must be a {kind.__name__}, got {value!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value!r}")
     return value

@@ -1,39 +1,21 @@
-"""Pointwise loss functions and the model interface they plug into.
+"""Loss models: empirical risk and its gradient over a Dataset.
 
 Includes two 1-D analytic losses whose true risk is identically zero (a
 piecewise-linear "tent" with a steep slope, and a reciprocal loss that is not
 even Lipschitz), plus a convex quadratic fixture. Both analytic losses make
 plain empirical-risk minimization misbehave while the worst-case-neighborhood
-risk stays well behaved, which is what the test suite exercises.
+risk stays well behaved, which is what the test suite exercises. A single
+record is a one-row Dataset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .data import Dataset
 from .params import ParamVector
-
-
-@dataclass
-class Sample:
-    """One data record: feature vector plus integer class label.
-
-    features may be empty for the 1-D analytic losses, where the label alone
-    carries the randomness. target is a real-valued regression target used
-    only by the quadratic fixture.
-    """
-
-    features: np.ndarray = field(default_factory=lambda: np.empty(0))
-    label: int = 0
-    target: float = 0.0
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.label = int(self.label)
-        self.target = float(self.target)
 
 
 def rho_m(labels: Sequence[int]) -> int:
@@ -49,47 +31,35 @@ def rho_m(labels: Sequence[int]) -> int:
     return total
 
 
-class LossModel:
-    """Pointwise loss with gradient, consumed by the risk and optimizer layers.
+def _index_order_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean over axis 0, accumulated row by row in ascending index order.
 
-    Subclasses implement eval/grad and set param_template. true_risk is the
-    analytic expected loss when known, else None. batch_risk/batch_grad
-    default to means in ascending sample-index order; vectorized models may
-    override batch_risk for speed.
+    np.cumsum adds strictly left to right, so the result equals a Python
+    loop of += bit for bit (np.mean sums pairwise and does not).
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape[0] == 0:
+        raise ValueError("empty batch")
+    return np.cumsum(rows, axis=0)[-1] / rows.shape[0]
+
+
+class LossModel:
+    """Empirical risk with gradient, consumed by the risk and optimizer layers.
+
+    Subclasses implement batch_risk (mean loss over the rows of a Dataset)
+    and batch_grad (that mean and its gradient in w), and set
+    param_template. true_risk is the analytic expected loss when known,
+    else None.
     """
 
     param_template: ParamVector
     true_risk: Optional[Callable[..., float]] = None
 
-    def eval(self, w: ParamVector, z: Sample) -> float:
+    def batch_risk(self, w: ParamVector, S: Dataset) -> float:
         raise NotImplementedError
 
-    def grad(self, w: ParamVector, z: Sample) -> ParamVector:
+    def batch_grad(self, w: ParamVector, S: Dataset) -> tuple[float, ParamVector]:
         raise NotImplementedError
-
-    def batch_risk(self, w: ParamVector, samples: Sequence[Sample]) -> float:
-        if len(samples) == 0:
-            raise ValueError("empty batch")
-        total = 0.0
-        for z in samples:
-            total += self.eval(w, z)
-        return total / len(samples)
-
-    def batch_grad(self, w: ParamVector, samples: Sequence[Sample]) -> tuple[float, ParamVector]:
-        if len(samples) == 0:
-            raise ValueError("empty batch")
-        total = 0.0
-        acc = [np.zeros(a.shape) for a in self.param_template.arrays]
-        for z in samples:
-            total += self.eval(w, z)
-            g = self.grad(w, z)
-            for buf, layer in zip(acc, g.arrays):
-                buf += layer
-        k = len(samples)
-        grad = ParamVector(
-            (n, buf / k) for n, buf in zip(self.param_template.names, acc)
-        )
-        return total / k, grad
 
     def init_params(self, rng: np.random.Generator) -> ParamVector:
         return ParamVector.zeros_like(self.param_template)
@@ -101,12 +71,11 @@ class ScalarLossModel(LossModel):
     eval_scalar/grad_scalar are vectorized over w. breakpoints lists the
     parameter values where the loss is non-differentiable; gradients return
     the right-hand derivative there. label_sufficient marks losses that
-    depend on z only through the label, which lets risk curves group samples
-    by label.
+    depend on a row only through its label, which lets risk curves group
+    rows by label.
     """
 
     breakpoints: tuple[float, ...] = ()
-    label_values: tuple[int, ...] = (0, 1)
     label_sufficient: bool = True
 
     def __init__(self):
@@ -118,9 +87,6 @@ class ScalarLossModel(LossModel):
     def grad_scalar(self, w, label: int):
         raise NotImplementedError
 
-    def eval_curve(self, w_points: np.ndarray, z: Sample) -> np.ndarray:
-        return self.eval_scalar(w_points, z.label)
-
     def wrap(self, x: float) -> ParamVector:
         return ParamVector([("w", np.array([float(x)]))])
 
@@ -130,11 +96,18 @@ class ScalarLossModel(LossModel):
             return float(w.flat()[0])
         return float(w)
 
-    def eval(self, w, z: Sample) -> float:
-        return float(self.eval_scalar(self.unwrap(w), z.label))
+    def _per_row(self, fn, w, S: Dataset) -> np.ndarray:
+        """fn at scalar w for each row's label, one call per distinct label."""
+        labels, inverse = np.unique(S.y, return_inverse=True)
+        x = self.unwrap(w)
+        return np.array([float(fn(x, int(lab))) for lab in labels])[inverse]
 
-    def grad(self, w, z: Sample) -> ParamVector:
-        return self.wrap(float(self.grad_scalar(self.unwrap(w), z.label)))
+    def batch_risk(self, w, S: Dataset) -> float:
+        return float(_index_order_mean(self._per_row(self.eval_scalar, w, S)))
+
+    def batch_grad(self, w, S: Dataset) -> tuple[float, ParamVector]:
+        grad = _index_order_mean(self._per_row(self.grad_scalar, w, S))
+        return self.batch_risk(w, S), self.wrap(float(grad))
 
     def true_risk(self, w) -> float:
         raise NotImplementedError
@@ -145,8 +118,9 @@ class ScalarLossModel(LossModel):
             w_points.shape
         )
 
-    def sample_z(self, rng: np.random.Generator) -> Sample:
-        return Sample(label=int(rng.integers(0, 2)))
+    def sample_z(self, rng: np.random.Generator) -> Dataset:
+        """One record, as a one-row Dataset, with an equiprobable label."""
+        return Dataset.from_labels([int(rng.integers(0, 2))])
 
     def sample_labels(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m labels drawn equiprobably from {0, 1}."""
@@ -255,14 +229,14 @@ class ReciprocalLoss(ScalarLossModel):
         return 0.0
 
 
-def quadratic_eval(w: ParamVector, z: Sample) -> float:
-    """Half squared residual 0.5 * (<a, w> - b)^2 with a = z.features, b = z.target."""
+def quadratic_eval(w: ParamVector, S: Dataset) -> np.ndarray:
+    """Per-row half squared residual 0.5 * (<x, w> - t)^2 over the rows of S."""
     flat = w.flat()
-    if z.features.shape != flat.shape:
+    if S.X.shape[1] != flat.shape[0]:
         raise ValueError(
-            f"feature dimension {z.features.shape} does not match parameters {flat.shape}"
+            f"feature dimension {S.X.shape[1]} does not match parameters {flat.shape}"
         )
-    residual = float(np.dot(z.features, flat) - z.target)
+    residual = S.X @ flat - S.t
     return 0.5 * residual * residual
 
 
@@ -278,22 +252,22 @@ class QuadraticLoss(LossModel):
             template = ParamVector([("w", np.zeros(dim))])
         self.param_template = template
 
-    def eval(self, w: ParamVector, z: Sample) -> float:
-        return quadratic_eval(w, z)
+    def batch_risk(self, w: ParamVector, S: Dataset) -> float:
+        return float(_index_order_mean(quadratic_eval(w, S)))
 
-    def grad(self, w: ParamVector, z: Sample) -> ParamVector:
-        flat = w.flat()
-        if z.features.shape != flat.shape:
-            raise ValueError("feature dimension does not match parameters")
-        residual = float(np.dot(z.features, flat) - z.target)
-        return ParamVector.from_flat(w, residual * z.features)
+    def batch_grad(self, w: ParamVector, S: Dataset) -> tuple[float, ParamVector]:
+        risk = self.batch_risk(w, S)
+        residual = S.X @ w.flat() - S.t
+        return risk, ParamVector.from_flat(w, _index_order_mean(residual[:, None] * S.X))
 
     # 1-D curve support for the grid-based neighborhood-sup oracle.
-    def eval_curve(self, w_points: np.ndarray, z: Sample) -> np.ndarray:
+    def risk_curve(self, w_points: np.ndarray, S: Dataset) -> np.ndarray:
+        """Empirical risk at every point of w_points (1-D quadratic only)."""
         if self.param_template.size != 1:
-            raise ValueError("eval_curve only applies to the 1-D quadratic")
-        a = float(z.features[0])
-        return 0.5 * np.square(a * np.asarray(w_points, dtype=float) - z.target)
+            raise ValueError("risk_curve only applies to the 1-D quadratic")
+        w_points = np.asarray(w_points, dtype=np.float64)
+        rows = 0.5 * np.square(S.X[:, :1] * w_points.ravel() - S.t[:, None])
+        return _index_order_mean(rows).reshape(w_points.shape)
 
     def wrap(self, x: float) -> ParamVector:
         if self.param_template.size != 1:
@@ -301,34 +275,39 @@ class QuadraticLoss(LossModel):
         return ParamVector.from_flat(self.param_template, np.array([float(x)]))
 
 
-def finite_diff_grad(model: LossModel, w: ParamVector, z: Sample, step: float = 1e-5) -> ParamVector:
-    """Central-difference gradient of model.eval at (w, z), coordinate by coordinate."""
+def finite_diff_grad(
+    model: LossModel, w: ParamVector, S: Dataset, step: float = 1e-5
+) -> ParamVector:
+    """Central-difference gradient of model.batch_risk at (w, S), coordinate
+    by coordinate."""
     flat = w.flat()
     out = np.zeros_like(flat)
     for i in range(flat.size):
         bump = np.zeros_like(flat)
         bump[i] = step
-        hi = model.eval(ParamVector.from_flat(w, flat + bump), z)
-        lo = model.eval(ParamVector.from_flat(w, flat - bump), z)
+        hi = model.batch_risk(ParamVector.from_flat(w, flat + bump), S)
+        lo = model.batch_risk(ParamVector.from_flat(w, flat - bump), S)
         out[i] = (hi - lo) / (2.0 * step)
     return ParamVector.from_flat(w, out)
 
 
 def gradient_check(
     model: LossModel,
-    pairs: Sequence[tuple[ParamVector, Sample]],
+    pairs: Sequence[tuple[ParamVector, Dataset]],
     step: float = 1e-5,
 ) -> float:
     """Worst scaled error between analytic and finite-difference gradients.
 
-    The error is ||g - g_fd||_inf / max(1, ||g||_inf), so tiny gradients are
-    compared absolutely and large ones relatively. Callers should keep the
-    probe points away from declared non-differentiable parameters.
+    Each pair is a parameter vector and a Dataset (one row probes a single
+    record). The error is ||g - g_fd||_inf / max(1, ||g||_inf), so tiny
+    gradients are compared absolutely and large ones relatively. Callers
+    should keep the probe points away from declared non-differentiable
+    parameters.
     """
     worst = 0.0
-    for w, z in pairs:
-        g = model.grad(w, z).flat()
-        g_fd = finite_diff_grad(model, w, z, step).flat()
+    for w, S in pairs:
+        g = model.batch_grad(w, S)[1].flat()
+        g_fd = finite_diff_grad(model, w, S, step).flat()
         denom = max(1.0, float(np.max(np.abs(g))) if g.size else 0.0)
         err = float(np.max(np.abs(g - g_fd))) / denom if g.size else 0.0
         worst = max(worst, err)

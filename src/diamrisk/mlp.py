@@ -3,17 +3,18 @@
 Parameters live in a ParamVector with layers W0, b0, W1, b1, ... where Wi has
 shape (fan_out, fan_in) and bi has shape (fan_out,). The final affine layer
 produces logits scored by a max-shifted softmax negative log-likelihood.
+Batches are Datasets: the network reads the feature matrix X and labels y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .losses import LossModel, Sample
-from .params import ParamVector
+from .data import Dataset
+from .losses import LossModel
+from .params import ParamVector, _split_layers
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,13 @@ class MlpSpec:
         dims = [self.input_dim, *self.hidden_dims, self.num_classes]
         return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
 
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Layer shapes W0, b0, W1, b1, ... in parameter order."""
+        return tuple(s for out, inp in self.layer_sizes() for s in ((out, inp), (out,)))
+
     def param_template(self) -> ParamVector:
-        layers = []
-        for i, (out, inp) in enumerate(self.layer_sizes()):
-            layers.append((f"W{i}", np.zeros((out, inp))))
-            layers.append((f"b{i}", np.zeros(out)))
-        return ParamVector(layers)
+        names = (f"{kind}{i}" for i in range(len(self.layer_sizes())) for kind in "Wb")
+        return ParamVector((n, np.zeros(s)) for n, s in zip(names, self.param_shapes()))
 
 
 def init_params(spec: MlpSpec, rng: np.random.Generator | None = None) -> ParamVector:
@@ -55,24 +57,10 @@ def init_params(spec: MlpSpec, rng: np.random.Generator | None = None) -> ParamV
 
 
 def _affine_params(spec: MlpSpec, w: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
-    sizes = spec.layer_sizes()
-    if w.shapes != spec.param_template().shapes or len(w) != 2 * len(sizes):
+    if w.shapes != spec.param_shapes():
         raise ValueError("parameter shapes do not match the network spec")
     arrays = w.arrays
-    return [(arrays[2 * i], arrays[2 * i + 1]) for i in range(len(sizes))]
-
-
-def forward(spec: MlpSpec, w: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Logits for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.input_dim,):
-        raise ValueError(f"expected input shape ({spec.input_dim},), got {x.shape}")
-    a = x
-    params = _affine_params(spec, w)
-    for W, b in params[:-1]:
-        a = np.maximum(W @ a + b, 0.0)
-    W, b = params[-1]
-    return W @ a + b
+    return list(zip(arrays[0::2], arrays[1::2]))
 
 
 def forward_batch(spec: MlpSpec, w: ParamVector, X: np.ndarray) -> np.ndarray:
@@ -104,26 +92,29 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e)
 
 
-def loss_and_grad(
-    spec: MlpSpec, w: ParamVector, batch: Sequence[Sample]
-) -> tuple[float, ParamVector]:
-    """Mean NLL over the batch and its exact reverse-mode gradient.
-
-    Per-sample contributions are accumulated in ascending sample-index order
-    so repeated runs produce bit-identical results.
-    """
+def _check_batch(spec: MlpSpec, batch: Dataset) -> None:
     if len(batch) == 0:
         raise ValueError("empty batch")
+    if batch.X.shape[1] != spec.input_dim:
+        raise ValueError(f"expected input dimension {spec.input_dim}, got {batch.X.shape[1]}")
+
+
+def loss_and_grad(spec: MlpSpec, w: ParamVector, batch: Dataset) -> tuple[float, ParamVector]:
+    """Mean NLL over the batch and its exact reverse-mode gradient.
+
+    Per-row contributions are accumulated in ascending row order into one
+    flat gradient buffer, so repeated runs produce bit-identical results.
+    """
+    _check_batch(spec, batch)
     params = _affine_params(spec, w)
     n_layers = len(params)
-    acc_W = [np.zeros_like(W) for W, _ in params]
-    acc_b = [np.zeros_like(b) for _, b in params]
+    acc = np.zeros(w.size)
+    acc_layers = _split_layers(acc, w.shapes)
+    acc_W, acc_b = acc_layers[0::2], acc_layers[1::2]
     total = 0.0
 
-    for z in batch:
-        x = np.asarray(z.features, dtype=np.float64)
-        if x.shape != (spec.input_dim,):
-            raise ValueError(f"expected input shape ({spec.input_dim},), got {x.shape}")
+    for x, label in zip(batch.X, batch.y):
+        label = int(label)
         # Forward, caching activations and pre-activations.
         activations = [x]
         pre = []
@@ -135,11 +126,11 @@ def loss_and_grad(
             activations.append(a)
         W, b = params[-1]
         logits = W @ a + b
-        total += nll_softmax(logits, z.label)
+        total += nll_softmax(logits, label)
 
         # Backward.
         dlogits = _softmax(logits)
-        dlogits[z.label] -= 1.0
+        dlogits[label] -= 1.0
         delta = dlogits
         for i in range(n_layers - 1, -1, -1):
             acc_W[i] += np.outer(delta, activations[i])
@@ -149,23 +140,16 @@ def loss_and_grad(
                 delta = (params[i][0].T @ delta) * (pre[i - 1] > 0.0)
 
     k = len(batch)
-    layers = []
-    for i in range(n_layers):
-        layers.append((f"W{i}", acc_W[i] / k))
-        layers.append((f"b{i}", acc_b[i] / k))
-    return total / k, ParamVector(layers)
+    return total / k, ParamVector.from_flat(w, acc / k)
 
 
-def batch_nll(spec: MlpSpec, w: ParamVector, batch: Sequence[Sample]) -> float:
+def batch_nll(spec: MlpSpec, w: ParamVector, batch: Dataset) -> float:
     """Mean NLL over the batch via a vectorized forward pass."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    X = np.stack([z.features for z in batch]).astype(np.float64, copy=False)
-    labels = np.array([z.label for z in batch])
-    logits = forward_batch(spec, w, X)
+    _check_batch(spec, batch)
+    logits = forward_batch(spec, w, batch.X)
     shift = logits.max(axis=1)
     lse = shift + np.log(np.sum(np.exp(logits - shift[:, None]), axis=1))
-    per_sample = lse - logits[np.arange(len(batch)), labels]
+    per_sample = lse - logits[np.arange(len(batch)), batch.y]
     return float(np.mean(per_sample))
 
 
@@ -174,16 +158,15 @@ def predict(spec: MlpSpec, w: ParamVector, X: np.ndarray) -> np.ndarray:
     return np.argmax(forward_batch(spec, w, X), axis=1)
 
 
-def accuracy_on(spec: MlpSpec, w: ParamVector, samples: Sequence[Sample]) -> float:
-    if len(samples) == 0:
+def accuracy_on(spec: MlpSpec, w: ParamVector, data: Dataset) -> float:
+    """Fraction of rows whose predicted class matches the label."""
+    if len(data) == 0:
         raise ValueError("empty dataset")
-    X = np.stack([z.features for z in samples]).astype(np.float64, copy=False)
-    labels = np.array([z.label for z in samples])
-    return float(np.mean(predict(spec, w, X) == labels))
+    return float(np.mean(predict(spec, w, data.X) == data.y))
 
 
 class MlpLossModel(LossModel):
-    """LossModel adapter: pointwise NLL of the network on one sample."""
+    """LossModel adapter: mean NLL of the network over a Dataset."""
 
     true_risk = None
     label_sufficient = False
@@ -192,20 +175,14 @@ class MlpLossModel(LossModel):
         self.spec = spec
         self.param_template = spec.param_template()
 
-    def eval(self, w: ParamVector, z: Sample) -> float:
-        return nll_softmax(forward(self.spec, w, z.features), z.label)
+    def batch_risk(self, w: ParamVector, S: Dataset) -> float:
+        return batch_nll(self.spec, w, S)
 
-    def grad(self, w: ParamVector, z: Sample) -> ParamVector:
-        return loss_and_grad(self.spec, w, [z])[1]
-
-    def batch_risk(self, w: ParamVector, samples: Sequence[Sample]) -> float:
-        return batch_nll(self.spec, w, samples)
-
-    def batch_grad(self, w: ParamVector, samples: Sequence[Sample]) -> tuple[float, ParamVector]:
-        return loss_and_grad(self.spec, w, samples)
+    def batch_grad(self, w: ParamVector, S: Dataset) -> tuple[float, ParamVector]:
+        return loss_and_grad(self.spec, w, S)
 
     def init_params(self, rng: np.random.Generator) -> ParamVector:
         return init_params(self.spec, rng)
 
-    def accuracy(self, w: ParamVector, samples: Sequence[Sample]) -> float:
-        return accuracy_on(self.spec, w, samples)
+    def accuracy(self, w: ParamVector, S: Dataset) -> float:
+        return accuracy_on(self.spec, w, S)

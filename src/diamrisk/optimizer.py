@@ -26,12 +26,14 @@ import csv
 import dataclasses
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .losses import LossModel, Sample
+from .data import Dataset
+from .losses import LossModel
 from .params import FeasibleSet, NormKind, ParamVector, Unbounded, axpy, project, sample_sphere
 from .risk import diametrical_risk_sampled, neighborhood_risks
 
@@ -81,8 +83,8 @@ class DrmConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.batch_size < 1:
@@ -104,8 +106,8 @@ class DrmConfig:
         for until, rate in schedule:
             if until <= prev:
                 raise ValueError("lr_schedule bounds must be strictly increasing")
-            if rate <= 0:
-                raise ValueError("learning rates must be > 0")
+            if not 0 < rate < math.inf:
+                raise ValueError(f"learning rates must be finite and > 0, got {rate!r}")
             prev = until
         if prev < self.T:
             raise ValueError(f"lr_schedule covers [0, {prev}) but T = {self.T}")
@@ -221,7 +223,7 @@ def make_batch_indices(m: int, batch_size: int, epoch_seed) -> list[np.ndarray]:
 
 
 def select_worst(
-    model: LossModel, w: ParamVector, batch: Sequence[Sample], candidates: Sequence[ParamVector]
+    model: LossModel, w: ParamVector, batch: Dataset, candidates: Sequence[ParamVector]
 ) -> tuple[int, ParamVector, float]:
     """Candidate perturbation maximizing batch risk at w + u; ties go to the
     lowest index."""
@@ -235,7 +237,7 @@ def select_worst(
 def simple_sgd_drm_step(
     model: LossModel,
     w: ParamVector,
-    batch: Sequence[Sample],
+    batch: Dataset,
     cfg: DrmConfig,
     rng: np.random.Generator,
     t: int = 0,
@@ -260,8 +262,8 @@ def _next_event(p: Union[float, EveryK], t: int, rng_coin: np.random.Generator) 
 
 def _run_loop(
     model: LossModel,
-    data,
-    test,
+    data: Dataset,
+    test: Optional[Dataset],
     cfg: DrmConfig,
     algorithm: str,
     w0: Optional[ParamVector],
@@ -270,10 +272,8 @@ def _run_loop(
     cfg.validate()
     if algorithm not in ("erm", "drm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    samples = data.samples if hasattr(data, "samples") else list(data)
-    if len(samples) == 0:
+    if len(data) == 0:
         raise ValueError("empty training data")
-    test_samples = test.samples if hasattr(test, "samples") else (list(test) if test is not None else [])
 
     rng_perturb = np.random.default_rng([cfg.seed, _STREAM_PERTURB])
     rng_coin = np.random.default_rng([cfg.seed, _STREAM_COIN])
@@ -285,7 +285,7 @@ def _run_loop(
     queue = PerturbQueue(cfg.q)
     trace = RunTrace()
     digest = hashlib.sha256()
-    m = len(samples)
+    m = len(data)
     t = 0
     epoch = 0
     while t < cfg.T:
@@ -294,7 +294,7 @@ def _run_loop(
             if t >= cfg.T:
                 break
             digest.update(idx.astype(np.int64).tobytes())
-            batch = [samples[i] for i in idx]
+            batch = data[idx]
             lr = cfg.lr_at(t)
             event = _next_event(cfg.p, t, rng_coin)
             batch_risk = model.batch_risk(w, batch)
@@ -322,15 +322,15 @@ def _run_loop(
             )
             t += 1
 
-        train_risk = model.batch_risk(w, samples)
-        test_acc = measure_acc(w, test_samples) if (measure_acc and len(test_samples)) else None
+        train_risk = model.batch_risk(w, data)
+        test_acc = measure_acc(w, test) if (measure_acc and test is not None and len(test)) else None
         diam = diametrical_risk_sampled(
             model,
             w,
             cfg.gamma,
             cfg.norm_kind,
             cfg.r,
-            samples,
+            data,
             rng=np.random.default_rng([cfg.seed, _STREAM_EVAL, epoch]),
         )
         trace.epochs.append(EpochRecord(t - 1, epoch, train_risk, test_acc, diam.value))

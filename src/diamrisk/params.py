@@ -1,17 +1,19 @@
 """Layered parameter vectors: norms, sphere sampling, projection, arithmetic.
 
-A model's parameters are held as an ordered list of named float64 arrays
-(one entry per layer). All operations are pure: arrays are copied on
-construction and frozen, and every operation returns a new vector, so
-vectors can be shared freely across worker threads.
+A model's parameters are one flat float64 buffer with a read-only view per
+named layer. Construction from layers copies them into a fresh buffer, which
+is frozen and checked to be finite; every operation is one array operation
+on buffers and returns a new vector, so vectors can be shared freely across
+worker threads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -24,30 +26,56 @@ class NormKind(Enum):
     LAYERWISE_FROBENIUS = "layerwise_frobenius"
 
 
+def _split_layers(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive segments of flat, one per shape, in order."""
+    views = []
+    offset = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 class ParamVector:
-    """Ordered collection of named float64 arrays.
+    """Ordered named layers held in one flat float64 buffer.
 
     Flattened-coordinate order is layer order, then row-major within each
     layer; this fixes the meaning of every coordinate-indexed operation.
     Arithmetic between two vectors requires identical layer names and shapes.
     """
 
-    __slots__ = ("_names", "_arrays")
+    __slots__ = ("_names", "_shapes", "_flat", "_arrays")
 
     def __init__(self, layers: Iterable[tuple[str, np.ndarray]]):
         names: list[str] = []
-        arrays: list[np.ndarray] = []
+        parts: list[np.ndarray] = []
         for name, values in layers:
-            arr = np.array(values, dtype=np.float64)
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in layer {name!r}")
-            arr.flags.writeable = False
             names.append(str(name))
-            arrays.append(arr)
+            parts.append(np.asarray(values, dtype=np.float64))
         if len(set(names)) != len(names):
             raise ValueError("duplicate layer names")
-        self._names = tuple(names)
+        flat = np.concatenate([p.ravel() for p in parts]) if parts else np.empty(0)
+        self._adopt(tuple(names), tuple(p.shape for p in parts), flat)
+
+    def _adopt(self, names, shapes, flat: np.ndarray) -> None:
+        """Take ownership of the fresh buffer flat: freeze it, check it is
+        finite, and cut it into per-layer views."""
+        flat.flags.writeable = False
+        arrays = _split_layers(flat, shapes)
+        if not np.isfinite(flat).all():
+            bad = next(n for n, a in zip(names, arrays) if not np.isfinite(a).all())
+            raise ValueError(f"non-finite values in layer {bad!r}")
+        self._names = names
+        self._shapes = shapes
+        self._flat = flat
         self._arrays = tuple(arrays)
+
+    def _like(self, flat: np.ndarray) -> "ParamVector":
+        """A vector with this one's layers, adopting the fresh buffer flat."""
+        out = ParamVector.__new__(ParamVector)
+        out._adopt(self._names, self._shapes, flat)
+        return out
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -55,15 +83,16 @@ class ParamVector:
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
+        """Read-only per-layer views into the flat buffer."""
         return self._arrays
 
     @property
     def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(a.shape for a in self._arrays)
+        return self._shapes
 
     @property
     def size(self) -> int:
-        return sum(a.size for a in self._arrays)
+        return self._flat.size
 
     def __len__(self) -> int:
         return len(self._arrays)
@@ -78,45 +107,35 @@ class ParamVector:
             raise KeyError(name) from None
 
     def flat(self) -> np.ndarray:
-        """Concatenated coordinates in the canonical flattened order."""
-        if not self._arrays:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate([a.ravel(order="C") for a in self._arrays])
+        """The read-only buffer: all coordinates in the canonical order."""
+        return self._flat
 
     @classmethod
     def zeros_like(cls, template: "ParamVector") -> "ParamVector":
-        return cls((n, np.zeros(a.shape)) for n, a in template)
+        return template._like(np.zeros(template.size))
 
     @classmethod
     def from_flat(cls, template: "ParamVector", flat: np.ndarray) -> "ParamVector":
-        """Inverse of flat(): reshape coordinates back into template layers."""
-        flat = np.asarray(flat, dtype=np.float64)
+        """Inverse of flat(): a copy of flat cut into template's layers."""
+        flat = np.array(flat, dtype=np.float64)
         if flat.shape != (template.size,):
             raise ValueError(f"expected {template.size} coordinates, got {flat.shape}")
-        layers = []
-        offset = 0
-        for name, arr in template:
-            layers.append((name, flat[offset : offset + arr.size].reshape(arr.shape)))
-            offset += arr.size
-        return cls(layers)
+        return template._like(flat)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamVector):
             return NotImplemented
         return (
             self._names == other._names
-            and self.shapes == other.shapes
-            and all(np.array_equal(a, b) for a, b in zip(self._arrays, other._arrays))
+            and self._shapes == other._shapes
+            and np.array_equal(self._flat, other._flat)
         )
 
     __hash__ = None  # mutable-by-convention container semantics
 
     def allclose(self, other: "ParamVector", rtol: float = 1e-12, atol: float = 0.0) -> bool:
         _check_same_structure(self, other)
-        return all(
-            np.allclose(a, b, rtol=rtol, atol=atol)
-            for a, b in zip(self._arrays, other._arrays)
-        )
+        return bool(np.allclose(self._flat, other._flat, rtol=rtol, atol=atol))
 
     def __repr__(self) -> str:
         desc = ", ".join(f"{n}{a.shape}" for n, a in self)
@@ -125,20 +144,23 @@ class ParamVector:
     # -- serialization: {layer name -> {shape: [...], data: [row-major floats]}} --
 
     def to_json_dict(self) -> dict:
-        return {
-            n: {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
-            for n, a in self
-        }
+        return {n: {"shape": list(a.shape), "data": a.ravel().tolist()} for n, a in self}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ParamVector":
+        """Inverse of to_json_dict; ValueError on any malformed entry."""
+        if not isinstance(obj, dict):
+            raise ValueError("expected an object mapping layer names to layers")
         layers = []
         for name, entry in obj.items():
-            shape = tuple(int(s) for s in entry["shape"])
-            data = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+            try:
+                shape = tuple(int(s) for s in entry["shape"])
+                data = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"layer {name!r}: {exc}") from None
             layers.append((name, data))
         return cls(layers)
 
@@ -166,37 +188,34 @@ def _check_same_structure(a: ParamVector, b: ParamVector) -> None:
 def axpy(w: ParamVector, alpha: float, d: ParamVector) -> ParamVector:
     """Elementwise w + alpha * d."""
     _check_same_structure(w, d)
-    return ParamVector(
-        (n, a + alpha * b) for (n, a), b in zip(w, d.arrays)
-    )
+    return w._like(w.flat() + alpha * d.flat())
+
+
+def _array_norm(a: np.ndarray, kind: NormKind) -> float:
+    """Euclidean (Frobenius) or sup norm of all entries of a."""
+    if kind is NormKind.EUCLIDEAN:
+        return float(np.sqrt(np.vdot(a, a).real))
+    if kind is NormKind.SUP:
+        return float(np.max(np.abs(a))) if a.size else 0.0
+    raise ValueError(f"unknown norm kind: {kind}")
 
 
 def norm(v: ParamVector, kind: NormKind):
     """Norm of v; a per-layer list of Frobenius norms for LAYERWISE_FROBENIUS."""
     if kind is NormKind.LAYERWISE_FROBENIUS:
-        return [float(np.sqrt(np.vdot(a, a).real)) for _, a in v]
-    flat = v.flat()
-    if kind is NormKind.EUCLIDEAN:
-        return float(np.sqrt(np.vdot(flat, flat).real))
-    if kind is NormKind.SUP:
-        return float(np.max(np.abs(flat))) if flat.size else 0.0
-    raise ValueError(f"unknown norm kind: {kind}")
+        return [_array_norm(a, NormKind.EUCLIDEAN) for a in v.arrays]
+    return _array_norm(v.flat(), kind)
 
 
-def _draw_unit(rng: np.random.Generator, shapes: Sequence[tuple[int, ...]]):
-    """One Gaussian draw per shape; redraws an all-zero draw (probability ~0)."""
-    arrays = []
-    for shape in shapes:
-        for attempt in range(_MAX_RESAMPLE_ATTEMPTS):
-            g = rng.standard_normal(shape)
-            if g.size == 0 or np.any(g != 0.0):
-                arrays.append(g)
-                break
-        else:
-            raise RuntimeError(
-                f"degenerate Gaussian draw persisted for {_MAX_RESAMPLE_ATTEMPTS} attempts"
-            )
-    return arrays
+def _draw_unit(rng: np.random.Generator, size: int) -> np.ndarray:
+    """One Gaussian draw of size values; redraws an all-zero draw (probability ~0)."""
+    for _ in range(_MAX_RESAMPLE_ATTEMPTS):
+        g = rng.standard_normal(size)
+        if np.any(g != 0.0):
+            return g
+    raise RuntimeError(
+        f"degenerate Gaussian draw persisted for {_MAX_RESAMPLE_ATTEMPTS} attempts"
+    )
 
 
 def sample_sphere(
@@ -214,31 +233,23 @@ def sample_sphere(
     if gamma == 0.0:
         return ParamVector.zeros_like(template)
 
-    if kind is NormKind.LAYERWISE_FROBENIUS:
-        layers = []
-        for name, arr in template:
-            if arr.size == 0:
-                layers.append((name, np.zeros(arr.shape)))
-                continue
-            g = _draw_unit(rng, [arr.shape])[0]
-            g_norm = float(np.sqrt(np.vdot(g, g).real))
-            layers.append((name, g * (gamma / g_norm)))
-        return ParamVector(layers)
-
-    draws = _draw_unit(rng, [a.shape for a in template.arrays])
-    flat = (
-        np.concatenate([g.ravel() for g in draws]) if draws else np.empty(0)
-    )
-    if kind is NormKind.EUCLIDEAN:
-        denom = float(np.sqrt(np.vdot(flat, flat).real))
-    elif kind is NormKind.SUP:
-        denom = float(np.max(np.abs(flat))) if flat.size else 0.0
-    else:
-        raise ValueError(f"unknown norm kind: {kind}")
-    if denom == 0.0:
-        raise RuntimeError("whole-vector draw degenerate after per-layer resampling")
-    factor = gamma / denom
-    return ParamVector((n, g * factor) for (n, _), g in zip(template, draws))
+    layerwise = kind is NormKind.LAYERWISE_FROBENIUS
+    out = np.zeros(template.size)
+    offset = 0
+    for shape in template.shapes:
+        size = math.prod(shape)
+        if size:
+            g = _draw_unit(rng, size)
+            if layerwise:
+                g = g * (gamma / _array_norm(g, NormKind.EUCLIDEAN))
+            out[offset : offset + size] = g
+        offset += size
+    if not layerwise:
+        denom = _array_norm(out, kind)
+        if denom == 0.0:
+            raise RuntimeError("whole-vector draw degenerate after per-layer resampling")
+        out = out * (gamma / denom)
+    return template._like(out)
 
 
 class FeasibleSet:
@@ -274,12 +285,11 @@ class Box(FeasibleSet):
     def project(self, w: ParamVector) -> ParamVector:
         if self.contains(w):
             return w
-        return ParamVector((n, np.clip(a, self.lo, self.hi)) for n, a in w)
+        return w._like(np.clip(w.flat(), self.lo, self.hi))
 
     def contains(self, w: ParamVector) -> bool:
-        return all(
-            bool(np.all((a >= self.lo) & (a <= self.hi))) for _, a in w
-        )
+        flat = w.flat()
+        return bool(np.all((flat >= self.lo) & (flat <= self.hi)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .losses import LossModel, Sample
+from .data import Dataset
+from .losses import LossModel
 from .params import NormKind, ParamVector, axpy, sample_sphere
 
 
@@ -58,19 +59,14 @@ class McConfig:
 
     n: int
     rng: np.random.Generator
-    sampler: Optional[callable] = None  # rng -> Sample; defaults to model.sample_z
+    sampler: Optional[callable] = None  # rng -> one-row Dataset; defaults to model.sample_z
 
 
-def _samples_of(S) -> Sequence[Sample]:
-    return S.samples if hasattr(S, "samples") else S
-
-
-def empirical_risk(model: LossModel, w, S) -> float:
-    """Mean loss over the sample, accumulated in fixed index order."""
-    samples = _samples_of(S)
-    if len(samples) == 0:
+def empirical_risk(model: LossModel, w, S: Dataset) -> float:
+    """Mean loss over the rows of S."""
+    if len(S) == 0:
         raise ValueError("empty sample")
-    return model.batch_risk(w, samples)
+    return model.batch_risk(w, S)
 
 
 def label_risk_curves(model, w_points: np.ndarray, labels) -> np.ndarray:
@@ -88,18 +84,14 @@ def label_risk_curves(model, w_points: np.ndarray, labels) -> np.ndarray:
     return acc / counts.sum()
 
 
-def empirical_risk_curve(model, w_points: np.ndarray, S) -> np.ndarray:
+def empirical_risk_curve(model, w_points: np.ndarray, S: Dataset) -> np.ndarray:
     """Empirical risk of a 1-D loss evaluated at every point of w_points."""
-    samples = _samples_of(S)
-    if len(samples) == 0:
+    if len(S) == 0:
         raise ValueError("empty sample")
     w_points = np.asarray(w_points, dtype=np.float64)
     if getattr(model, "label_sufficient", False):
-        return label_risk_curves(model, w_points, [z.label for z in samples])
-    acc = np.zeros_like(w_points)
-    for z in samples:
-        acc = acc + model.eval_curve(w_points, z)
-    return acc / len(samples)
+        return label_risk_curves(model, w_points, S.y)
+    return model.risk_curve(w_points, S)
 
 
 def true_risk(model: LossModel, w, mc: Optional[McConfig] = None) -> TrueRiskEstimate:
@@ -117,7 +109,7 @@ def true_risk(model: LossModel, w, mc: Optional[McConfig] = None) -> TrueRiskEst
         raise ValueError("mc config needs a sampler for this model")
     if mc.n < 2:
         raise ValueError("mc.n must be >= 2 to report a standard error")
-    values = np.array([model.eval(w, sampler(mc.rng)) for _ in range(mc.n)])
+    values = np.array([model.batch_risk(w, sampler(mc.rng)) for _ in range(mc.n)])
     return TrueRiskEstimate(
         value=float(values.mean()),
         stderr=float(values.std(ddof=1) / np.sqrt(mc.n)),
@@ -142,17 +134,16 @@ def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> 
 
 
 def neighborhood_risks(
-    model: LossModel, w: ParamVector, directions: Sequence[ParamVector], S
+    model: LossModel, w: ParamVector, directions: Sequence[ParamVector], S: Dataset
 ) -> np.ndarray:
     """Empirical risk at w + u for each direction u, in order. Callers take
     np.argmax, which breaks ties to the lowest index."""
-    samples = _samples_of(S)
-    values = [model.batch_risk(axpy(w, 1.0, u), samples) for u in directions]
+    values = [model.batch_risk(axpy(w, 1.0, u), S) for u in directions]
     return np.array(values, dtype=np.float64)
 
 
 def diametrical_risk_grid_1d(
-    model, w: float, gamma: float, S, grid_points: int = 4097
+    model, w: float, gamma: float, S: Dataset, grid_points: int = 4097
 ) -> RiskEstimate:
     """Worst empirical risk over the radius-gamma interval around scalar w.
 
@@ -178,7 +169,7 @@ def diametrical_risk_sampled(
     gamma: float,
     kind: NormKind,
     r: int,
-    S,
+    S: Dataset,
     rng: Union[np.random.Generator, int],
 ) -> RiskEstimate:
     """Max empirical risk over r random directions of norm exactly gamma.

@@ -22,7 +22,6 @@ from diamrisk.harness import default_experiment_config, run_label_noise_experime
 from diamrisk.losses import (
     QuadraticLoss,
     ReciprocalLoss,
-    Sample,
     TentLoss,
     gradient_check,
 )
@@ -45,6 +44,12 @@ from diamrisk.risk import (
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
+
+
+def quad_rows(rng, m):
+    """m one-feature regression rows, each feature drawn before its target."""
+    rows = [(rng.uniform(0.5, 2.0), float(rng.standard_normal())) for _ in range(m)]
+    return Dataset(X=[[a] for a, _ in rows], y=[0] * m, t=[b for _, b in rows])
 
 
 @contextmanager
@@ -186,7 +191,7 @@ def test_criterion_4_mlp_gradient_fidelity():
         pairs = []
         for _ in range(5):
             w = init_params(spec, rng)
-            z = Sample(features=rng.standard_normal(3), label=int(rng.integers(0, 2)))
+            z = Dataset(X=[rng.standard_normal(3)], y=[int(rng.integers(0, 2))])
             pairs.append((w, z))
         err = gradient_check(model, pairs, step=1e-5)
         assert err <= 1e-5, f"max scaled gradient error {err}"
@@ -234,7 +239,7 @@ def test_criterion_5_reduction_laws_bitwise():
             for idx in make_batch_indices(len(train), cfg1.batch_size, [cfg1.seed, 1, epoch]):
                 if t == cfg1.T:
                     break
-                batch = [train.samples[i] for i in idx]
+                batch = train[idx]
                 w = simple_sgd_drm_step(model, w, batch, cfg1, rng_perturb, t=t)
                 t += 1
             epoch += 1
@@ -249,10 +254,7 @@ def test_criterion_6_convexity_preservation():
     ):
         rng = np.random.default_rng(601)
         quad = QuadraticLoss(dim=1)
-        S = [
-            Sample(features=np.array([rng.uniform(0.5, 2.0)]), target=float(rng.standard_normal()))
-            for _ in range(8)
-        ]
+        S = quad_rows(rng, 8)
         gamma = 0.6
         cache = {}
 
@@ -310,10 +312,7 @@ def test_criterion_8_sampled_sup_soundness():
         recip = ReciprocalLoss()
         quad = QuadraticLoss(dim=1)
         S = Dataset.from_labels(rng.integers(0, 2, size=30).tolist())
-        quad_S = [
-            Sample(features=np.array([rng.uniform(0.5, 2.0)]), target=float(rng.standard_normal()))
-            for _ in range(6)
-        ]
+        quad_S = quad_rows(rng, 6)
         cases = [
             (tent, S, (-1.0, 1.0), (0.05, 0.8)),
             (recip, S, (0.9, 2.0), (0.05, 0.7)),

@@ -16,12 +16,14 @@ from diamrisk.analysis import (
     write_hist_csv,
     write_rate_csv,
 )
-from diamrisk.losses import LossModel, QuadraticLoss, ReciprocalLoss, Sample, TentLoss
+from diamrisk.data import Dataset
+from diamrisk.losses import LossModel, QuadraticLoss, ReciprocalLoss, TentLoss
 from diamrisk.params import NormKind, ParamVector
 from diamrisk.risk import label_risk_curves
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
+ONE_ROW = Dataset.from_labels([0])
 
 
 class ConstantLoss(LossModel):
@@ -31,11 +33,11 @@ class ConstantLoss(LossModel):
         self.c = c
         self.param_template = ParamVector([("w", np.zeros(3))])
 
-    def eval(self, w, z):
+    def batch_risk(self, w, S):
         return self.c
 
-    def grad(self, w, z):
-        return ParamVector.zeros_like(self.param_template)
+    def batch_grad(self, w, S):
+        return self.c, ParamVector.zeros_like(self.param_template)
 
 
 def test_excess_of_set_over_itself_is_zero():
@@ -268,7 +270,7 @@ def test_landscape_histogram_constant_loss():
     model = ConstantLoss(c=2.0)
     w = ParamVector([("w", np.array([0.5, -0.5, 1.0]))])
     hist = landscape_histogram(
-        model, w, 1.0, NormKind.EUCLIDEAN, 200, [Sample()], rng=9
+        model, w, 1.0, NormKind.EUCLIDEAN, 200, ONE_ROW, rng=9
     )
     assert np.all(hist.values == 2.0)
     assert hist.reference == 2.0
@@ -277,7 +279,7 @@ def test_landscape_histogram_constant_loss():
 
 def test_landscape_histogram_counts_sum_to_n():
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.0]), target=0.3)]
+    S = Dataset(X=[[1.0]], y=[0], t=[0.3])
     hist = landscape_histogram(quad, quad.wrap(0.1), 0.5, NormKind.EUCLIDEAN, 10000, S, rng=10)
     assert int(hist.counts.sum()) == 10000
     assert len(hist.values) == 10000
@@ -287,17 +289,17 @@ def test_landscape_histogram_bins_must_be_positive():
     model = ConstantLoss(c=2.0)
     w = ParamVector.zeros_like(model.param_template)
     with pytest.raises(ValueError, match="bins"):
-        landscape_histogram(model, w, 1.0, NormKind.EUCLIDEAN, 10, [Sample()], rng=0, bins=0)
+        landscape_histogram(model, w, 1.0, NormKind.EUCLIDEAN, 10, ONE_ROW, rng=0, bins=0)
 
 
 def test_landscape_histogram_one_bin_when_range_is_too_narrow():
     class TwoUlpLoss(ConstantLoss):
-        def eval(self, w, z):
+        def batch_risk(self, w, S):
             return 1.0 if w.flat()[0] > 0 else float(np.nextafter(1.0, 2.0))
 
     model = TwoUlpLoss()
     w = ParamVector.zeros_like(model.param_template)
-    hist = landscape_histogram(model, w, 1.0, NormKind.EUCLIDEAN, 40, [Sample()], rng=0, bins=50)
+    hist = landscape_histogram(model, w, 1.0, NormKind.EUCLIDEAN, 40, ONE_ROW, rng=0, bins=50)
     assert len(set(hist.values.tolist())) == 2
     assert hist.counts.tolist() == [40] and len(hist.bin_edges) == 2
 
@@ -306,14 +308,14 @@ def test_landscape_histogram_1d_quadratic_sphere_is_two_points():
     # In one dimension the norm-1 sphere is {-1, +1}, so every neighborhood
     # value equals 0.5.
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.0]), target=0.0)]
+    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
     hist = landscape_histogram(quad, quad.wrap(0.0), 1.0, NormKind.EUCLIDEAN, 500, S, rng=11)
     assert np.allclose(hist.values, 0.5, rtol=1e-12)
 
 
 def test_landscape_histogram_shared_directions_reuse():
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.0]), target=0.0)]
+    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
     dirs = sample_directions(quad.param_template, 0.7, NormKind.EUCLIDEAN, 50, rng=12)
     h1 = landscape_histogram(
         quad, quad.wrap(0.0), 0.7, NormKind.EUCLIDEAN, 50, S, shared_directions=dirs
@@ -330,7 +332,7 @@ def test_landscape_histogram_shared_directions_reuse():
 
 def test_landscape_histogram_threaded_matches_serial():
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.3]), target=0.2)]
+    S = Dataset(X=[[1.3]], y=[0], t=[0.2])
     dirs = sample_directions(quad.param_template, 0.4, NormKind.EUCLIDEAN, 64, rng=13)
     serial = landscape_histogram(
         quad, quad.wrap(0.2), 0.4, NormKind.EUCLIDEAN, 64, S, shared_directions=dirs
@@ -344,7 +346,7 @@ def test_landscape_histogram_threaded_matches_serial():
 
 def test_sup_dominance_with_zero_direction_appended():
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.0]), target=0.4)]
+    S = Dataset(X=[[1.0]], y=[0], t=[0.4])
     dirs = sample_directions(quad.param_template, 0.5, NormKind.EUCLIDEAN, 20, rng=14)
     dirs.append(ParamVector.zeros_like(quad.param_template))
     hist = landscape_histogram(
@@ -355,7 +357,7 @@ def test_sup_dominance_with_zero_direction_appended():
 
 def test_flatness_report_identical_inputs_tie():
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.0]), target=0.0)]
+    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
     dirs = sample_directions(quad.param_template, 0.3, NormKind.EUCLIDEAN, 30, rng=15)
     hist = landscape_histogram(
         quad, quad.wrap(0.5), 0.3, NormKind.EUCLIDEAN, 30, S, shared_directions=dirs
@@ -370,7 +372,7 @@ def test_flatness_report_constant_loss_zero_gap():
     w = ParamVector([("w", np.zeros(3))])
     dirs = sample_directions(w, 1.0, NormKind.EUCLIDEAN, 25, rng=16)
     hist = landscape_histogram(
-        model, w, 1.0, NormKind.EUCLIDEAN, 25, [Sample()], shared_directions=dirs
+        model, w, 1.0, NormKind.EUCLIDEAN, 25, ONE_ROW, shared_directions=dirs
     )
     report = flatness_report(hist, hist)
     assert report.erm_gap == 0.0 and report.drm_gap == 0.0
@@ -378,7 +380,7 @@ def test_flatness_report_constant_loss_zero_gap():
 
 def test_flatness_report_flags_flatter_center():
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.0]), target=0.0)]
+    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
     dirs = sample_directions(quad.param_template, 0.5, NormKind.EUCLIDEAN, 40, rng=17)
     sharp = landscape_histogram(
         quad, quad.wrap(2.0), 0.5, NormKind.EUCLIDEAN, 40, S, shared_directions=dirs
@@ -392,7 +394,7 @@ def test_flatness_report_flags_flatter_center():
 
 def test_flatness_report_rejects_mismatched_directions():
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.0]), target=0.0)]
+    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
     h1 = landscape_histogram(quad, quad.wrap(0.0), 0.5, NormKind.EUCLIDEAN, 10, S, rng=18)
     h2 = landscape_histogram(quad, quad.wrap(0.0), 0.5, NormKind.EUCLIDEAN, 10, S, rng=19)
     with pytest.raises(ValueError):
@@ -423,7 +425,7 @@ def test_csv_writers_roundtrip_shapes(tmp_path):
     assert lines[-1].count(",") == 1
 
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.0]), target=0.0)]
+    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
     hist = landscape_histogram(quad, quad.wrap(0.0), 1.0, NormKind.EUCLIDEAN, 25, S, rng=22)
     hist_path = tmp_path / "hist.csv"
     write_hist_csv(hist, hist_path)

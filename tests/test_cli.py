@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from diamrisk import cli
 from diamrisk.cli import cli_main
 from diamrisk.harness import experiment_config_from_dict
 from diamrisk.mlp import init_params
@@ -139,16 +140,45 @@ def test_landscape_missing_checkpoint_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_landscape_shape_mismatch_exits_1(tmp_path, capsys):
+def _landscape_without_sampling(monkeypatch, cfg_path, checkpoint):
+    """Run `landscape`, failing (exit 1) if it ever gets as far as the data."""
+
+    def no_data(cfg):
+        raise AssertionError("checkpoint accepted: datasets were built")
+
+    monkeypatch.setattr(cli, "build_datasets", no_data)
+    return cli_main(
+        ["landscape", "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+         "--gamma", "1", "--n", "10"]
+    )
+
+
+def test_landscape_shape_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     cfg_path = tiny_config(tmp_path)
     bad = ParamVector([("W0", np.zeros((2, 2)))])
     bad_path = tmp_path / "bad_ckpt.json"
     bad.save(bad_path)
-    code = cli_main(
-        ["landscape", "--config", str(cfg_path), "--checkpoint", str(bad_path),
-         "--gamma", "1", "--n", "10"]
-    )
-    assert code == 1
+    assert _landscape_without_sampling(monkeypatch, cfg_path, bad_path) == 2
+    assert "network spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        json.dumps([1.0, 2.0]),
+        json.dumps({"W0": {"shape": [2, 3], "data": [1.0, 2.0]}}),  # shape and data disagree
+        json.dumps({"W0": {"shape": [2]}}),
+        json.dumps({"W0": {"shape": [1], "data": ["x"]}}),
+    ],
+    ids=["not_json", "not_an_object", "shape_data_disagree", "no_data", "non_numeric"],
+)
+def test_landscape_malformed_checkpoint_exits_2(tmp_path, capsys, monkeypatch, text):
+    cfg_path = tiny_config(tmp_path)
+    bad_path = tmp_path / "bad_ckpt.json"
+    bad_path.write_text(text)
+    assert _landscape_without_sampling(monkeypatch, cfg_path, bad_path) == 2
+    assert "not a parameter file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -160,6 +190,10 @@ def test_landscape_shape_mismatch_exits_1(tmp_path, capsys):
         ("mlp", "hidden_dims", ["abc"]),
         ("mlp", "hidden_dims", [0]),
         ("drm", "p", "x"),
+        # json.dumps writes these as the NaN / Infinity literals json.load reads.
+        ("drm", "gamma", float("nan")),
+        ("drm", "final_fraction", float("nan")),
+        ("drm", "lr", float("inf")),
     ],
 )
 def test_bad_config_values_exit_2_before_training(tmp_path, capsys, section, key, value):

@@ -117,6 +117,13 @@ BAD_VALUES = [
     ("mlp", "hidden_dims", [0]),
     ("mlp", "hidden_dims", 8),
     ("drm", "p", "x"),
+    # Non-finite numbers (JSON NaN / Infinity).
+    ("drm", "gamma", float("nan")),
+    ("drm", "final_fraction", float("nan")),
+    ("drm", "lr", float("inf")),
+    ("drm", "final_lr", float("-inf")),
+    ("dataset", "separation", float("inf")),
+    ("dataset", "n_train", float("inf")),
 ]
 
 
@@ -127,6 +134,13 @@ def test_bad_values_fail_in_the_parser(section, key, value):
     if key == "p":
         del obj["drm"]["sample_every"]
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        experiment_config_from_dict(obj)
+
+
+def test_non_finite_lr_schedule_fails_in_the_parser():
+    obj = tiny_config_dict()
+    obj["drm"]["lr_schedule"] = [[10, 0.1], [36, float("nan")]]
+    with pytest.raises(ConfigError, match="finite"):
         experiment_config_from_dict(obj)
 
 
@@ -151,11 +165,11 @@ def test_build_datasets_deterministic_and_noisy():
     cfg = experiment_config_from_dict(tiny_config_dict())
     train1, clean1, test1 = build_datasets(cfg)
     train2, clean2, test2 = build_datasets(cfg)
-    assert np.array_equal(train1.features_matrix(), train2.features_matrix())
-    assert np.array_equal(train1.labels(), train2.labels())
-    assert np.array_equal(test1.labels(), test2.labels())
+    assert np.array_equal(train1.X, train2.X)
+    assert np.array_equal(train1.y, train2.y)
+    assert np.array_equal(test1.y, test2.y)
     assert int(train1.noise_mask.sum()) == 30  # half of 60
-    assert np.array_equal(clean1.labels(), train1.original_labels)
+    assert np.array_equal(clean1.y, train1.original_labels)
 
 
 def test_worker_count_env(monkeypatch):

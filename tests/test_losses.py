@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from diamrisk.data import Dataset
 from diamrisk.losses import (
     QuadraticLoss,
     ReciprocalLoss,
-    Sample,
     TentLoss,
     gradient_check,
     quadratic_eval,
@@ -122,20 +122,21 @@ def test_reciprocal_empirical_risk_closed_form():
 
 def test_quadratic_eval_examples():
     w = ParamVector([("w", np.array([1.0, 1.0]))])
-    perfect = Sample(features=np.array([2.0, 3.0]), target=5.0)
-    assert quadratic_eval(w, perfect) == 0.0
+    perfect = Dataset(X=[[2.0, 3.0]], y=[0], t=[5.0])
+    assert quadratic_eval(w, perfect).tolist() == [0.0]
 
     w0 = ParamVector([("w", np.array([0.0, 0.0]))])
-    assert quadratic_eval(w0, Sample(features=np.array([1.0, 1.0]), target=2.0)) == 2.0
+    assert quadratic_eval(w0, Dataset(X=[[1.0, 1.0]], y=[0], t=[2.0])).tolist() == [2.0]
 
-    # 0.5 * (1*1 + 2*1 - 0)^2 = 4.5
-    assert quadratic_eval(w, Sample(features=np.array([1.0, 2.0]), target=0.0)) == 4.5
+    # 0.5 * (1*1 + 2*1 - 0)^2 = 4.5, one value per row.
+    both = Dataset(X=[[1.0, 2.0], [2.0, 3.0]], y=[0, 0], t=[0.0, 5.0])
+    assert quadratic_eval(w, both).tolist() == [4.5, 0.0]
 
 
 def test_quadratic_eval_dimension_mismatch():
     w = ParamVector([("w", np.array([1.0, 1.0]))])
     with pytest.raises(ValueError):
-        quadratic_eval(w, Sample(features=np.array([1.0]), target=0.0))
+        quadratic_eval(w, Dataset(X=[[1.0]], y=[0]))
 
 
 def test_quadratic_is_nonnegative_and_convex_in_w():
@@ -144,12 +145,14 @@ def test_quadratic_is_nonnegative_and_convex_in_w():
     for _ in range(200):
         a = rng.standard_normal(3)
         b = float(rng.standard_normal())
-        z = Sample(features=a, target=b)
+        z = Dataset(X=[a], y=[0], t=[b])
         w1 = ParamVector([("w", rng.standard_normal(3))])
         w2 = ParamVector([("w", rng.standard_normal(3))])
         mid = ParamVector([("w", (w1.flat() + w2.flat()) / 2)])
-        assert model.eval(w1, z) >= 0.0
-        assert model.eval(mid, z) <= 0.5 * model.eval(w1, z) + 0.5 * model.eval(w2, z) + 1e-12
+        assert model.batch_risk(w1, z) >= 0.0
+        assert model.batch_risk(mid, z) <= (
+            0.5 * model.batch_risk(w1, z) + 0.5 * model.batch_risk(w2, z) + 1e-12
+        )
 
 
 def _away_from_breakpoints(model, x, margin):
@@ -166,7 +169,7 @@ def test_gradients_match_finite_differences():
     while len(pairs) < 20:
         x = rng.uniform(-1.2, 1.2)
         if _away_from_breakpoints(tent, x, 100 * step):
-            pairs.append((tent.wrap(x), Sample(label=int(rng.integers(0, 2)))))
+            pairs.append((tent.wrap(x), Dataset.from_labels([int(rng.integers(0, 2))])))
     assert gradient_check(tent, pairs, step=step) <= 1e-5
 
     recip = ReciprocalLoss()
@@ -174,14 +177,14 @@ def test_gradients_match_finite_differences():
     while len(pairs) < 20:
         x = rng.uniform(-2.0, 2.0)
         if abs(x) > 0.05:
-            pairs.append((recip.wrap(x), Sample(label=int(rng.integers(0, 2)))))
+            pairs.append((recip.wrap(x), Dataset.from_labels([int(rng.integers(0, 2))])))
     assert gradient_check(recip, pairs, step=step) <= 1e-5
 
     quad = QuadraticLoss(dim=4)
     pairs = [
         (
             ParamVector([("w", rng.standard_normal(4))]),
-            Sample(features=rng.standard_normal(4), target=float(rng.standard_normal())),
+            Dataset(X=[rng.standard_normal(4)], y=[0], t=[float(rng.standard_normal())]),
         )
         for _ in range(20)
     ]
@@ -214,8 +217,8 @@ def test_scalar_model_sampling_is_balanced_bernoulli():
 def test_batch_grad_duplication_invariance():
     quad = QuadraticLoss(dim=2)
     w = ParamVector([("w", np.array([0.3, -0.7]))])
-    z = Sample(features=np.array([1.0, 2.0]), target=0.5)
-    loss1, grad1 = quad.batch_grad(w, [z])
-    loss4, grad4 = quad.batch_grad(w, [z, z, z, z])
+    z = Dataset(X=[[1.0, 2.0]], y=[0], t=[0.5])
+    loss1, grad1 = quad.batch_grad(w, z)
+    loss4, grad4 = quad.batch_grad(w, z[[0, 0, 0, 0]])
     assert loss4 == loss1
     assert grad4 == grad1

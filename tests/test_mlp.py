@@ -3,19 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from diamrisk.losses import Sample, gradient_check
+from diamrisk.data import Dataset
+from diamrisk.losses import gradient_check
 from diamrisk.mlp import (
     MlpLossModel,
     MlpSpec,
     accuracy_on,
     batch_nll,
-    forward,
     forward_batch,
     init_params,
     loss_and_grad,
     nll_softmax,
 )
 from diamrisk.params import ParamVector
+
+
+def random_rows(rng, m, d, num_classes):
+    """m rows of standard-normal features, each drawn before its label."""
+    rows = [(rng.standard_normal(d), int(rng.integers(0, num_classes))) for _ in range(m)]
+    return Dataset(X=[x for x, _ in rows], y=[y for _, y in rows], num_classes=num_classes)
 
 
 def test_init_params_deterministic():
@@ -48,7 +54,7 @@ def test_spec_validation():
 def test_forward_zero_weights_gives_zero_logits():
     spec = MlpSpec(input_dim=3, hidden_dims=(4, 5), num_classes=3)
     w = spec.param_template()
-    assert np.array_equal(forward(spec, w, np.array([1.0, -2.0, 0.5])), np.zeros(3))
+    assert np.array_equal(forward_batch(spec, w, np.array([[1.0, -2.0, 0.5]])), np.zeros((1, 3)))
 
 
 def test_forward_single_affine_layer():
@@ -57,8 +63,8 @@ def test_forward_single_affine_layer():
     W = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     b = np.array([0.5, -0.5])
     w = ParamVector([("W0", W), ("b0", b)])
-    x = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(forward(spec, w, x), W[:, 0] + b)
+    x = np.array([[1.0, 0.0, 0.0]])
+    assert np.allclose(forward_batch(spec, w, x), W[:, 0] + b)
 
 
 def naive_forward(spec, w, x):
@@ -84,17 +90,20 @@ def test_forward_matches_naive_oracle():
     for _ in range(5):
         w = init_params(spec, rng)
         x = rng.standard_normal(4)
-        assert np.allclose(forward(spec, w, x), naive_forward(spec, w, x), atol=1e-12)
+        logits = forward_batch(spec, w, x[None, :])[0]
+        assert np.allclose(logits, naive_forward(spec, w, x), atol=1e-12)
 
 
 def test_forward_shape_mismatch_errors():
     spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=2)
     w = init_params(spec, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        forward(spec, w, np.zeros(5))
+        forward_batch(spec, w, np.zeros((1, 5)))
+    with pytest.raises(ValueError):
+        forward_batch(spec, w, np.zeros(3))  # a single row must still be a (1, d) batch
     other = MlpSpec(input_dim=5, hidden_dims=(4,), num_classes=2)
     with pytest.raises(ValueError):
-        forward(other, w, np.zeros(5))
+        forward_batch(other, w, np.zeros((1, 5)))
 
 
 def test_nll_softmax_uniform_logits():
@@ -129,7 +138,7 @@ def test_nll_softmax_label_range():
 def test_loss_and_grad_zero_weights():
     spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
     w = spec.param_template()
-    batch = [Sample(features=np.array([1.0, 2.0, 3.0]), label=1)]
+    batch = Dataset(X=[[1.0, 2.0, 3.0]], y=[1], num_classes=3)
     loss, _ = loss_and_grad(spec, w, batch)
     assert loss == pytest.approx(math.log(3), abs=1e-12)
 
@@ -137,12 +146,12 @@ def test_loss_and_grad_zero_weights():
 def test_loss_and_grad_duplication_invariance():
     spec = MlpSpec(input_dim=2, hidden_dims=(3,), num_classes=2)
     w = init_params(spec, np.random.default_rng(4))
-    z = Sample(features=np.array([0.4, -1.2]), label=1)
-    loss1, grad1 = loss_and_grad(spec, w, [z])
-    loss4, grad4 = loss_and_grad(spec, w, [z] * 4)
+    z = Dataset(X=[[0.4, -1.2]], y=[1])
+    loss1, grad1 = loss_and_grad(spec, w, z)
+    loss4, grad4 = loss_and_grad(spec, w, z[[0] * 4])
     assert loss4 == loss1
     assert grad4 == grad1
-    loss3, grad3 = loss_and_grad(spec, w, [z] * 3)
+    loss3, grad3 = loss_and_grad(spec, w, z[[0] * 3])
     assert loss3 == pytest.approx(loss1, abs=1e-15)
     assert grad3.allclose(grad1, rtol=1e-13, atol=1e-15)
 
@@ -150,7 +159,7 @@ def test_loss_and_grad_duplication_invariance():
 def test_loss_and_grad_empty_batch_errors():
     spec = MlpSpec(input_dim=2, hidden_dims=(3,), num_classes=2)
     with pytest.raises(ValueError):
-        loss_and_grad(spec, spec.param_template(), [])
+        loss_and_grad(spec, spec.param_template(), Dataset(X=np.empty((0, 2)), y=[]))
 
 
 def test_gradient_matches_finite_differences():
@@ -161,8 +170,7 @@ def test_gradient_matches_finite_differences():
     pairs = []
     for _ in range(5):
         w = init_params(spec, rng)
-        z = Sample(features=rng.standard_normal(3), label=int(rng.integers(0, 2)))
-        pairs.append((w, z))
+        pairs.append((w, random_rows(rng, 1, 3, 2)))
     assert gradient_check(model, pairs, step=1e-5) <= 1e-5
 
 
@@ -170,10 +178,7 @@ def test_gradient_check_on_deeper_net():
     spec = MlpSpec(input_dim=4, hidden_dims=(6, 5), num_classes=3)
     model = MlpLossModel(spec)
     rng = np.random.default_rng(6)
-    pairs = [
-        (init_params(spec, rng), Sample(features=rng.standard_normal(4), label=int(rng.integers(0, 3))))
-        for _ in range(5)
-    ]
+    pairs = [(init_params(spec, rng), random_rows(rng, 1, 4, 3)) for _ in range(5)]
     assert gradient_check(model, pairs, step=1e-5) <= 1e-5
 
 
@@ -182,12 +187,9 @@ def test_batch_risk_matches_pointwise_mean():
     model = MlpLossModel(spec)
     rng = np.random.default_rng(7)
     w = init_params(spec, rng)
-    batch = [
-        Sample(features=rng.standard_normal(3), label=int(rng.integers(0, 3)))
-        for _ in range(17)
-    ]
+    batch = random_rows(rng, 17, 3, 3)
     vectorized = model.batch_risk(w, batch)
-    pointwise = sum(model.eval(w, z) for z in batch) / len(batch)
+    pointwise = sum(model.batch_risk(w, batch[i]) for i in range(len(batch))) / len(batch)
     assert vectorized == pytest.approx(pointwise, abs=1e-12)
     loss, _ = loss_and_grad(spec, w, batch)
     assert loss == pytest.approx(vectorized, abs=1e-12)
@@ -197,11 +199,8 @@ def test_batch_permutation_invariance():
     spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
     rng = np.random.default_rng(8)
     w = init_params(spec, rng)
-    batch = [
-        Sample(features=rng.standard_normal(3), label=int(rng.integers(0, 3)))
-        for _ in range(11)
-    ]
-    shuffled = [batch[i] for i in rng.permutation(len(batch))]
+    batch = random_rows(rng, 11, 3, 3)
+    shuffled = batch[rng.permutation(len(batch))]
     a, _ = loss_and_grad(spec, w, batch)
     b, _ = loss_and_grad(spec, w, shuffled)
     assert a == pytest.approx(b, abs=1e-12)
@@ -211,5 +210,5 @@ def test_batch_permutation_invariance():
 def test_accuracy_ties_go_to_lowest_class():
     spec = MlpSpec(input_dim=2, hidden_dims=(), num_classes=3)
     w = spec.param_template()  # zero weights: all logits equal
-    samples = [Sample(features=np.array([1.0, 1.0]), label=lab) for lab in (0, 1, 2)]
-    assert accuracy_on(spec, w, samples) == pytest.approx(1.0 / 3.0)
+    rows = Dataset(X=[[1.0, 1.0]] * 3, y=[0, 1, 2], num_classes=3)
+    assert accuracy_on(spec, w, rows) == pytest.approx(1.0 / 3.0)

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamrisk.losses import LossModel, ReciprocalLoss, Sample, TentLoss
+from diamrisk.data import Dataset
+from diamrisk.losses import LossModel, ReciprocalLoss, TentLoss
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.optimizer import select_worst
 from diamrisk.params import NormKind, ParamVector, axpy, sample_sphere
@@ -13,6 +14,7 @@ from diamrisk.risk import diametrical_risk_grid_1d, diametrical_risk_sampled, ne
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 KINDS = st.sampled_from(list(NormKind))
 SEEDS = st.integers(0, 2**32 - 1)
+ONE_ROW = Dataset.from_labels([0])
 
 
 class StepLoss(LossModel):
@@ -23,7 +25,7 @@ class StepLoss(LossModel):
     def __init__(self):
         self.param_template = ParamVector([("w", np.zeros(3))])
 
-    def eval(self, w, z):
+    def batch_risk(self, w, S):
         return float(w.flat()[0] > 0.0)
 
 
@@ -39,9 +41,8 @@ def test_neighborhood_risks_match_per_direction_evaluation(seed, n, gamma, kind)
     spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
     model = MlpLossModel(spec)
     w = init_params(spec, rng)
-    batch = [
-        Sample(features=rng.standard_normal(3), label=int(rng.integers(0, 3))) for _ in range(5)
-    ]
+    rows = [(rng.standard_normal(3), int(rng.integers(0, 3))) for _ in range(5)]
+    batch = Dataset(X=[x for x, _ in rows], y=[y for _, y in rows], num_classes=3)
     directions = [sample_sphere(w, gamma, kind, rng) for _ in range(n)]
     values = neighborhood_risks(model, w, directions, batch)
     expected = [model.batch_risk(axpy(w, 1.0, u), batch) for u in directions]
@@ -57,8 +58,8 @@ def test_select_worst_breaks_ties_to_the_lowest_index(seed, picks):
     rng = np.random.default_rng(seed)
     pool = [sample_sphere(w, 1.0, NormKind.EUCLIDEAN, rng) for _ in range(6)]
     candidates = [pool[i] for i in picks]  # repeats force exact ties
-    idx, chosen, value = select_worst(model, w, [Sample()], candidates)
-    values = [model.batch_risk(axpy(w, 1.0, u), [Sample()]) for u in candidates]
+    idx, chosen, value = select_worst(model, w, ONE_ROW, candidates)
+    values = [model.batch_risk(axpy(w, 1.0, u), ONE_ROW) for u in candidates]
     assert idx == _first_max(values)
     assert chosen is candidates[idx] and value == values[idx]
 
@@ -68,10 +69,10 @@ def test_select_worst_breaks_ties_to_the_lowest_index(seed, picks):
 def test_sampled_estimate_breaks_ties_to_the_lowest_draw(seed, r, gamma, kind):
     model = StepLoss()
     w = ParamVector.zeros_like(model.param_template)
-    est = diametrical_risk_sampled(model, w, gamma, kind, r, [Sample()], rng=seed)
+    est = diametrical_risk_sampled(model, w, gamma, kind, r, ONE_ROW, rng=seed)
     rng = np.random.default_rng(seed)
     draws = [sample_sphere(w, gamma, kind, rng) for _ in range(r)]
-    values = [model.batch_risk(axpy(w, 1.0, u), [Sample()]) for u in draws]
+    values = [model.batch_risk(axpy(w, 1.0, u), ONE_ROW) for u in draws]
     assert est.worst_index == _first_max(values)
     assert est.worst_direction == draws[est.worst_index]
     assert est.value == values[est.worst_index]
@@ -91,7 +92,7 @@ def test_sampled_sup_never_exceeds_grid_sup(loss, labels, center, gamma, r, seed
         model, w = TentLoss(2.0, 0.5), 2.0 * center - 1.0
     else:
         model, w = ReciprocalLoss(), 0.9 + 1.1 * center  # off the pole: w - gamma > 0
-    S = [Sample(label=lab) for lab in labels]
+    S = Dataset.from_labels(labels)
     grid = diametrical_risk_grid_1d(model, w, gamma, S, grid_points=257).value
     sampled = diametrical_risk_sampled(
         model, model.wrap(w), gamma, NormKind.EUCLIDEAN, r, S, rng=seed
@@ -123,7 +124,7 @@ def test_grid_1d_points_are_uniform_points_centre_and_breakpoints(
     w, gamma, grid_points, gamma_loss
 ):
     model = RecordingTent(gamma_loss)
-    est = diametrical_risk_grid_1d(model, w, gamma, [Sample(label=0)], grid_points=grid_points)
+    est = diametrical_risk_grid_1d(model, w, gamma, ONE_ROW, grid_points=grid_points)
     lo, hi = w - gamma, w + gamma
     in_range = [b for b in model.breakpoints if lo <= b <= hi]
     expected = np.unique(np.concatenate([np.linspace(lo, hi, grid_points), [w], in_range]))

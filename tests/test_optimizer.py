@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diamrisk.data import Dataset, flip_labels, gen_gaussian_blobs
-from diamrisk.losses import LossModel, QuadraticLoss, Sample, TentLoss
+from diamrisk.losses import LossModel, QuadraticLoss, TentLoss
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.optimizer import (
     DrmConfig,
@@ -25,11 +25,11 @@ class ConstantLoss(LossModel):
     def __init__(self):
         self.param_template = ParamVector([("w", np.zeros(2))])
 
-    def eval(self, w, z):
+    def batch_risk(self, w, S):
         return 1.5
 
-    def grad(self, w, z):
-        return ParamVector.zeros_like(self.param_template)
+    def batch_grad(self, w, S):
+        return 1.5, ParamVector.zeros_like(self.param_template)
 
 
 def quad_config(**overrides):
@@ -49,11 +49,8 @@ def quad_config(**overrides):
 
 
 def quad_data(rng, m=12):
-    samples = [
-        Sample(features=np.array([rng.uniform(0.5, 1.5)]), target=float(rng.standard_normal()))
-        for _ in range(m)
-    ]
-    return Dataset(samples=samples, num_classes=1)
+    rows = [(rng.uniform(0.5, 1.5), float(rng.standard_normal())) for _ in range(m)]
+    return Dataset(X=[[a] for a, _ in rows], y=[0] * m, num_classes=1, t=[b for _, b in rows])
 
 
 def test_config_validation():
@@ -113,7 +110,7 @@ def test_make_batch_indices_large_batch_is_single_shuffled_batch():
 def test_select_worst_singleton_and_ties():
     model = ConstantLoss()
     w = ParamVector([("w", np.zeros(2))])
-    batch = [Sample()]
+    batch = Dataset.from_labels([0])
     u = ParamVector([("w", np.array([1.0, 0.0]))])
     idx, chosen, _ = select_worst(model, w, batch, [u])
     assert idx == 0 and chosen is u
@@ -126,7 +123,7 @@ def test_select_worst_singleton_and_ties():
 
 def test_select_worst_quadratic_hand_values():
     quad = QuadraticLoss(dim=1)
-    batch = [Sample(features=np.array([1.0]), target=0.0)]
+    batch = Dataset(X=[[1.0]], y=[0])
     w = quad.wrap(0.0)
     minus_one = quad.wrap(-1.0)
     plus_half = quad.wrap(0.5)
@@ -137,7 +134,7 @@ def test_select_worst_quadratic_hand_values():
 
 def test_simple_step_gamma_zero_matches_plain_sgd():
     quad = QuadraticLoss(dim=1)
-    batch = [Sample(features=np.array([1.0]), target=0.0)]
+    batch = Dataset(X=[[1.0]], y=[0])
     cfg = quad_config(gamma=0.0, T=1, lr_schedule=((1, 0.1),))
     w = quad.wrap(1.0)
     stepped = simple_sgd_drm_step(quad, w, batch, cfg, np.random.default_rng(0), t=0)
@@ -149,7 +146,7 @@ def test_simple_step_constant_loss_keeps_w():
     model = ConstantLoss()
     cfg = quad_config(gamma=0.3, T=1, lr_schedule=((1, 0.1),))
     w = ParamVector([("w", np.array([0.7, -0.2]))])
-    stepped = simple_sgd_drm_step(model, w, [Sample()], cfg, np.random.default_rng(0))
+    stepped = simple_sgd_drm_step(model, w, Dataset.from_labels([0]), cfg, np.random.default_rng(0))
     assert stepped == w
 
 
@@ -158,7 +155,7 @@ def test_simple_step_one_step_hand_computation():
     # perturbation is +gamma (risk 1.125 vs 0.125), so the gradient is taken
     # at 1.5 and w' = 1 - 0.1 * 1.5 = 0.85.
     quad = QuadraticLoss(dim=1)
-    batch = [Sample(features=np.array([1.0]), target=0.0)]
+    batch = Dataset(X=[[1.0]], y=[0])
     cfg = quad_config(gamma=0.5, T=1, lr_schedule=((1, 0.1),), r=16)
     w = quad.wrap(1.0)
     stepped = simple_sgd_drm_step(quad, w, batch, cfg, np.random.default_rng(5))
@@ -174,7 +171,7 @@ def test_iterates_stay_feasible():
     w = quad.wrap(0.04)
     loop_rng = np.random.default_rng(9)
     for t in range(25):
-        w = simple_sgd_drm_step(quad, w, data.samples, cfg, loop_rng, t=t)
+        w = simple_sgd_drm_step(quad, w, data, cfg, loop_rng, t=t)
         assert box.contains(w)
     final, _ = sgd_drm_run(quad, data, None, cfg, w0=quad.wrap(0.0))
     assert box.contains(final)
@@ -184,7 +181,7 @@ def test_iterates_stay_feasible():
 
 def test_erm_zero_gradient_keeps_w_constant():
     model = ConstantLoss()
-    data = Dataset(samples=[Sample() for _ in range(6)], num_classes=1)
+    data = Dataset.from_labels([0] * 6, num_classes=1)
     cfg = quad_config(T=10, batch_size=3)
     w0 = ParamVector([("w", np.array([0.3, 0.4]))])
     final, trace = sgd_erm_run(model, data, None, cfg, w0=w0)
@@ -201,8 +198,8 @@ def test_erm_full_batch_contraction_matches_recursion():
     cfg = quad_config(gamma=0.0, T=T, batch_size=8, lr_schedule=((T, lr),), seed=1)
     w0 = quad.wrap(2.0)
     final, _ = sgd_erm_run(quad, data, None, cfg, w0=w0)
-    a = np.array([z.features[0] for z in data.samples])
-    b = np.array([z.target for z in data.samples])
+    a = data.X[:, 0]
+    b = data.t
     w = 2.0
     for _ in range(T):
         w = w - lr * (np.mean(a * a) * w - np.mean(a * b))
@@ -332,7 +329,7 @@ def test_descent_sanity_on_convex_fixture():
         values.append(
             diametrical_risk_grid_1d(quad, float(w.flat()[0]), gamma, data, grid_points=257).value
         )
-        w = simple_sgd_drm_step(quad, w, data.samples, cfg, step_rng, t=0)
+        w = simple_sgd_drm_step(quad, w, data, cfg, step_rng, t=0)
     for before, after in zip(values, values[1:]):
         assert after <= before + 1e-9
 

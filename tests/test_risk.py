@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from diamrisk.data import Dataset
 from diamrisk.losses import (
     LossModel,
     QuadraticLoss,
     ReciprocalLoss,
-    Sample,
     TentLoss,
 )
 from diamrisk.params import NormKind, ParamVector
@@ -26,8 +26,10 @@ KAPPA = 2.0
 GAMMA_LOSS = 0.5
 
 
-def labels_to_samples(labels):
-    return [Sample(label=lab) for lab in labels]
+def quad_rows(rng, m, draw=lambda rng: rng.uniform(0.5, 2.0)):
+    """m one-feature regression rows, each feature drawn before its target."""
+    rows = [(draw(rng), float(rng.standard_normal())) for _ in range(m)]
+    return Dataset(X=[[a] for a, _ in rows], y=[0] * m, t=[b for _, b in rows])
 
 
 class ConstantLoss(LossModel):
@@ -39,29 +41,29 @@ class ConstantLoss(LossModel):
         self.c = c
         self.param_template = ParamVector([("w", np.zeros(2))])
 
-    def eval(self, w, z):
+    def batch_risk(self, w, S):
         return self.c
 
-    def grad(self, w, z):
-        return ParamVector.zeros_like(self.param_template)
+    def batch_grad(self, w, S):
+        return self.c, ParamVector.zeros_like(self.param_template)
 
 
 def test_empirical_risk_single_sample():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
-    z = Sample(label=0)
-    assert empirical_risk(tent, tent.wrap(0.1), [z]) == tent.eval(tent.wrap(0.1), z)
+    z = Dataset.from_labels([0])
+    assert empirical_risk(tent, tent.wrap(0.1), z) == float(tent.eval_scalar(0.1, 0))
 
 
 def test_empirical_risk_balanced_tent_is_zero():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
-    S = labels_to_samples([0, 0, 1, 1])  # rho_m = 0 kills the closed form
+    S = Dataset.from_labels([0, 0, 1, 1])  # rho_m = 0 kills the closed form
     for w in (-0.4, 0.0, 0.2, 0.7):
         assert empirical_risk(tent, tent.wrap(w), S) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_empirical_risk_tent_brute_force():
     tent = TentLoss(kappa=2.0, gamma_loss=0.5)
-    S = labels_to_samples([0, 0, 0, 1])  # rho_m = 2
+    S = Dataset.from_labels([0, 0, 0, 1])  # rho_m = 2
     # Brute-force sum over the four samples at w = 0: (2 + 2 + 2 - 2) / 4 = 1.
     assert empirical_risk(tent, tent.wrap(0.0), S) == pytest.approx(1.0, abs=1e-15)
 
@@ -69,7 +71,7 @@ def test_empirical_risk_tent_brute_force():
 def test_empirical_risk_empty_errors():
     tent = TentLoss()
     with pytest.raises(ValueError):
-        empirical_risk(tent, tent.wrap(0.0), [])
+        empirical_risk(tent, tent.wrap(0.0), Dataset.from_labels([]))
 
 
 def test_empirical_risk_curve_matches_pointwise():
@@ -78,11 +80,8 @@ def test_empirical_risk_curve_matches_pointwise():
     recip = ReciprocalLoss()
     quad = QuadraticLoss(dim=1)
     labels = rng.integers(0, 2, size=25).tolist()
-    S = labels_to_samples(labels)
-    quad_S = [
-        Sample(features=rng.standard_normal(1), target=float(rng.standard_normal()))
-        for _ in range(7)
-    ]
+    S = Dataset.from_labels(labels)
+    quad_S = quad_rows(rng, 7, draw=lambda rng: rng.standard_normal(1)[0])
     pts = rng.uniform(-2, 2, size=40)
     for model, data in ((tent, S), (recip, S), (quad, quad_S)):
         curve = empirical_risk_curve(model, pts, data)
@@ -126,7 +125,7 @@ def test_true_risk_mc_clt_band():
 
 def test_grid_1d_gamma_zero_equals_empirical_exactly():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
-    S = labels_to_samples([0, 0, 1])
+    S = Dataset.from_labels([0, 0, 1])
     est = diametrical_risk_grid_1d(tent, 0.1, 0.0, S)
     assert est.value == empirical_risk(tent, tent.wrap(0.1), S)
     assert est.method == Exact()
@@ -136,7 +135,7 @@ def test_grid_1d_tent_negative_rho_sup_is_zero():
     # rho_m = -2 pushes the tent underwater everywhere; with gamma equal to
     # the loss half-width the neighborhood always reaches a zero of the loss.
     tent = TentLoss(KAPPA, GAMMA_LOSS)
-    S = labels_to_samples([0, 1, 1, 1])
+    S = Dataset.from_labels([0, 1, 1, 1])
     est = diametrical_risk_grid_1d(tent, 0.0, GAMMA_LOSS, S, grid_points=100001)
     assert est.value == pytest.approx(0.0, abs=1e-15)
 
@@ -144,7 +143,7 @@ def test_grid_1d_tent_negative_rho_sup_is_zero():
 def test_grid_1d_dominates_empirical():
     rng = np.random.default_rng(1)
     tent = TentLoss(KAPPA, GAMMA_LOSS)
-    S = labels_to_samples(rng.integers(0, 2, size=30).tolist())
+    S = Dataset.from_labels(rng.integers(0, 2, size=30).tolist())
     for _ in range(50):
         w = rng.uniform(-1.5, 1.5)
         gamma = rng.uniform(0.01, 1.0)
@@ -155,12 +154,9 @@ def test_grid_1d_dominates_empirical():
 def test_grid_1d_monotone_in_gamma_on_exact_fixtures():
     rng = np.random.default_rng(2)
     tent = TentLoss(KAPPA, GAMMA_LOSS)
-    S = labels_to_samples(rng.integers(0, 2, size=20).tolist())
+    S = Dataset.from_labels(rng.integers(0, 2, size=20).tolist())
     quad = QuadraticLoss(dim=1)
-    quad_S = [
-        Sample(features=np.array([rng.uniform(0.5, 2.0)]), target=float(rng.standard_normal()))
-        for _ in range(5)
-    ]
+    quad_S = quad_rows(rng, 5)
     for _ in range(100):
         w = rng.uniform(-1.0, 1.0)
         g1, g2 = sorted(rng.uniform(0.01, 1.0, size=2))
@@ -173,7 +169,7 @@ def test_grid_1d_monotone_in_gamma_on_exact_fixtures():
 def test_sampled_constant_loss_returns_constant():
     model = ConstantLoss(c=3.25)
     w = ParamVector([("w", np.array([1.0, -1.0]))])
-    S = labels_to_samples([0, 1, 0])
+    S = Dataset.from_labels([0, 1, 0])
     for r in (1, 5, 50):
         est = diametrical_risk_sampled(model, w, 0.7, NormKind.EUCLIDEAN, r, S, rng=0)
         assert est.value == 3.25
@@ -182,7 +178,7 @@ def test_sampled_constant_loss_returns_constant():
 
 def test_sampled_nested_draws_monotone_in_r():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
-    S = labels_to_samples([0, 0, 1])
+    S = Dataset.from_labels([0, 0, 1])
     w = tent.wrap(0.2)
     values = [
         diametrical_risk_sampled(tent, w, 0.3, NormKind.EUCLIDEAN, r, S, rng=42).value
@@ -196,7 +192,7 @@ def test_sampled_quadratic_converges_to_exact_sup():
     # 1-D sphere sampling lands on +-1 so a single draw already achieves the
     # exact supremum 0.5 * gamma^2 of the single-sample quadratic at w = 0.
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.0]), target=0.0)]
+    S = Dataset(X=[[1.0]], y=[0])
     w = quad.wrap(0.0)
     exact = diametrical_risk_grid_1d(quad, 0.0, 1.0, S, grid_points=4097).value
     assert exact == pytest.approx(0.5, abs=1e-12)
@@ -211,11 +207,8 @@ def test_sampled_never_exceeds_grid_on_1d_fixtures():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
     recip = ReciprocalLoss()
     quad = QuadraticLoss(dim=1)
-    S = labels_to_samples(rng.integers(0, 2, size=20).tolist())
-    quad_S = [
-        Sample(features=np.array([rng.uniform(0.5, 2.0)]), target=float(rng.standard_normal()))
-        for _ in range(5)
-    ]
+    S = Dataset.from_labels(rng.integers(0, 2, size=20).tolist())
+    quad_S = quad_rows(rng, 5)
     cases = [
         (tent, S, (-1.0, 1.0), (0.05, 0.8)),
         (recip, S, (0.9, 2.0), (0.05, 0.7)),  # keep the interval off the pole
@@ -234,7 +227,7 @@ def test_sampled_never_exceeds_grid_on_1d_fixtures():
 
 def test_sampled_records_argmax_direction():
     quad = QuadraticLoss(dim=1)
-    S = [Sample(features=np.array([1.0]), target=0.0)]
+    S = Dataset(X=[[1.0]], y=[0])
     est = diametrical_risk_sampled(quad, quad.wrap(0.5), 0.25, NormKind.EUCLIDEAN, 8, S, rng=1)
     assert est.worst_direction is not None
     # The worst direction must reproduce the reported value.
@@ -246,7 +239,7 @@ def test_sampled_records_argmax_direction():
 
 def test_sampled_gamma_zero_equals_empirical():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
-    S = labels_to_samples([0, 0, 0, 1])
+    S = Dataset.from_labels([0, 0, 0, 1])
     w = tent.wrap(0.0)
     est = diametrical_risk_sampled(tent, w, 0.0, NormKind.EUCLIDEAN, 5, S, rng=0)
     assert est.value == empirical_risk(tent, w, S)
@@ -257,7 +250,7 @@ def test_reciprocal_erm_unbounded_but_neighborhood_sup_bounded():
     # following the closed form (rho_m/m)/w; the neighborhood sup over
     # w in [0, B] stays bounded below.
     recip = ReciprocalLoss()
-    S = labels_to_samples([0, 1, 1, 1])  # rho_m = -2, m = 4
+    S = Dataset.from_labels([0, 1, 1, 1])  # rho_m = -2, m = 4
     rho_over_m = -2.0 / 4.0
     for k in range(1, 13):
         w = 10.0 ** (-k)
@@ -276,10 +269,7 @@ def test_convexity_preserved_by_neighborhood_sup():
     # quadratic empirical risk, on 1000 random pairs.
     rng = np.random.default_rng(4)
     quad = QuadraticLoss(dim=1)
-    S = [
-        Sample(features=np.array([rng.uniform(0.5, 2.0)]), target=float(rng.standard_normal()))
-        for _ in range(6)
-    ]
+    S = quad_rows(rng, 6)
     gamma = 0.4
     for _ in range(1000):
         w1, w2 = rng.uniform(-2.0, 2.0, size=2)
