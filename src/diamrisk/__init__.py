@@ -35,6 +35,7 @@ from .losses import (
 )
 from .mlp import MlpLossModel, MlpSpec, accuracy_on, init_params, loss_and_grad, nll_softmax
 from .optimizer import (
+    DivergenceError,
     DrmConfig,
     EveryK,
     PerturbQueue,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data import Dataset
-from .losses import LossModel
+from .losses import LossModel, rho_m
 from .params import NormKind, ParamVector, axpy, sample_sphere
 from .risk import label_risk_curves, neighborhood_risks, window_grid
 
@@ -378,7 +378,7 @@ def erm_drm_gap_table(
         out.append(
             GapRecord(
                 trial=trial,
-                rho=int(np.sum(labels == 0) - np.sum(labels == 1)),
+                rho=rho_m(labels),
                 erm_min_risk=float(r_emp[i]),
                 erm_gap=float(r_true[i] - r_emp[i]),
                 drm_min_risk=float(sup_curve[j]),

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration/usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .analysis import (
 from .harness import (
     ConfigError,
     build_datasets,
+    experiment_config_from_dict,
     load_experiment_config,
     run_label_noise_experiment,
     worker_count,
@@ -40,20 +42,51 @@ from .mlp import MlpLossModel
 from .params import ParamVector
 
 
+def _checked(convert, ok, requirement: str):
+    """argparse type= converter: convert the text, then require ok(value)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+
+    return parse
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+def _comma_list(kind):
+    return lambda text: [kind(x) for x in text.split(",")]
+
+
+_finite = _checked(float, math.isfinite, "a finite number")
+_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_fraction = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_kappa = _checked(float, lambda v: 1 < v < math.inf, "a finite number > 1")
+_sizes = _checked(_comma_list(int), lambda v: 0 < v[0] and v == sorted(set(v)), "increasing sizes >= 1")
+_slacks = _checked(_comma_list(float), lambda v: all(0 <= e < math.inf for e in v), "finite values >= 0")
+
+
 def _loss_from_args(args):
     if args.loss == "tent":
         return TentLoss(kappa=args.kappa, gamma_loss=args.gamma_loss)
-    if args.loss == "reciprocal":
-        return ReciprocalLoss()
-    raise ConfigError(f"unknown loss {args.loss!r}")
+    return ReciprocalLoss()
 
 
 def _default_interval(args) -> tuple[float, float]:
     if args.w_lo is not None and args.w_hi is not None:
-        return (args.w_lo, args.w_hi)
-    if args.loss == "tent":
-        return (-2.0, 2.0)
-    return (args.gamma, 2.0)  # keep the reciprocal window off the pole
+        lo, hi = args.w_lo, args.w_hi
+    else:  # keep the reciprocal window off the pole
+        lo, hi = (-2.0, 2.0) if args.loss == "tent" else (args.gamma, 2.0)
+    if not lo < hi:
+        raise ConfigError(f"the parameter window [{lo}, {hi}] is empty")
+    return (lo, hi)
 
 
 def _cmd_run(args) -> int:
@@ -62,19 +95,14 @@ def _cmd_run(args) -> int:
         raw = dict(cfg.raw)
         for section in ("dataset", "mlp", "drm"):
             raw[section] = {**raw.get(section, {}), "seed": args.seed}
-        from .harness import experiment_config_from_dict
-
         cfg = experiment_config_from_dict(raw)
     result = run_label_noise_experiment(cfg, out_dir=args.out)
     print(f"wrote artifacts to {result.out_dir}")
-    print(
-        f"erm: final test acc {result.erm.final_test_acc:.4f} "
-        f"(peak {result.erm.peak_test_acc:.4f}), final train risk {result.erm.final_train_risk:.4f}"
-    )
-    print(
-        f"drm: final test acc {result.drm.final_test_acc:.4f} "
-        f"(peak {result.drm.peak_test_acc:.4f}), final train risk {result.drm.final_train_risk:.4f}"
-    )
+    for name, run in (("erm", result.erm), ("drm", result.drm)):
+        print(
+            f"{name}: final test acc {run.final_test_acc:.4f} "
+            f"(peak {run.peak_test_acc:.4f}), final train risk {run.final_train_risk:.4f}"
+        )
     print(
         f"flatness gaps: erm {result.flatness.erm_gap:.4f}, drm {result.flatness.drm_gap:.4f}, "
         f"flatter: {result.flatness.flatter}"
@@ -84,12 +112,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_rate(args) -> int:
     model = _loss_from_args(args)
-    m_list = [int(x) for x in args.m.split(",")]
     result = rate_study(
         model,
         _default_interval(args),
         args.gamma,
-        m_list,
+        args.m,
         trials=args.trials,
         alpha=args.alpha,
         grid_points=args.grid,
@@ -115,7 +142,6 @@ def _cmd_rate(args) -> int:
 
 def _cmd_confidence(args) -> int:
     model = _loss_from_args(args)
-    epsilons = [float(x) for x in args.eps.split(",")]
     result = confidence_region_check(
         model,
         _default_interval(args),
@@ -125,7 +151,7 @@ def _cmd_confidence(args) -> int:
         trials=args.trials,
         grid_points=args.grid,
         rng=args.seed if args.seed is not None else 0,
-        epsilons=epsilons,
+        epsilons=args.eps,
         inner_points=args.inner,
     )
     out = Path(args.out or ".")
@@ -140,8 +166,6 @@ def _cmd_confidence(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
-    if args.n < 1 or args.bins < 1:
-        raise ConfigError(f"--n and --bins must be >= 1, got {args.n} and {args.bins}")
     cfg = load_experiment_config(args.config)
     try:
         w = ParamVector.load(args.checkpoint)
@@ -226,48 +250,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the seed")
+    common.add_argument("--seed", type=_at_least(0), default=None, help="override the seed")
     common.add_argument("--out", default=None, help="output directory")
 
     scalar = argparse.ArgumentParser(add_help=False)
     scalar.add_argument("--loss", choices=("tent", "reciprocal"), default="tent")
-    scalar.add_argument("--kappa", type=float, default=2.0)
-    scalar.add_argument("--gamma-loss", dest="gamma_loss", type=float, default=0.5)
-    scalar.add_argument("--gamma", type=float, default=0.5, help="neighborhood radius")
-    scalar.add_argument("--grid", type=int, default=257, help="points on the parameter window")
-    scalar.add_argument("--inner", type=int, default=257, help="points per neighborhood interval")
-    scalar.add_argument("--w-lo", dest="w_lo", type=float, default=None)
-    scalar.add_argument("--w-hi", dest="w_hi", type=float, default=None)
+    scalar.add_argument("--kappa", type=_kappa, default=2.0)
+    scalar.add_argument("--gamma-loss", dest="gamma_loss", type=_fraction, default=0.5)
+    scalar.add_argument("--gamma", type=_nonnegative, default=0.5, help="neighborhood radius")
+    scalar.add_argument("--grid", type=_at_least(3), default=257, help="points on the parameter window")
+    scalar.add_argument("--inner", type=_at_least(3), default=257, help="points per neighborhood interval")
+    scalar.add_argument("--w-lo", dest="w_lo", type=_finite, default=None)
+    scalar.add_argument("--w-hi", dest="w_hi", type=_finite, default=None)
 
     p = sub.add_parser("run", parents=[common], help="run the label-noise experiment")
     p.add_argument("--config", required=True, help="experiment JSON config")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("rate", parents=[common, scalar], help="sup-gap rate study")
-    p.add_argument("--m", default="250,1000,4000,16000", help="comma-separated sample sizes")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--m", type=_sizes, default="250,1000,4000,16000", help="comma-separated sample sizes")
+    p.add_argument("--trials", type=_at_least(30), default=200)
+    p.add_argument("--alpha", type=_fraction, default=0.05)
     p.add_argument("--gamma-mode", dest="gamma_mode", choices=("fixed", "inverse_m"), default="fixed")
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("confidence", parents=[common, scalar], help="confidence-region check")
-    p.add_argument("--m", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--delta", type=float, default=0.0, help="risk level of the target set")
-    p.add_argument("--eps", default="0.0,0.01,0.1", help="comma-separated slack values")
+    p.add_argument("--m", type=_at_least(1), default=1000)
+    p.add_argument("--trials", type=_at_least(1), default=200)
+    p.add_argument("--delta", type=_finite, default=0.0, help="risk level of the target set")
+    p.add_argument("--eps", type=_slacks, default="0.0,0.01,0.1", help="comma-separated slack values")
     p.set_defaults(func=_cmd_confidence)
 
     p = sub.add_parser("landscape", parents=[common], help="neighborhood risk histogram")
     p.add_argument("--config", required=True, help="experiment JSON config (dataset + model)")
     p.add_argument("--checkpoint", required=True, help="ParamVector JSON checkpoint")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--gamma", type=_nonnegative, required=True)
+    p.add_argument("--n", type=_at_least(1), default=10000)
+    p.add_argument("--bins", type=_at_least(1), default=50)
     p.set_defaults(func=_cmd_landscape)
 
     p = sub.add_parser("examples", parents=[common, scalar], help="ERM vs DRM gap tables")
-    p.add_argument("--m", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--m", type=_at_least(1), default=1000)
+    p.add_argument("--trials", type=_at_least(1), default=200)
     p.set_defaults(func=_cmd_examples)
 
     return parser

@@ -20,15 +20,11 @@ from .params import ParamVector
 
 def rho_m(labels: Sequence[int]) -> int:
     """Number of zero labels minus number of one labels."""
-    total = 0
-    for lab in labels:
-        if lab == 0:
-            total += 1
-        elif lab == 1:
-            total -= 1
-        else:
-            raise ValueError(f"labels must be 0 or 1, got {lab}")
-    return total
+    labels = np.asarray(labels)
+    bad = labels[~np.isin(labels, (0, 1))]
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
+    return int(np.sum(labels == 0) - np.sum(labels == 1))
 
 
 def _index_order_mean(rows: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossModel
-from .params import ParamVector, _split_layers
+from .params import ParamVector
 
 
 @dataclass(frozen=True)
@@ -48,128 +48,86 @@ def init_params(spec: MlpSpec, rng: np.random.Generator | None = None) -> ParamV
     """Weights ~ normal(0, 2/fan_in) (He scaling), biases exactly zero."""
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    layers = []
-    for i, (out, inp) in enumerate(spec.layer_sizes()):
-        std = np.sqrt(2.0 / inp)
-        layers.append((f"W{i}", rng.standard_normal((out, inp)) * std))
-        layers.append((f"b{i}", np.zeros(out)))
-    return ParamVector(layers)
+    return ParamVector(
+        (name, rng.standard_normal(a.shape) * np.sqrt(2.0 / a.shape[1]) if a.ndim == 2 else a)
+        for name, a in spec.param_template()
+    )
 
 
-def _affine_params(spec: MlpSpec, w: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
+def _forward(spec: MlpSpec, w: ParamVector, X) -> tuple[list[np.ndarray], np.ndarray]:
+    """Inputs of each affine layer (X, then each hidden ReLU output) and the
+    logits, for a (k, input_dim) batch."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != spec.input_dim:
+        raise ValueError(f"expected (k, {spec.input_dim}) inputs, got {X.shape}")
     if w.shapes != spec.param_shapes():
         raise ValueError("parameter shapes do not match the network spec")
-    arrays = w.arrays
-    return list(zip(arrays[0::2], arrays[1::2]))
+    Ws, bs = w.arrays[0::2], w.arrays[1::2]
+    inputs = [X]
+    for W, b in zip(Ws[:-1], bs[:-1]):
+        inputs.append(np.maximum(inputs[-1] @ W.T + b, 0.0))
+    return inputs, inputs[-1] @ Ws[-1].T + bs[-1]
 
 
 def forward_batch(spec: MlpSpec, w: ParamVector, X: np.ndarray) -> np.ndarray:
     """Logits for a (k, input_dim) batch, one row per sample."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise ValueError(f"expected (k, {spec.input_dim}) inputs, got {X.shape}")
-    A = X
-    params = _affine_params(spec, w)
-    for W, b in params[:-1]:
-        A = np.maximum(A @ W.T + b, 0.0)
-    W, b = params[-1]
-    return A @ W.T + b
+    return _forward(spec, w, X)[1]
+
+
+def _nll_rows(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row -log softmax(logits)[y] in the max-shifted log-sum-exp form,
+    and the softmax itself."""
+    if len(y) == 0:
+        raise ValueError("empty batch")
+    shift = logits.max(axis=1)
+    e = np.exp(logits - shift[:, None])
+    total = np.sum(e, axis=1)
+    lse = shift + np.log(total)
+    return lse - logits[np.arange(len(y)), y], e / total[:, None]
 
 
 def nll_softmax(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label], computed with the max-shift stable form."""
+    """-log softmax(logits)[label] for one row of logits."""
     logits = np.asarray(logits, dtype=np.float64)
     if not 0 <= label < logits.shape[-1]:
         raise ValueError(f"label {label} out of range for {logits.shape[-1]} classes")
-    shift = float(np.max(logits))
-    lse = shift + float(np.log(np.sum(np.exp(logits - shift))))
-    return lse - float(logits[label])
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def _check_batch(spec: MlpSpec, batch: Dataset) -> None:
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    if batch.X.shape[1] != spec.input_dim:
-        raise ValueError(f"expected input dimension {spec.input_dim}, got {batch.X.shape[1]}")
+    return float(_nll_rows(logits.reshape(1, -1), np.array([label]))[0][0])
 
 
 def loss_and_grad(spec: MlpSpec, w: ParamVector, batch: Dataset) -> tuple[float, ParamVector]:
-    """Mean NLL over the batch and its exact reverse-mode gradient.
+    """Mean NLL over the batch (equal to batch_nll) and its exact
+    reverse-mode gradient, one matrix product per layer.
 
-    Per-row contributions are accumulated in ascending row order into one
-    flat gradient buffer, so repeated runs produce bit-identical results.
+    The ReLU derivative at 0 is taken as 0. Results are deterministic for a
+    given batch; reordering its rows changes only the last bits.
     """
-    _check_batch(spec, batch)
-    params = _affine_params(spec, w)
-    n_layers = len(params)
-    acc = np.zeros(w.size)
-    acc_layers = _split_layers(acc, w.shapes)
-    acc_W, acc_b = acc_layers[0::2], acc_layers[1::2]
-    total = 0.0
-
-    for x, label in zip(batch.X, batch.y):
-        label = int(label)
-        # Forward, caching activations and pre-activations.
-        activations = [x]
-        pre = []
-        a = x
-        for W, b in params[:-1]:
-            s = W @ a + b
-            pre.append(s)
-            a = np.maximum(s, 0.0)
-            activations.append(a)
-        W, b = params[-1]
-        logits = W @ a + b
-        total += nll_softmax(logits, label)
-
-        # Backward.
-        dlogits = _softmax(logits)
-        dlogits[label] -= 1.0
-        delta = dlogits
-        for i in range(n_layers - 1, -1, -1):
-            acc_W[i] += np.outer(delta, activations[i])
-            acc_b[i] += delta
-            if i > 0:
-                # ReLU derivative at 0 is taken as 0 (strict inequality).
-                delta = (params[i][0].T @ delta) * (pre[i - 1] > 0.0)
-
-    k = len(batch)
-    return total / k, ParamVector.from_flat(w, acc / k)
+    inputs, logits = _forward(spec, w, batch.X)
+    nll, delta = _nll_rows(logits, batch.y)
+    delta[np.arange(len(batch)), batch.y] -= 1.0
+    parts = []  # dW_i, db_i for the layers seen so far, in parameter order
+    for i in reversed(range(len(inputs))):
+        parts[:0] = [(delta.T @ inputs[i]).ravel(), delta.sum(axis=0)]
+        if i > 0:
+            delta = (delta @ w.arrays[2 * i]) * (inputs[i] > 0.0)
+    return float(np.mean(nll)), ParamVector.from_flat(w, np.concatenate(parts) / len(batch))
 
 
 def batch_nll(spec: MlpSpec, w: ParamVector, batch: Dataset) -> float:
     """Mean NLL over the batch via a vectorized forward pass."""
-    _check_batch(spec, batch)
-    logits = forward_batch(spec, w, batch.X)
-    shift = logits.max(axis=1)
-    lse = shift + np.log(np.sum(np.exp(logits - shift[:, None]), axis=1))
-    per_sample = lse - logits[np.arange(len(batch)), batch.y]
-    return float(np.mean(per_sample))
-
-
-def predict(spec: MlpSpec, w: ParamVector, X: np.ndarray) -> np.ndarray:
-    """Predicted class per row: argmax logit, ties to the lowest class index."""
-    return np.argmax(forward_batch(spec, w, X), axis=1)
+    _, logits = _forward(spec, w, batch.X)
+    return float(np.mean(_nll_rows(logits, batch.y)[0]))
 
 
 def accuracy_on(spec: MlpSpec, w: ParamVector, data: Dataset) -> float:
-    """Fraction of rows whose predicted class matches the label."""
+    """Fraction of rows whose predicted class (argmax logit, ties to the
+    lowest class index) matches the label."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    return float(np.mean(predict(spec, w, data.X) == data.y))
+    return float(np.mean(np.argmax(forward_batch(spec, w, data.X), axis=1) == data.y))
 
 
 class MlpLossModel(LossModel):
     """LossModel adapter: mean NLL of the network over a Dataset."""
-
-    true_risk = None
-    label_sufficient = False
 
     def __init__(self, spec: MlpSpec):
         self.spec = spec

@@ -34,7 +34,8 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossModel
-from .params import FeasibleSet, NormKind, ParamVector, Unbounded, axpy, project, sample_sphere
+from .params import FeasibleSet, NonFiniteError, NormKind, ParamVector, Unbounded
+from .params import axpy, project, sample_sphere
 from .risk import diametrical_risk_sampled, neighborhood_risks
 
 # Sub-stream tags for seed derivation; fixed so traces are reproducible.
@@ -47,6 +48,17 @@ _STREAM_EVAL = 4
 TRACE_CSV_HEADER = (
     "iter,epoch,event,lr,batch_risk,perturbed_batch_risk,train_risk,test_acc,diam_risk_est"
 )
+
+
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite batch risk or parameter vector."""
+
+    def __init__(self, iteration: int, epoch: int, lr: float, batch_risk: float, reason):
+        super().__init__(
+            f"training diverged at iteration {iteration} (epoch {epoch}, lr {lr!r}, "
+            f"batch risk {batch_risk!r}): {reason}"
+        )
+        self.iteration, self.epoch, self.lr, self.batch_risk = iteration, epoch, lr, batch_risk
 
 
 @dataclass(frozen=True)
@@ -298,25 +310,29 @@ def _run_loop(
             lr = cfg.lr_at(t)
             event = _next_event(cfg.p, t, rng_coin)
             batch_risk = model.batch_risk(w, batch)
+            try:
+                if not math.isfinite(batch_risk):
+                    raise NonFiniteError("non-finite batch risk")
+                if algorithm == "erm":
+                    perturbed_risk = batch_risk
+                    grad_point = w
+                else:
+                    if event:
+                        candidates = [
+                            sample_sphere(w, cfg.gamma, cfg.norm_kind, rng_perturb)
+                            for _ in range(cfg.r)
+                        ]
+                        _, u_star, _ = select_worst(model, w, batch, candidates)
+                        queue.push(u_star)
+                    _, v_star, perturbed_risk = select_worst(model, w, batch, queue.entries)
+                    grad_point = axpy(w, 1.0, v_star)
+                if queue_probe is not None:
+                    queue_probe(t, queue)
 
-            if algorithm == "erm":
-                perturbed_risk = batch_risk
-                grad_point = w
-            else:
-                if event:
-                    candidates = [
-                        sample_sphere(w, cfg.gamma, cfg.norm_kind, rng_perturb)
-                        for _ in range(cfg.r)
-                    ]
-                    _, u_star, _ = select_worst(model, w, batch, candidates)
-                    queue.push(u_star)
-                _, v_star, perturbed_risk = select_worst(model, w, batch, queue.entries)
-                grad_point = axpy(w, 1.0, v_star)
-            if queue_probe is not None:
-                queue_probe(t, queue)
-
-            _, grad = model.batch_grad(grad_point, batch)
-            w = project(axpy(w, -lr, grad), cfg.feasible)
+                _, grad = model.batch_grad(grad_point, batch)
+                w = project(axpy(w, -lr, grad), cfg.feasible)
+            except NonFiniteError as exc:
+                raise DivergenceError(t, epoch, lr, batch_risk, exc) from exc
             trace.iterations.append(
                 IterationRecord(t, epoch, event, lr, batch_risk, perturbed_risk)
             )

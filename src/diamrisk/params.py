@@ -26,6 +26,10 @@ class NormKind(Enum):
     LAYERWISE_FROBENIUS = "layerwise_frobenius"
 
 
+class NonFiniteError(ValueError):
+    """A parameter vector would hold a NaN or an infinity."""
+
+
 def _split_layers(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Views of consecutive segments of flat, one per shape, in order."""
     views = []
@@ -65,7 +69,7 @@ class ParamVector:
         arrays = _split_layers(flat, shapes)
         if not np.isfinite(flat).all():
             bad = next(n for n, a in zip(names, arrays) if not np.isfinite(a).all())
-            raise ValueError(f"non-finite values in layer {bad!r}")
+            raise NonFiniteError(f"non-finite values in layer {bad!r}")
         self._names = names
         self._shapes = shapes
         self._flat = flat

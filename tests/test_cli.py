@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -220,3 +221,66 @@ def test_landscape_nonpositive_sizes_exit_2(tmp_path, capsys, flag):
     )
     assert code == 2
     assert not (tmp_path / "land").exists()
+
+
+SMALL_STUDY = ["--loss", "tent", "--trials", "30", "--grid", "65", "--inner", "65"]
+
+
+BAD_FLAGS = [
+    ("rate", ["--gamma", "nan"], "--gamma"),
+    ("rate", ["--gamma", "-1"], "--gamma"),
+    ("rate", ["--grid", "2"], "--grid"),
+    ("rate", ["--inner", "2"], "--inner"),
+    ("rate", ["--kappa", "1"], "--kappa"),
+    ("rate", ["--gamma-loss", "1"], "--gamma-loss"),
+    ("rate", ["--w-lo", "nan", "--w-hi", "1"], "--w-lo"),
+    ("rate", ["--w-lo", "0", "--w-hi", "inf"], "--w-hi"),
+    ("rate", ["--w-lo", "1", "--w-hi", "0"], "window"),
+    ("rate", ["--m", "100,50"], "--m"),
+    ("rate", ["--trials", "10"], "--trials"),
+    ("rate", ["--alpha", "1"], "--alpha"),
+    ("rate", ["--seed", "-1"], "--seed"),
+    ("confidence", ["--gamma", "nan"], "--gamma"),
+    ("confidence", ["--m", "0"], "--m"),
+    ("confidence", ["--trials", "0"], "--trials"),
+    ("confidence", ["--delta", "nan"], "--delta"),
+    ("confidence", ["--eps", "0.1,nan"], "--eps"),
+    ("examples", ["--m", "0"], "--m"),
+    ("examples", ["--trials", "-1"], "--trials"),
+    ("landscape", ["--gamma", "-1"], "--gamma"),
+    ("landscape", ["--gamma", "nan"], "--gamma"),
+    ("landscape", ["--seed", "-1"], "--seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,extra,fragment",
+    BAD_FLAGS,
+    ids=[f"{c} {' '.join(e)}" for c, e, _ in BAD_FLAGS],
+)
+def test_bad_numeric_flags_exit_2_before_work(tmp_path, capsys, command, extra, fragment):
+    if command == "landscape":
+        cfg_path = tiny_config(tmp_path)
+        spec = experiment_config_from_dict(json.loads(cfg_path.read_text())).mlp_spec()
+        checkpoint = tmp_path / "w.json"
+        init_params(spec, np.random.default_rng(0)).save(checkpoint)
+        base = ["--config", str(cfg_path), "--checkpoint", str(checkpoint), "--gamma", "1", "--n", "10"]
+    else:
+        base = ["--m", "50", *SMALL_STUDY] if command != "rate" else ["--m", "50,100", *SMALL_STUDY]
+    out = tmp_path / "out"
+    assert cli_main([command, *base, *extra, "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_divergence_names_the_iteration_and_writes_nothing(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path)
+    obj = json.loads(cfg_path.read_text())
+    obj["mlp"]["hidden_dims"] = [32, 32]
+    obj["drm"]["lr"] = 1e6
+    cfg_path.write_text(json.dumps(obj))
+    with np.errstate(all="ignore"):
+        assert cli_main(["run", "--config", str(cfg_path)]) == 1
+    assert re.search(r"diverged at iteration \d+ \(epoch \d+", capsys.readouterr().err)
+    out = tmp_path / "exp"
+    assert not out.exists() or not any(out.iterdir())

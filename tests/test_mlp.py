@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diamrisk.data import Dataset
 from diamrisk.losses import gradient_check
@@ -15,13 +17,81 @@ from diamrisk.mlp import (
     loss_and_grad,
     nll_softmax,
 )
-from diamrisk.params import ParamVector
+from diamrisk.params import ParamVector, _split_layers
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def random_rows(rng, m, d, num_classes):
     """m rows of standard-normal features, each drawn before its label."""
     rows = [(rng.standard_normal(d), int(rng.integers(0, num_classes))) for _ in range(m)]
     return Dataset(X=[x for x, _ in rows], y=[y for _, y in rows], num_classes=num_classes)
+
+
+# Reference oracle: the per-row reverse-mode pass, one sample at a time with
+# explicit activation caches. The matrix backward in loss_and_grad must agree
+# with it to rounding.
+
+
+def oracle_nll_softmax(logits: np.ndarray, label: int) -> float:
+    """-log softmax(logits)[label], computed with the max-shift stable form."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if not 0 <= label < logits.shape[-1]:
+        raise ValueError(f"label {label} out of range for {logits.shape[-1]} classes")
+    shift = float(np.max(logits))
+    lse = shift + float(np.log(np.sum(np.exp(logits - shift))))
+    return lse - float(logits[label])
+
+
+def oracle_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - np.max(logits)
+    e = np.exp(shifted)
+    return e / np.sum(e)
+
+
+def per_row_loss_and_grad(spec: MlpSpec, w: ParamVector, batch: Dataset) -> tuple[float, ParamVector]:
+    """Mean NLL over the batch and its exact reverse-mode gradient.
+
+    Per-row contributions are accumulated in ascending row order into one
+    flat gradient buffer, so repeated runs produce bit-identical results.
+    """
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    params = list(zip(w.arrays[0::2], w.arrays[1::2]))
+    n_layers = len(params)
+    acc = np.zeros(w.size)
+    acc_layers = _split_layers(acc, w.shapes)
+    acc_W, acc_b = acc_layers[0::2], acc_layers[1::2]
+    total = 0.0
+
+    for x, label in zip(batch.X, batch.y):
+        label = int(label)
+        # Forward, caching activations and pre-activations.
+        activations = [x]
+        pre = []
+        a = x
+        for W, b in params[:-1]:
+            s = W @ a + b
+            pre.append(s)
+            a = np.maximum(s, 0.0)
+            activations.append(a)
+        W, b = params[-1]
+        logits = W @ a + b
+        total += oracle_nll_softmax(logits, label)
+
+        # Backward.
+        dlogits = oracle_softmax(logits)
+        dlogits[label] -= 1.0
+        delta = dlogits
+        for i in range(n_layers - 1, -1, -1):
+            acc_W[i] += np.outer(delta, activations[i])
+            acc_b[i] += delta
+            if i > 0:
+                # ReLU derivative at 0 is taken as 0 (strict inequality).
+                delta = (params[i][0].T @ delta) * (pre[i - 1] > 0.0)
+
+    k = len(batch)
+    return total / k, ParamVector.from_flat(w, acc / k)
 
 
 def test_init_params_deterministic():
@@ -212,3 +282,49 @@ def test_accuracy_ties_go_to_lowest_class():
     w = spec.param_template()  # zero weights: all logits equal
     rows = Dataset(X=[[1.0, 1.0]] * 3, y=[0, 1, 2], num_classes=3)
     assert accuracy_on(spec, w, rows) == pytest.approx(1.0 / 3.0)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    input_dim=st.integers(1, 5),
+    hidden_dims=st.lists(st.integers(1, 8), max_size=3).map(tuple),
+    num_classes=st.integers(2, 4),
+    k=st.integers(1, 40),
+    scale=st.sampled_from([0.1, 1.0, 10.0]),
+)
+@example(seed=0, input_dim=20, hidden_dims=(96, 96, 48), num_classes=3, k=30, scale=1.0)
+def test_matrix_gradient_matches_per_row_oracle(seed, input_dim, hidden_dims, num_classes, k, scale):
+    spec = MlpSpec(input_dim=input_dim, hidden_dims=hidden_dims, num_classes=num_classes)
+    rng = np.random.default_rng(seed)
+    w = init_params(spec, rng)
+    batch = Dataset(
+        X=rng.standard_normal((k, input_dim)) * scale,
+        y=rng.integers(0, num_classes, k),
+        num_classes=num_classes,
+    )
+    loss, grad = loss_and_grad(spec, w, batch)
+    ref_loss, ref_grad = per_row_loss_and_grad(spec, w, batch)
+    assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+    assert loss == batch_nll(spec, w, batch)
+    ref = ref_grad.flat()
+    assert np.max(np.abs(grad.flat() - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_classes=st.integers(2, 5),
+    scale=st.sampled_from([1e-3, 1.0, 100.0, 1e4]),
+)
+def test_nll_softmax_equals_one_row_batch_nll_bitwise(seed, num_classes, scale):
+    spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=num_classes)
+    rng = np.random.default_rng(seed)
+    w = init_params(spec, rng)
+    row = Dataset(
+        X=rng.standard_normal((1, 3)) * scale,
+        y=[int(rng.integers(0, num_classes))],
+        num_classes=num_classes,
+    )
+    logits = forward_batch(spec, w, row.X)[0]
+    assert nll_softmax(logits, int(row.y[0])) == batch_nll(spec, w, row)

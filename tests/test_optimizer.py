@@ -5,6 +5,7 @@ from diamrisk.data import Dataset, flip_labels, gen_gaussian_blobs
 from diamrisk.losses import LossModel, QuadraticLoss, TentLoss
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.optimizer import (
+    DivergenceError,
     DrmConfig,
     EveryK,
     PerturbQueue,
@@ -16,7 +17,7 @@ from diamrisk.optimizer import (
     simple_sgd_drm_run,
     simple_sgd_drm_step,
 )
-from diamrisk.params import Box, NormKind, ParamVector, Unbounded
+from diamrisk.params import Box, NonFiniteError, NormKind, ParamVector, Unbounded
 
 
 class ConstantLoss(LossModel):
@@ -353,3 +354,16 @@ def test_deterministic_traces_given_seed():
     _, t2 = sgd_drm_run(model, train, None, cfg)
     assert t1.to_csv_text() == t2.to_csv_text()
     assert t1.batch_digest == t2.batch_digest
+
+
+@pytest.mark.parametrize("run", [sgd_erm_run, sgd_drm_run])
+def test_divergence_raises_typed_error_naming_the_iteration(run):
+    # lr 1e200: the first step is finite, the batch risk after it overflows.
+    data = quad_data(np.random.default_rng(11))
+    cfg = quad_config(lr_schedule=((20, 1e200),))
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+        run(QuadraticLoss(dim=1), data, None, cfg, w0=ParamVector([("w", np.ones(1))]))
+    err = info.value
+    assert (err.iteration, err.epoch, err.lr, err.batch_risk) == (1, 0, 1e200, float("inf"))
+    assert "iteration 1 (epoch 0" in str(err)
+    assert isinstance(err.__cause__, NonFiniteError)
