@@ -441,8 +441,11 @@ def landscape_histogram(
 
     Passing shared_directions reuses those exact draws, which makes
     histograms around two different centers directly comparable. Evaluations
-    are independent and may fan out to worker threads; results are written by
-    draw index so the histogram does not depend on scheduling.
+    run on the calling thread through risk.neighborhood_risks. max_workers > 1
+    fans them out to a thread pool instead (measured slower; only the
+    benchmark's span tests use it); results are written by draw index, so
+    the histogram does not depend on scheduling. When the value range is too
+    narrow to split into bins, the histogram is one bin [min, max].
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -474,10 +477,11 @@ def landscape_histogram(
     try:
         counts, edges = np.histogram(values, bins=bins)
     except ValueError as exc:
-        # Value range too narrow to split into the requested bins.
+        # Value range too narrow to split into the requested bins; numpy
+        # cannot widen it either when the values are large.
         if "Too many bins" not in str(exc):
             raise
-        counts, edges = np.histogram(values, bins=1)
+        counts, edges = np.array([n_samples]), np.array([values.min(), values.max()])
     return Histogram(
         values=values,
         bin_edges=edges,

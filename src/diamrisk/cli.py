@@ -35,7 +35,6 @@ from .harness import (
     experiment_config_from_dict,
     load_experiment_config,
     run_label_noise_experiment,
-    worker_count,
 )
 from .losses import ReciprocalLoss, TentLoss
 from .mlp import MlpLossModel
@@ -190,7 +189,6 @@ def _cmd_landscape(args) -> int:
         train,
         rng=np.random.default_rng(args.seed if args.seed is not None else 0),
         bins=args.bins,
-        max_workers=worker_count(),
     )
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

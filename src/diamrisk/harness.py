@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -44,20 +43,6 @@ SCHEMA_VERSION = 1
 
 class ConfigError(Exception):
     """Invalid experiment configuration (bad file, schema, or values)."""
-
-
-def worker_count() -> int:
-    """Worker cap for parallel evaluations: DRM_THREADS if set, else cores."""
-    raw = os.environ.get("DRM_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"DRM_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"DRM_THREADS must be >= 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -143,7 +128,7 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         num_classes=_num(ds, "num_classes", 3, "dataset", int, minimum=2),
         noise_frac=_num(ds, "noise_frac", 0.5, "dataset", float),
         separation=_num(ds, "separation", 10.0, "dataset", float),
-        seed=_num(ds, "seed", 0, "dataset", int),
+        seed=_num(ds, "seed", 0, "dataset", int, minimum=0),
     )
     if dataset.generator != "gaussian_blobs":
         raise ConfigError(f"unknown dataset generator {dataset.generator!r}")
@@ -165,7 +150,7 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         ) from None
     if any(h < 1 for h in hidden):
         raise ConfigError(f"mlp.hidden_dims must all be >= 1, got {list(hidden)}")
-    mlp_seed = _num(mlp, "seed", 0, "mlp", int)
+    mlp_seed = _num(mlp, "seed", 0, "mlp", int, minimum=0)
 
     drm = obj.get("drm", {})
     _take(
@@ -229,7 +214,7 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         p=schedule,
         norm_kind=norm_kind,
         feasible=feasible,
-        seed=_num(drm, "seed", 0, "drm", int),
+        seed=_num(drm, "seed", 0, "drm", int, minimum=0),
     )
     try:
         drm_cfg.validate()
@@ -361,14 +346,13 @@ def run_label_noise_experiment(
         cfg.landscape_n,
         np.random.default_rng([cfg.drm.seed, 5]),
     )
-    workers = worker_count()
     hist_erm = landscape_histogram(
         model, erm_final, cfg.drm.gamma, cfg.drm.norm_kind, cfg.landscape_n,
-        train, shared_directions=directions, bins=cfg.landscape_bins, max_workers=workers,
+        train, shared_directions=directions, bins=cfg.landscape_bins,
     )
     hist_drm = landscape_histogram(
         model, drm_final, cfg.drm.gamma, cfg.drm.norm_kind, cfg.landscape_n,
-        train, shared_directions=directions, bins=cfg.landscape_bins, max_workers=workers,
+        train, shared_directions=directions, bins=cfg.landscape_bins,
     )
     report = flatness_report(hist_erm, hist_drm)
 

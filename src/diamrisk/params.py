@@ -3,8 +3,7 @@
 A model's parameters are one flat float64 buffer with a read-only view per
 named layer. Construction from layers copies them into a fresh buffer, which
 is frozen and checked to be finite; every operation is one array operation
-on buffers and returns a new vector, so vectors can be shared freely across
-worker threads.
+on buffers and returns a new vector, so vectors can be shared freely.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from enum import Enum
 from typing import Iterable
 
 import numpy as np
-
-_MAX_RESAMPLE_ATTEMPTS = 100
 
 
 class NormKind(Enum):
@@ -211,48 +208,34 @@ def norm(v: ParamVector, kind: NormKind):
     return _array_norm(v.flat(), kind)
 
 
-def _draw_unit(rng: np.random.Generator, size: int) -> np.ndarray:
-    """One Gaussian draw of size values; redraws an all-zero draw (probability ~0)."""
-    for _ in range(_MAX_RESAMPLE_ATTEMPTS):
-        g = rng.standard_normal(size)
-        if np.any(g != 0.0):
-            return g
-    raise RuntimeError(
-        f"degenerate Gaussian draw persisted for {_MAX_RESAMPLE_ATTEMPTS} attempts"
-    )
-
-
 def sample_sphere(
     template: ParamVector, gamma: float, kind: NormKind, rng: np.random.Generator
 ) -> ParamVector:
     """Uniform random direction with norm exactly gamma, shaped like template.
 
-    Each component is drawn from a standard normal and the result is rescaled
-    to have norm gamma: per layer under LAYERWISE_FROBENIUS, for the flattened
-    vector under EUCLIDEAN/SUP. gamma = 0 returns the zero vector without
-    consuming any randomness.
+    One standard-normal draw fills the whole buffer, which is then rescaled
+    in place to have norm gamma: each non-empty layer under
+    LAYERWISE_FROBENIUS, the flattened vector under EUCLIDEAN/SUP. gamma = 0
+    returns the zero vector without consuming any randomness. A segment
+    whose draw is all zeros (probability ~2^-53 per value) raises
+    RuntimeError.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if gamma == 0.0:
         return ParamVector.zeros_like(template)
 
-    layerwise = kind is NormKind.LAYERWISE_FROBENIUS
-    out = np.zeros(template.size)
-    offset = 0
-    for shape in template.shapes:
-        size = math.prod(shape)
-        if size:
-            g = _draw_unit(rng, size)
-            if layerwise:
-                g = g * (gamma / _array_norm(g, NormKind.EUCLIDEAN))
-            out[offset : offset + size] = g
-        offset += size
-    if not layerwise:
-        denom = _array_norm(out, kind)
+    out = rng.standard_normal(template.size)
+    if kind is NormKind.LAYERWISE_FROBENIUS:
+        segments = [a for a in _split_layers(out, template.shapes) if a.size]
+        kind = NormKind.EUCLIDEAN
+    else:
+        segments = [out]
+    for segment in segments:
+        denom = _array_norm(segment, kind)
         if denom == 0.0:
-            raise RuntimeError("whole-vector draw degenerate after per-layer resampling")
-        out = out * (gamma / denom)
+            raise RuntimeError("degenerate Gaussian draw: a zero-norm segment")
+        segment *= gamma / denom
     return template._like(out)
 
 

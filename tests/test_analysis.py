@@ -304,6 +304,17 @@ def test_landscape_histogram_one_bin_when_range_is_too_narrow():
     assert hist.counts.tolist() == [40] and len(hist.bin_edges) == 2
 
 
+def test_landscape_histogram_one_bin_for_equal_large_values():
+    # numpy cannot widen [1e20, 1e20] by +-0.5, so even np.histogram(bins=1)
+    # raises on these values; the histogram builds its one bin itself.
+    model = ConstantLoss(c=1e20)
+    w = ParamVector.zeros_like(model.param_template)
+    hist = landscape_histogram(model, w, 1.0, NormKind.EUCLIDEAN, 30, ONE_ROW, rng=0, bins=10)
+    assert hist.counts.tolist() == [30]
+    assert hist.bin_edges.tolist() == [1e20, 1e20]
+    assert hist.reference == 1e20
+
+
 def test_landscape_histogram_1d_quadratic_sphere_is_two_points():
     # In one dimension the norm-1 sphere is {-1, +1}, so every neighborhood
     # value equals 0.5.

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from diamrisk import cli
+from diamrisk import analysis, cli
 from diamrisk.cli import cli_main
 from diamrisk.harness import experiment_config_from_dict
 from diamrisk.mlp import init_params
@@ -132,6 +132,23 @@ def test_landscape_subcommand(tmp_path, capsys):
     assert len(values) == 200
 
 
+def test_run_and_landscape_start_no_thread_pool(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a neighborhood evaluation left the calling thread")
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+    cfg_path = tiny_config(tmp_path)
+    assert cli_main(["run", "--config", str(cfg_path)]) == 0
+    code = cli_main(
+        [
+            "landscape", "--config", str(cfg_path),
+            "--checkpoint", str(tmp_path / "exp" / "checkpoint_drm.json"),
+            "--gamma", "5", "--n", "40", "--out", str(tmp_path / "land"),
+        ]
+    )
+    assert code == 0
+
+
 def test_landscape_missing_checkpoint_exits_2(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     code = cli_main(
@@ -195,6 +212,9 @@ def test_landscape_malformed_checkpoint_exits_2(tmp_path, capsys, monkeypatch, t
         ("drm", "gamma", float("nan")),
         ("drm", "final_fraction", float("nan")),
         ("drm", "lr", float("inf")),
+        ("dataset", "seed", -1),
+        ("mlp", "seed", -1),
+        ("drm", "seed", -3),
     ],
 )
 def test_bad_config_values_exit_2_before_training(tmp_path, capsys, section, key, value):

@@ -11,7 +11,6 @@ from diamrisk.harness import (
     experiment_config_from_dict,
     load_experiment_config,
     run_label_noise_experiment,
-    worker_count,
 )
 from diamrisk.optimizer import EveryK
 from diamrisk.params import Box, Unbounded
@@ -170,19 +169,6 @@ def test_build_datasets_deterministic_and_noisy():
     assert np.array_equal(test1.y, test2.y)
     assert int(train1.noise_mask.sum()) == 30  # half of 60
     assert np.array_equal(clean1.y, train1.original_labels)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("DRM_THREADS", raising=False)
-    assert worker_count() >= 1
-    monkeypatch.setenv("DRM_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("DRM_THREADS", "0")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.setenv("DRM_THREADS", "many")
-    with pytest.raises(ConfigError):
-        worker_count()
 
 
 def test_run_experiment_artifacts_and_shared_initialization(tmp_path):

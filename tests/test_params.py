@@ -1,12 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from diamrisk.mlp import MlpSpec
 from diamrisk.params import (
     Box,
     EuclideanBall,
     NormKind,
     ParamVector,
     Unbounded,
+    _array_norm,
     axpy,
     norm,
     project,
@@ -95,6 +102,103 @@ def test_sample_sphere_norm_matches_gamma_all_kinds():
             values = got if isinstance(got, list) else [got]
             for value in values:
                 assert abs(value - gamma) <= 1e-9 * gamma
+
+
+# Reference oracle: the per-layer sampler that drew one Gaussian vector per
+# layer. sample_sphere draws the whole buffer at once and must give the same
+# bits and leave the generator in the same state.
+_MAX_RESAMPLE_ATTEMPTS = 100
+
+
+def _draw_unit(rng: np.random.Generator, size: int) -> np.ndarray:
+    """One Gaussian draw of size values; redraws an all-zero draw (probability ~0)."""
+    for _ in range(_MAX_RESAMPLE_ATTEMPTS):
+        g = rng.standard_normal(size)
+        if np.any(g != 0.0):
+            return g
+    raise RuntimeError(
+        f"degenerate Gaussian draw persisted for {_MAX_RESAMPLE_ATTEMPTS} attempts"
+    )
+
+
+def oracle_sample_sphere(
+    template: ParamVector, gamma: float, kind: NormKind, rng: np.random.Generator
+) -> ParamVector:
+    """Uniform random direction with norm exactly gamma, shaped like template.
+
+    Each component is drawn from a standard normal and the result is rescaled
+    to have norm gamma: per layer under LAYERWISE_FROBENIUS, for the flattened
+    vector under EUCLIDEAN/SUP. gamma = 0 returns the zero vector without
+    consuming any randomness.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    if gamma == 0.0:
+        return ParamVector.zeros_like(template)
+
+    layerwise = kind is NormKind.LAYERWISE_FROBENIUS
+    out = np.zeros(template.size)
+    offset = 0
+    for shape in template.shapes:
+        size = math.prod(shape)
+        if size:
+            g = _draw_unit(rng, size)
+            if layerwise:
+                g = g * (gamma / _array_norm(g, NormKind.EUCLIDEAN))
+            out[offset : offset + size] = g
+        offset += size
+    if not layerwise:
+        denom = _array_norm(out, kind)
+        if denom == 0.0:
+            raise RuntimeError("whole-vector draw degenerate after per-layer resampling")
+        out = out * (gamma / denom)
+    return template._like(out)
+
+
+def assert_same_draws(template, gamma, kind, seed, n=1):
+    """n draws of sample_sphere and of the oracle agree bit for bit, and so
+    does the next value each generator gives afterwards."""
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(n):
+        try:
+            expected = oracle_sample_sphere(template, gamma, kind, rng_old)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                sample_sphere(template, gamma, kind, rng_new)
+            return
+        got = sample_sphere(template, gamma, kind, rng_new)
+        assert got.names == expected.names and got.shapes == expected.shapes
+        assert got.flat().tobytes() == expected.flat().tobytes()
+    assert rng_new.standard_normal(4).tobytes() == rng_old.standard_normal(4).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    shapes=st.lists(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5), max_size=5),
+    kind=st.sampled_from(list(NormKind)),
+    gamma=st.floats(0.0, 1e6, allow_nan=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_sphere_matches_per_layer_oracle(shapes, kind, gamma, seed):
+    template = pv(*(np.zeros(shape) for shape in shapes))
+    assert_same_draws(template, gamma, kind, seed, n=2)
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_sample_sphere_matches_per_layer_oracle_on_default_net(kind):
+    template = MlpSpec(20, (96, 96, 48), 3).param_template()
+    assert_same_draws(template, 2.0, kind, seed=0, n=5)
+
+
+def test_sample_sphere_zero_norm_draw_raises():
+    class ZeroRng:
+        def standard_normal(self, size):
+            return np.zeros(size)
+
+    template = pv(np.zeros(3), np.zeros((2, 2)))
+    for kind in NormKind:
+        with pytest.raises(RuntimeError):
+            sample_sphere(template, 1.0, kind, ZeroRng())
 
 
 def test_project_identity_inside_box():
