@@ -404,6 +404,10 @@ class Histogram:
     direction_digest: str
 
 
+# Directions drawn and evaluated at a time by landscape_histogram.
+_CHUNK = 64
+
+
 def sample_directions(
     template: ParamVector,
     gamma: float,
@@ -426,71 +430,69 @@ def directions_digest(directions: Sequence[ParamVector]) -> str:
 
 def landscape_histogram(
     model: LossModel,
-    w_center: ParamVector,
+    w_center: Union[ParamVector, Sequence[ParamVector]],
     gamma: float,
     kind: NormKind,
     n_samples: int,
     S: Dataset,
-    rng: Union[np.random.Generator, int, None] = None,
-    shared_directions: Optional[Sequence[ParamVector]] = None,
+    rng: Union[np.random.Generator, int],
     *,
     bins: int = 50,
     max_workers: int = 1,
-) -> Histogram:
+) -> Union[Histogram, list[Histogram]]:
     """Empirical risk at n_samples random norm-gamma points around w_center.
 
-    Passing shared_directions reuses those exact draws, which makes
-    histograms around two different centers directly comparable. Evaluations
-    run on the calling thread through risk.neighborhood_risks. max_workers > 1
-    fans them out to a thread pool instead (measured slower; only the
-    benchmark's span tests use it); results are written by draw index, so
-    the histogram does not depend on scheduling. When the value range is too
-    narrow to split into bins, the histogram is one bin [min, max].
+    w_center is one vector, or a sequence of centers that are all evaluated
+    on the same directions (one Histogram each, so histograms around
+    different centers are directly comparable). Directions are drawn and
+    evaluated _CHUNK at a time through risk.neighborhood_risks on the calling
+    thread, so memory does not grow with n_samples. max_workers > 1 draws all
+    directions at once and fans the evaluations out to a thread pool instead
+    (measured slower; only the benchmark's span tests use it); results are
+    written by draw index, so the histogram does not depend on scheduling.
+    When the value range is too narrow to split into bins, the histogram is
+    one bin [min, max].
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    if shared_directions is not None:
-        if len(shared_directions) != n_samples:
-            raise ValueError(
-                f"shared_directions has {len(shared_directions)} entries, expected {n_samples}"
-            )
-        directions = list(shared_directions)
-    else:
-        if rng is None:
-            raise ValueError("need an rng when shared_directions is not given")
-        directions = sample_directions(w_center, gamma, kind, n_samples, rng)
+    centers = [w_center] if isinstance(w_center, ParamVector) else list(w_center)
+    if not centers:
+        raise ValueError("need at least one center")
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(rng)
+    rows = np.empty((len(centers), n_samples))
+    digest = hashlib.sha256()
+    chunk = n_samples if max_workers > 1 else _CHUNK
+    for start in range(0, n_samples, chunk):
+        directions = sample_directions(centers[0], gamma, kind, min(chunk, n_samples - start), rng)
+        for w, values in zip(centers, rows[:, start:]):
+            if max_workers > 1:
 
-    if max_workers > 1:
-        values = np.empty(n_samples)
+                def _evaluate(i: int) -> None:
+                    values[i] = model.batch_risk(axpy(w, 1.0, directions[i]), S)
 
-        def _evaluate(i: int) -> None:
-            values[i] = model.batch_risk(axpy(w_center, 1.0, directions[i]), S)
+                with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                    list(pool.map(_evaluate, range(n_samples)))
+            else:
+                values[: len(directions)] = neighborhood_risks(model, w, directions, S)
+        for u in directions:
+            digest.update(u.flat().tobytes())
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(_evaluate, range(n_samples)))
-    else:
-        values = neighborhood_risks(model, w_center, directions, S)
-
-    reference = model.batch_risk(w_center, S)
-    try:
-        counts, edges = np.histogram(values, bins=bins)
-    except ValueError as exc:
-        # Value range too narrow to split into the requested bins; numpy
-        # cannot widen it either when the values are large.
-        if "Too many bins" not in str(exc):
-            raise
-        counts, edges = np.array([n_samples]), np.array([values.min(), values.max()])
-    return Histogram(
-        values=values,
-        bin_edges=edges,
-        counts=counts,
-        reference=float(reference),
-        gamma=gamma,
-        kind=kind,
-        direction_digest=directions_digest(directions),
-    )
+    hists = []
+    for w, values in zip(centers, rows):
+        try:
+            counts, edges = np.histogram(values, bins=bins)
+        except ValueError as exc:
+            # Value range too narrow to split into the requested bins; numpy
+            # cannot widen it either when the values are large.
+            if "Too many bins" not in str(exc):
+                raise
+            counts, edges = np.array([n_samples]), np.array([values.min(), values.max()])
+        reference = float(model.batch_risk(w, S))
+        hists.append(Histogram(values, edges, counts, reference, gamma, kind, digest.hexdigest()))
+    return hists[0] if isinstance(w_center, ParamVector) else hists
 
 
 def write_hist_csv(hist: Histogram, path, extra: Optional[dict] = None) -> None:

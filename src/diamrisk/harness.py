@@ -23,7 +23,6 @@ from .analysis import (
     FlatnessReport,
     flatness_report,
     landscape_histogram,
-    sample_directions,
     write_hist_csv,
 )
 from .data import Dataset, flip_labels, gen_gaussian_blobs
@@ -78,14 +77,21 @@ class ExperimentConfig:
         )
 
 
-def _take(section: dict, allowed: set[str], where: str) -> None:
+def _section(section, allowed: set[str], where: str) -> dict:
+    """The config section named where, checked to be an object with only allowed keys."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    return section
 
 
 def _num(section: dict, key: str, default, where: str, kind=float, minimum=None):
+    """section[key] as a finite kind; bools and, for ints, fractions are rejected."""
     value = section.get(key, default)
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{where}.{key} must be a {kind.__name__}, got {value!r}")
     try:
         value = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -107,16 +113,13 @@ DEFAULT_FINAL_FRACTION = 1.0 / 3.0
 
 
 def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
-    _take(obj, {"schema_version", "out_dir", "dataset", "mlp", "drm", "landscape"}, "config")
+    _section(obj, {"schema_version", "out_dir", "dataset", "mlp", "drm", "landscape"}, "config")
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
-    ds = obj.get("dataset", {})
-    _take(
-        ds,
+    ds = _section(
+        obj.get("dataset", {}),
         {"generator", "n_train", "n_test", "input_dim", "num_classes", "noise_frac", "separation", "seed"},
         "dataset",
     )
@@ -139,22 +142,17 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     if not dataset.separation > 0:
         raise ConfigError("dataset.separation must be > 0")
 
-    mlp = obj.get("mlp", {})
-    _take(mlp, {"hidden_dims", "seed"}, "mlp")
+    mlp = _section(obj.get("mlp", {}), {"hidden_dims", "seed"}, "mlp")
     hidden_raw = mlp.get("hidden_dims", DEFAULT_HIDDEN)
-    try:
-        hidden = tuple(int(h) for h in hidden_raw)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"mlp.hidden_dims must be a list of integers, got {hidden_raw!r}"
-        ) from None
-    if any(h < 1 for h in hidden):
-        raise ConfigError(f"mlp.hidden_dims must all be >= 1, got {list(hidden)}")
+    if not isinstance(hidden_raw, (list, tuple)):
+        raise ConfigError(f"mlp.hidden_dims must be a list of integers, got {hidden_raw!r}")
+    hidden = tuple(
+        _num({"hidden_dims": h}, "hidden_dims", None, "mlp", int, minimum=1) for h in hidden_raw
+    )
     mlp_seed = _num(mlp, "seed", 0, "mlp", int, minimum=0)
 
-    drm = obj.get("drm", {})
-    _take(
-        drm,
+    drm = _section(
+        obj.get("drm", {}),
         {
             "gamma", "r", "q", "sample_every", "p", "epochs", "batch_size", "seed",
             "lr", "final_lr", "final_fraction", "lr_schedule", "norm_kind", "feasible",
@@ -166,11 +164,9 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     if "p" in drm:
         schedule: Union[float, EveryK] = _num(drm, "p", None, "drm", float)
     else:
-        schedule = EveryK(_num(drm, "sample_every", 5, "drm", int))
-    epochs = _num(drm, "epochs", DEFAULT_EPOCHS, "drm", int)
-    batch_size = _num(drm, "batch_size", DEFAULT_BATCH, "drm", int)
-    if epochs < 1:
-        raise ConfigError("drm.epochs must be >= 1")
+        schedule = EveryK(_num(drm, "sample_every", 5, "drm", int, minimum=1))
+    epochs = _num(drm, "epochs", DEFAULT_EPOCHS, "drm", int, minimum=1)
+    batch_size = _num(drm, "batch_size", DEFAULT_BATCH, "drm", int, minimum=1)
     batches_per_epoch = -(-dataset.n_train // batch_size)  # ceil
     T = epochs * batches_per_epoch
 
@@ -193,14 +189,16 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     except ValueError:
         raise ConfigError(f"unknown norm_kind {norm_name!r}") from None
 
-    feas = drm.get("feasible", {"kind": "unbounded"})
-    _take(feas, {"kind", "lo", "hi"}, "drm.feasible")
+    feas = _section(drm.get("feasible", {}), {"kind", "lo", "hi"}, "drm.feasible")
     feas_kind = feas.get("kind", "unbounded")
     if feas_kind == "unbounded":
         feasible = Unbounded()
     elif feas_kind == "box":
-        feasible = Box(_num(feas, "lo", None, "drm.feasible", float),
-                       _num(feas, "hi", None, "drm.feasible", float))
+        try:
+            feasible = Box(_num(feas, "lo", None, "drm.feasible", float),
+                           _num(feas, "hi", None, "drm.feasible", float))
+        except ValueError as exc:
+            raise ConfigError(f"drm.feasible: {exc}") from None
     else:
         raise ConfigError(f"unknown feasible set kind {feas_kind!r}")
 
@@ -209,8 +207,8 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         T=T,
         batch_size=batch_size,
         lr_schedule=lr_schedule,
-        r=_num(drm, "r", 20, "drm", int),
-        q=_num(drm, "q", 1, "drm", int),
+        r=_num(drm, "r", 20, "drm", int, minimum=1),
+        q=_num(drm, "q", 1, "drm", int, minimum=1),
         p=schedule,
         norm_kind=norm_kind,
         feasible=feasible,
@@ -221,8 +219,7 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    land = obj.get("landscape", {})
-    _take(land, {"n_samples", "bins"}, "landscape")
+    land = _section(obj.get("landscape", {}), {"n_samples", "bins"}, "landscape")
 
     return ExperimentConfig(
         dataset=dataset,
@@ -326,7 +323,9 @@ def run_label_noise_experiment(
     if target is None:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")
     out = Path(target)
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {out}: {existing} exists and is not a directory")
 
     train, _, test = build_datasets(cfg)
     spec = cfg.mlp_spec()
@@ -339,23 +338,13 @@ def run_label_noise_experiment(
     if erm_trace.batch_digest != drm_trace.batch_digest:
         raise RuntimeError("runs diverged: batch schedules were not shared")
 
-    directions = sample_directions(
-        w0,
-        cfg.drm.gamma,
-        cfg.drm.norm_kind,
-        cfg.landscape_n,
-        np.random.default_rng([cfg.drm.seed, 5]),
-    )
-    hist_erm = landscape_histogram(
-        model, erm_final, cfg.drm.gamma, cfg.drm.norm_kind, cfg.landscape_n,
-        train, shared_directions=directions, bins=cfg.landscape_bins,
-    )
-    hist_drm = landscape_histogram(
-        model, drm_final, cfg.drm.gamma, cfg.drm.norm_kind, cfg.landscape_n,
-        train, shared_directions=directions, bins=cfg.landscape_bins,
+    hist_erm, hist_drm = landscape_histogram(
+        model, [erm_final, drm_final], cfg.drm.gamma, cfg.drm.norm_kind, cfg.landscape_n,
+        train, np.random.default_rng([cfg.drm.seed, 5]), bins=cfg.landscape_bins,
     )
     report = flatness_report(hist_erm, hist_drm)
 
+    out.mkdir(parents=True, exist_ok=True)
     erm_trace.save_csv(out / "trace_erm.csv")
     drm_trace.save_csv(out / "trace_drm.csv")
     erm_final.save(out / "checkpoint_erm.json")

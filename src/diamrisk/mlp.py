@@ -63,10 +63,14 @@ def _forward(spec: MlpSpec, w: ParamVector, X) -> tuple[list[np.ndarray], np.nda
     if w.shapes != spec.param_shapes():
         raise ValueError("parameter shapes do not match the network spec")
     Ws, bs = w.arrays[0::2], w.arrays[1::2]
-    inputs = [X]
-    for W, b in zip(Ws[:-1], bs[:-1]):
-        inputs.append(np.maximum(inputs[-1] @ W.T + b, 0.0))
-    return inputs, inputs[-1] @ Ws[-1].T + bs[-1]
+    inputs, h = [], X
+    for i, (W, b) in enumerate(zip(Ws, bs)):
+        if i:  # ReLU of the previous layer's fresh product, in place
+            np.maximum(h, 0.0, out=h)
+        inputs.append(h)
+        h = h @ W.T
+        h += b
+    return inputs, h
 
 
 def forward_batch(spec: MlpSpec, w: ParamVector, X: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diamrisk.analysis import (
     FlatnessReport,
@@ -16,10 +20,12 @@ from diamrisk.analysis import (
     write_hist_csv,
     write_rate_csv,
 )
-from diamrisk.data import Dataset
+from diamrisk.data import Dataset, gen_gaussian_blobs
 from diamrisk.losses import LossModel, QuadraticLoss, ReciprocalLoss, TentLoss
+from diamrisk.harness import build_datasets, default_experiment_config
+from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.params import NormKind, ParamVector
-from diamrisk.risk import label_risk_curves
+from diamrisk.risk import label_risk_curves, neighborhood_risks
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -328,52 +334,42 @@ def test_landscape_histogram_shared_directions_reuse():
     quad = QuadraticLoss(dim=1)
     S = Dataset(X=[[1.0]], y=[0], t=[0.0])
     dirs = sample_directions(quad.param_template, 0.7, NormKind.EUCLIDEAN, 50, rng=12)
-    h1 = landscape_histogram(
-        quad, quad.wrap(0.0), 0.7, NormKind.EUCLIDEAN, 50, S, shared_directions=dirs
-    )
-    h2 = landscape_histogram(
-        quad, quad.wrap(1.0), 0.7, NormKind.EUCLIDEAN, 50, S, shared_directions=dirs
+    h1, h2 = landscape_histogram(
+        quad, [quad.wrap(0.0), quad.wrap(1.0)], 0.7, NormKind.EUCLIDEAN, 50, S, rng=12
     )
     assert h1.direction_digest == h2.direction_digest == directions_digest(dirs)
     with pytest.raises(ValueError):
-        landscape_histogram(
-            quad, quad.wrap(0.0), 0.7, NormKind.EUCLIDEAN, 49, S, shared_directions=dirs
-        )
+        landscape_histogram(quad, [], 0.7, NormKind.EUCLIDEAN, 50, S, rng=12)
 
 
 def test_landscape_histogram_threaded_matches_serial():
     quad = QuadraticLoss(dim=1)
     S = Dataset(X=[[1.3]], y=[0], t=[0.2])
-    dirs = sample_directions(quad.param_template, 0.4, NormKind.EUCLIDEAN, 64, rng=13)
-    serial = landscape_histogram(
-        quad, quad.wrap(0.2), 0.4, NormKind.EUCLIDEAN, 64, S, shared_directions=dirs
-    )
+    serial = landscape_histogram(quad, quad.wrap(0.2), 0.4, NormKind.EUCLIDEAN, 64, S, rng=13)
     threaded = landscape_histogram(
-        quad, quad.wrap(0.2), 0.4, NormKind.EUCLIDEAN, 64, S,
-        shared_directions=dirs, max_workers=4,
+        quad, quad.wrap(0.2), 0.4, NormKind.EUCLIDEAN, 64, S, rng=13, max_workers=4
     )
     assert np.array_equal(serial.values, threaded.values)
 
 
 def test_sup_dominance_with_zero_direction_appended():
+    # At radius 0 every drawn direction is the zero direction, so each
+    # center's neighborhood sup is at least its own risk.
     quad = QuadraticLoss(dim=1)
     S = Dataset(X=[[1.0]], y=[0], t=[0.4])
-    dirs = sample_directions(quad.param_template, 0.5, NormKind.EUCLIDEAN, 20, rng=14)
-    dirs.append(ParamVector.zeros_like(quad.param_template))
-    hist = landscape_histogram(
-        quad, quad.wrap(0.9), 0.5, NormKind.EUCLIDEAN, 21, S, shared_directions=dirs
-    )
-    assert hist.values.max() >= hist.reference
+    for hist in landscape_histogram(
+        quad, [quad.wrap(0.9), quad.wrap(-0.3)], 0.0, NormKind.EUCLIDEAN, 21, S, rng=14
+    ):
+        assert hist.values.max() >= hist.reference
 
 
 def test_flatness_report_identical_inputs_tie():
     quad = QuadraticLoss(dim=1)
     S = Dataset(X=[[1.0]], y=[0], t=[0.0])
-    dirs = sample_directions(quad.param_template, 0.3, NormKind.EUCLIDEAN, 30, rng=15)
-    hist = landscape_histogram(
-        quad, quad.wrap(0.5), 0.3, NormKind.EUCLIDEAN, 30, S, shared_directions=dirs
+    h1, h2 = landscape_histogram(
+        quad, [quad.wrap(0.5), quad.wrap(0.5)], 0.3, NormKind.EUCLIDEAN, 30, S, rng=15
     )
-    report = flatness_report(hist, hist)
+    report = flatness_report(h1, h2)
     assert report.erm_gap == report.drm_gap
     assert report.flatter is None
 
@@ -381,26 +377,99 @@ def test_flatness_report_identical_inputs_tie():
 def test_flatness_report_constant_loss_zero_gap():
     model = ConstantLoss()
     w = ParamVector([("w", np.zeros(3))])
-    dirs = sample_directions(w, 1.0, NormKind.EUCLIDEAN, 25, rng=16)
-    hist = landscape_histogram(
-        model, w, 1.0, NormKind.EUCLIDEAN, 25, ONE_ROW, shared_directions=dirs
-    )
-    report = flatness_report(hist, hist)
+    hist = landscape_histogram(model, [w, w], 1.0, NormKind.EUCLIDEAN, 25, ONE_ROW, rng=16)
+    report = flatness_report(*hist)
     assert report.erm_gap == 0.0 and report.drm_gap == 0.0
 
 
 def test_flatness_report_flags_flatter_center():
     quad = QuadraticLoss(dim=1)
     S = Dataset(X=[[1.0]], y=[0], t=[0.0])
-    dirs = sample_directions(quad.param_template, 0.5, NormKind.EUCLIDEAN, 40, rng=17)
-    sharp = landscape_histogram(
-        quad, quad.wrap(2.0), 0.5, NormKind.EUCLIDEAN, 40, S, shared_directions=dirs
-    )
-    flat = landscape_histogram(
-        quad, quad.wrap(0.0), 0.5, NormKind.EUCLIDEAN, 40, S, shared_directions=dirs
+    sharp, flat = landscape_histogram(
+        quad, [quad.wrap(2.0), quad.wrap(0.0)], 0.5, NormKind.EUCLIDEAN, 40, S, rng=17
     )
     report = flatness_report(sharp, flat)
     assert report.flatter == "drm"
+
+
+def _oracle_histograms(model, centers, gamma, kind, n, S, rng, bins):
+    """All n directions drawn as one list, then each center evaluated on it."""
+    dirs = sample_directions(centers[0], gamma, kind, n, rng)
+    out = []
+    for w in centers:
+        values = neighborhood_risks(model, w, dirs, S)
+        counts, edges = np.histogram(values, bins=bins)
+        out.append((values, counts, edges, model.batch_risk(w, S)))
+    return out, directions_digest(dirs)
+
+
+def _problem(which, dim, seed):
+    rng = np.random.default_rng(seed)
+    if which == "quadratic":
+        model = QuadraticLoss(dim=dim)
+        S = Dataset(X=rng.standard_normal((5, dim)), y=[0] * 5, t=rng.standard_normal(5))
+    else:
+        spec = MlpSpec(input_dim=dim + 1, hidden_dims=(4,), num_classes=2)
+        model = MlpLossModel(spec)
+        S = gen_gaussian_blobs(2, 12, dim + 1, 4.0, seed=seed)
+    w = ParamVector.from_flat(model.param_template, rng.standard_normal(model.param_template.size))
+    return model, w, S
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    which=st.sampled_from(["quadratic", "mlp"]),
+    dim=st.integers(1, 4),
+    n=st.integers(1, 200),
+    n_centers=st.integers(1, 2),
+    kind=st.sampled_from(list(NormKind)),
+    gamma=st.sampled_from([0.0, 0.3, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(which="mlp", dim=3, n=1, n_centers=2, kind=NormKind.LAYERWISE_FROBENIUS, gamma=0.3, seed=0)
+@example(which="mlp", dim=3, n=63, n_centers=2, kind=NormKind.LAYERWISE_FROBENIUS, gamma=0.3, seed=1)
+@example(which="mlp", dim=3, n=64, n_centers=2, kind=NormKind.EUCLIDEAN, gamma=2.0, seed=2)
+@example(which="quadratic", dim=2, n=65, n_centers=2, kind=NormKind.SUP, gamma=0.3, seed=3)
+@example(which="quadratic", dim=4, n=129, n_centers=1, kind=NormKind.EUCLIDEAN, gamma=2.0, seed=4)
+def test_streamed_histograms_match_one_list_oracle(which, dim, n, n_centers, kind, gamma, seed):
+    model, w, S = _problem(which, dim, seed)
+    centers = [w, ParamVector.from_flat(w, -0.5 * w.flat())][:n_centers]
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    hists = landscape_histogram(model, centers, gamma, kind, n, S, rng, bins=10)
+    expected, digest = _oracle_histograms(model, centers, gamma, kind, n, S, oracle_rng, 10)
+    assert len(hists) == n_centers
+    for hist, (values, counts, edges, reference) in zip(hists, expected):
+        assert hist.values.tobytes() == values.tobytes()
+        assert hist.counts.tolist() == counts.tolist()
+        assert hist.bin_edges.tobytes() == edges.tobytes()
+        assert hist.reference == reference
+        assert hist.direction_digest == digest
+    assert rng.standard_normal(3).tobytes() == oracle_rng.standard_normal(3).tobytes()
+
+
+def test_one_center_returns_a_histogram_equal_to_the_list_call():
+    model, w, S = _problem("mlp", 2, 5)
+    single = landscape_histogram(model, w, 0.5, NormKind.EUCLIDEAN, 70, S, rng=6)
+    (listed,) = landscape_histogram(model, [w], 0.5, NormKind.EUCLIDEAN, 70, S, rng=6)
+    assert isinstance(single, Histogram)
+    assert single.values.tobytes() == listed.values.tobytes()
+    assert single.direction_digest == listed.direction_digest
+
+
+def test_landscape_histogram_memory_does_not_grow_with_n():
+    # 500 directions of the default 96-96-48 net held at once would take
+    # 500 x 129 KB = 63 MiB; streamed, the peak is about one chunk of them.
+    cfg = default_experiment_config(0)
+    train, _, _ = build_datasets(cfg)
+    model = MlpLossModel(cfg.mlp_spec())
+    w = init_params(cfg.mlp_spec(), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        landscape_histogram(model, w, 5.0, cfg.drm.norm_kind, 500, train, rng=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_flatness_report_rejects_mismatched_directions():

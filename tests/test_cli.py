@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from diamrisk import analysis, cli
+from diamrisk import analysis, cli, harness
 from diamrisk.cli import cli_main
 from diamrisk.harness import experiment_config_from_dict
 from diamrisk.mlp import init_params
@@ -215,17 +215,30 @@ def test_landscape_malformed_checkpoint_exits_2(tmp_path, capsys, monkeypatch, t
         ("dataset", "seed", -1),
         ("mlp", "seed", -1),
         ("drm", "seed", -3),
+        ("drm", "sample_every", 0),
+        ("drm", "batch_size", 0),
+        ("drm", "feasible", {"kind": "box", "lo": 1, "hi": 0}),
+        ("drm", "feasible", "box"),
+        ("drm", "epochs", 1.7),
+        ("dataset", "n_train", True),
+        ("mlp", "hidden_dims", [True]),
+        # key None replaces the whole section.
+        ("dataset", None, []),
+        ("landscape", None, 7),
     ],
 )
 def test_bad_config_values_exit_2_before_training(tmp_path, capsys, section, key, value):
     cfg_path = tiny_config(tmp_path)
     obj = json.loads(cfg_path.read_text())
-    obj[section][key] = value
+    if key is None:
+        obj[section] = value
+    else:
+        obj[section][key] = value
     if key == "p":
         del obj["drm"]["sample_every"]
     cfg_path.write_text(json.dumps(obj))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    assert f"{section}.{key}" in capsys.readouterr().err
+    assert (section if key is None else f"{section}.{key}") in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()  # nothing was trained or written
 
 
@@ -302,5 +315,15 @@ def test_divergence_names_the_iteration_and_writes_nothing(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert cli_main(["run", "--config", str(cfg_path)]) == 1
     assert re.search(r"diverged at iteration \d+ \(epoch \d+", capsys.readouterr().err)
-    out = tmp_path / "exp"
-    assert not out.exists() or not any(out.iterdir())
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("blocker", ["exp", "parent"])
+def test_out_path_under_a_file_exits_2_before_training(tmp_path, capsys, monkeypatch, blocker):
+    cfg_path = tiny_config(tmp_path)
+    (tmp_path / blocker).write_text("keep")
+    out = tmp_path / "exp" if blocker == "exp" else tmp_path / "parent" / "exp"
+    monkeypatch.setattr(harness, "sgd_erm_run", None)  # training would raise TypeError
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert (tmp_path / blocker).read_text() == "keep"

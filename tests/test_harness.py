@@ -123,17 +123,44 @@ BAD_VALUES = [
     ("drm", "final_lr", float("-inf")),
     ("dataset", "separation", float("inf")),
     ("dataset", "n_train", float("inf")),
+    ("drm", "sample_every", 0),
+    ("drm", "batch_size", 0),
+    ("drm", "r", 0),
+    ("drm", "feasible", {"kind": "box", "lo": 1, "hi": 0}),
+    ("drm", "feasible", "box"),
+    ("drm", "epochs", 1.7),
+    ("drm", "gamma", True),
+    ("dataset", "n_train", True),
+    ("mlp", "hidden_dims", [True]),
+    ("mlp", "hidden_dims", [8.5]),
+    # key None replaces the whole section.
+    ("dataset", None, []),
+    ("mlp", None, "wide"),
+    ("drm", None, None),
+    ("landscape", None, 7),
 ]
 
 
 @pytest.mark.parametrize("section,key,value", BAD_VALUES)
 def test_bad_values_fail_in_the_parser(section, key, value):
     obj = tiny_config_dict()
-    obj[section][key] = value
+    if key is None:
+        obj[section] = value
+    else:
+        obj[section][key] = value
     if key == "p":
         del obj["drm"]["sample_every"]
-    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+    with pytest.raises(ConfigError, match=section if key is None else f"{section}.{key}"):
         experiment_config_from_dict(obj)
+
+
+def test_integral_floats_are_valid_ints():
+    obj = tiny_config_dict()
+    obj["drm"]["epochs"] = 2.0
+    obj["mlp"]["hidden_dims"] = [8.0, 4]
+    cfg = experiment_config_from_dict(obj)
+    assert cfg.epochs == 2 and type(cfg.epochs) is int
+    assert cfg.hidden_dims == (8, 4) and all(type(h) is int for h in cfg.hidden_dims)
 
 
 def test_non_finite_lr_schedule_fails_in_the_parser():

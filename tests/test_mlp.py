@@ -10,6 +10,7 @@ from diamrisk.losses import gradient_check
 from diamrisk.mlp import (
     MlpLossModel,
     MlpSpec,
+    _forward,
     accuracy_on,
     batch_nll,
     forward_batch,
@@ -162,6 +163,51 @@ def test_forward_matches_naive_oracle():
         x = rng.standard_normal(4)
         logits = forward_batch(spec, w, x[None, :])[0]
         assert np.allclose(logits, naive_forward(spec, w, x), atol=1e-12)
+
+
+# Reference oracle for the in-place forward pass: the out-of-place version,
+# which builds x @ W.T + b and its ReLU as new arrays.
+
+
+def oracle_forward(spec: MlpSpec, w: ParamVector, X) -> tuple[list[np.ndarray], np.ndarray]:
+    """Inputs of each affine layer (X, then each hidden ReLU output) and the
+    logits, for a (k, input_dim) batch."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != spec.input_dim:
+        raise ValueError(f"expected (k, {spec.input_dim}) inputs, got {X.shape}")
+    if w.shapes != spec.param_shapes():
+        raise ValueError("parameter shapes do not match the network spec")
+    Ws, bs = w.arrays[0::2], w.arrays[1::2]
+    inputs = [X]
+    for W, b in zip(Ws[:-1], bs[:-1]):
+        inputs.append(np.maximum(inputs[-1] @ W.T + b, 0.0))
+    return inputs, inputs[-1] @ Ws[-1].T + bs[-1]
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    input_dim=st.integers(1, 5),
+    hidden_dims=st.lists(st.integers(1, 8), max_size=3).map(tuple),
+    num_classes=st.integers(2, 4),
+    k=st.integers(1, 40),
+    scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e4]),
+)
+@example(seed=0, input_dim=20, hidden_dims=(96, 96, 48), num_classes=3, k=30, scale=1.0)
+def test_in_place_forward_matches_oracle_bitwise(seed, input_dim, hidden_dims, num_classes, k, scale):
+    spec = MlpSpec(input_dim=input_dim, hidden_dims=hidden_dims, num_classes=num_classes)
+    rng = np.random.default_rng(seed)
+    # Nonzero biases, so the in-place bias add is exercised.
+    w = ParamVector.from_flat(spec.param_template(), rng.standard_normal(spec.param_template().size))
+    X = rng.standard_normal((k, input_dim)) * scale
+    X_before = X.copy()
+    inputs, logits = _forward(spec, w, X)
+    ref_inputs, ref_logits = oracle_forward(spec, w, X)
+    assert len(inputs) == len(ref_inputs) == len(hidden_dims) + 1
+    for got, want in zip(inputs, ref_inputs):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert logits.shape == ref_logits.shape and logits.tobytes() == ref_logits.tobytes()
+    assert X.tobytes() == X_before.tobytes()  # the caller's inputs are not written
 
 
 def test_forward_shape_mismatch_errors():
