@@ -225,6 +225,17 @@ def test_landscape_malformed_checkpoint_exits_2(tmp_path, capsys, monkeypatch, t
         # key None replaces the whole section.
         ("dataset", None, []),
         ("landscape", None, 7),
+        # Section "config" is the top level.
+        ("config", "out_dir", 7),
+        ("drm", "lr_schedule", [[36, True]]),
+        ("drm", "lr_schedule", [[36.9, 0.1]]),
+        ("drm", "lr_schedule", [["36", "0.1"]]),
+        ("drm", "lr_schedule", [[float("inf"), 0.1]]),
+        ("dataset", "n_train", "60"),
+        ("drm", "gamma", " 1.5 "),
+        ("mlp", "hidden_dims", ["8", "8"]),
+        ("landscape", "bins", "16"),
+        ("drm", "final_fraction", -1e308),
     ],
 )
 def test_bad_config_values_exit_2_before_training(tmp_path, capsys, section, key, value):
@@ -233,7 +244,7 @@ def test_bad_config_values_exit_2_before_training(tmp_path, capsys, section, key
     if key is None:
         obj[section] = value
     else:
-        obj[section][key] = value
+        (obj if section == "config" else obj[section])[key] = value
     if key == "p":
         del obj["drm"]["sample_every"]
     cfg_path.write_text(json.dumps(obj))

@@ -1,9 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from diamrisk.cli import cli_main
 from diamrisk.harness import (
+    SCHEMA,
+    SCHEMA_VERSION,
     ConfigError,
     build_datasets,
     default_experiment_config,
@@ -138,6 +145,18 @@ BAD_VALUES = [
     ("mlp", None, "wide"),
     ("drm", None, None),
     ("landscape", None, 7),
+    # Section "config" is the top level.
+    ("config", "out_dir", 7),
+    ("drm", "lr_schedule", [[36, True]]),
+    ("drm", "lr_schedule", [[36.9, 0.1]]),
+    ("drm", "lr_schedule", [["36", "0.1"]]),
+    ("drm", "lr_schedule", [[float("inf"), 0.1]]),
+    # Numbers must be JSON numbers, not numeric strings.
+    ("dataset", "n_train", "60"),
+    ("drm", "gamma", " 1.5 "),
+    ("mlp", "hidden_dims", ["8", "8"]),
+    ("landscape", "bins", "16"),
+    ("drm", "final_fraction", -1e308),
 ]
 
 
@@ -147,11 +166,69 @@ def test_bad_values_fail_in_the_parser(section, key, value):
     if key is None:
         obj[section] = value
     else:
-        obj[section][key] = value
+        (obj if section == "config" else obj[section])[key] = value
     if key == "p":
         del obj["drm"]["sample_every"]
     with pytest.raises(ConfigError, match=section if key is None else f"{section}.{key}"):
         experiment_config_from_dict(obj)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("section,key", [(s, k) for s, rows in SCHEMA.items() for k in rows])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(value=JSON_VALUES)
+@example(value=7)
+@example(value=[[36, True]])
+@example(value=[[36.9, 0.1]])
+@example(value=[["36", "0.1"]])
+@example(value=[[float("inf"), 0.1]])
+@example(value="60")
+@example(value=-1e308)
+def test_any_one_json_value_parses_or_exits_2(section, key, value):
+    obj = tiny_config_dict()
+    if section == "config":
+        holder = obj
+    elif section == "drm.feasible":
+        holder = obj["drm"]["feasible"] = {"kind": "box", "lo": -1.0, "hi": 1.0}
+    else:
+        holder = obj[section]
+    holder[key] = value
+    try:
+        experiment_config_from_dict(obj)
+    except ConfigError:
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            path.write_text(json.dumps(obj))
+            assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+            assert not out.exists()
+
+
+def test_readme_config_block_holds_the_schema_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Experiment config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    obj = json.loads(block)
+    experiment_config_from_dict(obj)
+
+    def compare(section, given):
+        for key, value in given.items():
+            assert key in SCHEMA[section], f"{section}.{key}"
+            row = SCHEMA[section][key]
+            if row.kind is dict:
+                compare(f"{section}.{key}".removeprefix("config."), value)
+            elif key == "schema_version":
+                assert value == SCHEMA_VERSION
+            elif key == "final_fraction":  # printed as 0.3333
+                assert round(value, 4) == round(row.default, 4)
+            else:
+                assert value == json.loads(json.dumps(row.default)), f"{section}.{key}"
+
+    compare("config", obj)
 
 
 def test_integral_floats_are_valid_ints():
