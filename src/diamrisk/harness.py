@@ -13,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -39,6 +41,9 @@ from .optimizer import (
 from .params import Box, NormKind, ParamVector, Unbounded
 
 SCHEMA_VERSION = 1
+# Upper bound of every size and count key, so that absurd sizes exit 2 in the
+# parser instead of failing in numpy, or overflowing a float, after set-up.
+MAX_COUNT = 2**31 - 1
 
 
 class ConfigError(Exception):
@@ -52,8 +57,9 @@ class _Key(NamedTuple):
     """One config key. kind is int or float (a finite JSON number, integral
     for int), str, a tuple of the allowed strings, dict for a nested section,
     [item] for a JSON array of items, or [item, item, ...] for an array of
-    exactly those items. [lo, hi] bounds every number; a None default leaves
-    the key unset."""
+    exactly those items, where an item is a kind or a _Key with bounds of its
+    own. [lo, hi] bounds every other number; a None default leaves the key
+    unset."""
 
     kind: object
     default: object = None
@@ -75,38 +81,38 @@ SCHEMA: dict[str, dict[str, _Key]] = {
     },
     "dataset": {
         "generator": _Key(("gaussian_blobs",), "gaussian_blobs"),
-        "n_train": _Key(int, 300, 1),
-        "n_test": _Key(int, 600, 1),
-        "input_dim": _Key(int, 20, 1),
-        "num_classes": _Key(int, 3, 2),
+        "n_train": _Key(int, 300, 1, MAX_COUNT),
+        "n_test": _Key(int, 600, 1, MAX_COUNT),
+        "input_dim": _Key(int, 20, 1, MAX_COUNT),
+        "num_classes": _Key(int, 3, 2, MAX_COUNT),
         "noise_frac": _Key(float, 0.5, 0.0, 1.0),
         "separation": _Key(float, 10.0, math.ulp(0.0)),  # > 0
         "seed": _Key(int, 0, 0),
     },
     "mlp": {
-        "hidden_dims": _Key([int], (96, 96, 48), 1),
+        "hidden_dims": _Key([int], (96, 96, 48), 1, MAX_COUNT),
         # Checked and stored as MlpSpec.seed, but run draws the initialization
         # from drm.seed, so it changes no artifact; existing configs set it.
         "seed": _Key(int, 0, 0),
     },
     "drm": {
         "gamma": _Key(float, 2.0, 0.0),
-        "r": _Key(int, 20, 1),
-        "q": _Key(int, 1, 1),
-        "sample_every": _Key(int, 5, 1),
+        "r": _Key(int, 20, 1, MAX_COUNT),
+        "q": _Key(int, 1, 1, MAX_COUNT),
+        "sample_every": _Key(int, 5, 1, MAX_COUNT),
         "p": _Key(float, None, 0.0, 1.0),
-        "epochs": _Key(int, 400, 1),
-        "batch_size": _Key(int, 30, 1),
+        "epochs": _Key(int, 400, 1, MAX_COUNT),
+        "batch_size": _Key(int, 30, 1, MAX_COUNT),
         "seed": _Key(int, 0, 0),
         "lr": _Key(float, 0.01),
         "final_lr": _Key(float, 0.001),
         "final_fraction": _Key(float, 1.0 / 3.0, 0.0, 1.0),
-        "lr_schedule": _Key([[int, float]]),
+        "lr_schedule": _Key([[_Key(int, None, 1, MAX_COUNT), float]]),  # (until iteration, rate)
         "norm_kind": _Key(tuple(k.value for k in NormKind), NormKind.LAYERWISE_FROBENIUS.value),
         "feasible": _Key(dict),
     },
     "drm.feasible": {"kind": _Key(("unbounded", "box"), "unbounded"), "lo": _Key(float), "hi": _Key(float)},
-    "landscape": {"n_samples": _Key(int, 2000, 1), "bins": _Key(int, 50, 1)},
+    "landscape": {"n_samples": _Key(int, 2000, 1, MAX_COUNT), "bins": _Key(int, 50, 1, MAX_COUNT)},
 }
 
 
@@ -143,10 +149,20 @@ class ExperimentConfig:
         )
 
 
+def _shape(kind) -> str:
+    """kind as the config docs write it: "[[int, float]]"."""
+    if isinstance(kind, _Key):
+        return _shape(kind.kind)
+    if isinstance(kind, list):
+        return f"[{', '.join(map(_shape, kind))}]"
+    return kind.__name__ if isinstance(kind, type) else repr(kind)
+
+
 def _check(value, kind, row: _Key, where: str):
     """value checked to be a kind (row's kind or a part of it) within row's bounds."""
-    shape = re.sub(r"<class '(\w+)'>", r"\1", repr(row.kind))  # "[[int, float]]"
-    bad = ConfigError(f"{where} must be {shape}, got {value!r}")
+    if isinstance(kind, _Key):
+        return _check(value, kind.kind, kind, where)
+    bad = ConfigError(f"{where} must be {_shape(row.kind)}, got {value!r}")
     if isinstance(kind, list):
         if not isinstance(value, list) or (len(kind) > 1 and len(value) != len(kind)):
             raise bad
@@ -314,7 +330,7 @@ def run_label_noise_experiment(
 
     Writes trace_{erm,drm}.csv, checkpoint_{erm,drm}.json,
     hist_{erm,drm}.csv, config.json, and summary.json under the output
-    directory.
+    directory, all or none of them.
     """
     target = out_dir if out_dir is not None else cfg.out_dir
     if target is None:
@@ -341,16 +357,6 @@ def run_label_noise_experiment(
     )
     report = flatness_report(hist_erm, hist_drm)
 
-    out.mkdir(parents=True, exist_ok=True)
-    erm_trace.save_csv(out / "trace_erm.csv")
-    drm_trace.save_csv(out / "trace_drm.csv")
-    erm_final.save(out / "checkpoint_erm.json")
-    drm_final.save(out / "checkpoint_drm.json")
-    write_hist_csv(hist_erm, out / "hist_erm.csv", extra={"solution": "erm"})
-    write_hist_csv(hist_drm, out / "hist_drm.csv", extra={"solution": "drm"})
-    with open(out / "config.json", "w") as fh:
-        json.dump(cfg.raw if cfg.raw is not None else {}, fh, indent=2, sort_keys=True)
-
     erm_summary = _summarize(erm_trace)
     drm_summary = _summarize(drm_trace)
     summary = {
@@ -365,8 +371,32 @@ def run_label_noise_experiment(
             "flatter": report.flatter,
         },
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    # Every file goes into a staging directory beside out and is moved into
+    # place only after the last one is written, so a failure or Ctrl-C while
+    # writing leaves no partial set. The stage sits inside mkdtemp's private
+    # (0o700) directory so that it gets the mode mkdir gives.
+    out.parent.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    stage = scratch / "out"
+    try:
+        stage.mkdir()
+        erm_trace.save_csv(stage / "trace_erm.csv")
+        drm_trace.save_csv(stage / "trace_drm.csv")
+        erm_final.save(stage / "checkpoint_erm.json")
+        drm_final.save(stage / "checkpoint_drm.json")
+        write_hist_csv(hist_erm, stage / "hist_erm.csv", extra={"solution": "erm"})
+        write_hist_csv(hist_drm, stage / "hist_drm.csv", extra={"solution": "drm"})
+        with open(stage / "config.json", "w") as fh:
+            json.dump(cfg.raw if cfg.raw is not None else {}, fh, indent=2, sort_keys=True)
+        with open(stage / "summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+        if out.exists():
+            for path in sorted(stage.iterdir()):
+                os.replace(path, out / path.name)
+        else:
+            os.replace(stage, out)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
     return ExperimentResult(
         out_dir=out,

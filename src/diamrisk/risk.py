@@ -175,8 +175,7 @@ def diametrical_risk_sampled(
     """Max empirical risk over r random directions of norm exactly gamma.
 
     Deterministic given the seed; ties in the maximum go to the lowest draw
-    index, so a parallel evaluation with the same draws reduces identically.
-    The argmax direction is recorded on the estimate.
+    index. The argmax direction is recorded on the estimate.
     """
     if r < 1:
         raise ValueError("r must be >= 1")

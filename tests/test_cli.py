@@ -236,6 +236,10 @@ def test_landscape_malformed_checkpoint_exits_2(tmp_path, capsys, monkeypatch, t
         ("mlp", "hidden_dims", ["8", "8"]),
         ("landscape", "bins", "16"),
         ("drm", "final_fraction", -1e308),
+        # Sizes past harness.MAX_COUNT used to exit 1 after set-up or overflow
+        # a float in the parser.
+        ("dataset", "n_train", 10**30),
+        ("drm", "epochs", 1e308),
     ],
 )
 def test_bad_config_values_exit_2_before_training(tmp_path, capsys, section, key, value):

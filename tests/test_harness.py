@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diamrisk import harness
 from diamrisk.cli import cli_main
 from diamrisk.harness import (
     SCHEMA,
@@ -157,6 +158,12 @@ BAD_VALUES = [
     ("mlp", "hidden_dims", ["8", "8"]),
     ("landscape", "bins", "16"),
     ("drm", "final_fraction", -1e308),
+    # Sizes past MAX_COUNT: numpy's "Maximum allowed size exceeded" while
+    # building the data, and an epoch count whose iteration total overflows
+    # a float in the learning-rate schedule.
+    ("dataset", "n_train", 10**30),
+    ("drm", "epochs", 1e308),
+    ("drm", "lr_schedule", [[2**31, 0.1]]),
 ]
 
 
@@ -322,6 +329,48 @@ def test_run_experiment_gamma_zero_traces_identical(tmp_path):
     erm = (result.out_dir / "trace_erm.csv").read_bytes()
     drm = (result.out_dir / "trace_drm.csv").read_bytes()
     assert erm == drm
+
+
+def _fail_writing_histograms(monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(harness, "write_hist_csv", fail)
+
+
+def test_interrupted_run_leaves_no_output_directory(tmp_path, monkeypatch):
+    _fail_writing_histograms(monkeypatch, KeyboardInterrupt)
+    cfg = experiment_config_from_dict(tiny_config_dict(out_dir=tmp_path / "exp"))
+    with pytest.raises(KeyboardInterrupt):
+        run_label_noise_experiment(cfg)
+    assert list(tmp_path.iterdir()) == []  # no out and no staging directory
+
+
+def test_failed_run_leaves_an_earlier_output_unchanged(tmp_path, monkeypatch):
+    out = tmp_path / "exp"
+    run_label_noise_experiment(experiment_config_from_dict(tiny_config_dict(out_dir=out)))
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    _fail_writing_histograms(monkeypatch, OSError("disk full"))
+    cfg = experiment_config_from_dict(tiny_config_dict(out_dir=out, seed=2))
+    with pytest.raises(OSError, match="disk full"):
+        run_label_noise_experiment(cfg)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_run_into_an_existing_directory_replaces_its_artifacts(tmp_path):
+    out = tmp_path / "exp"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    (out / "summary.json").write_text("stale")
+    run_label_noise_experiment(experiment_config_from_dict(tiny_config_dict()), out_dir=out)
+    fresh = run_label_noise_experiment(
+        experiment_config_from_dict(tiny_config_dict()), out_dir=tmp_path / "fresh"
+    ).out_dir
+    for path in fresh.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    assert (out / "notes.txt").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp", "fresh"]
 
 
 def test_run_experiment_requires_out_dir():
