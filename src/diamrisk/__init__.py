@@ -48,15 +48,12 @@ from .losses import (
     quadratic_eval,
     reciprocal_eval,
     rho_m,
-    tent_eval,
-    tent_true_risk,
 )
 from .mlp import MlpLossModel, MlpSpec, accuracy_on, init_params, loss_and_grad, nll_softmax
 from .optimizer import (
     DivergenceError,
     DrmConfig,
     EveryK,
-    PerturbQueue,
     RunTrace,
     select_worst,
     sgd_drm_run,
@@ -66,14 +63,12 @@ from .optimizer import (
 )
 from .params import (
     Box,
-    EuclideanBall,
     FeasibleSet,
     NormKind,
     ParamVector,
     Unbounded,
     axpy,
     norm,
-    project,
     sample_sphere,
 )
 from .risk import (
@@ -81,5 +76,4 @@ from .risk import (
     diametrical_risk_grid_1d,
     diametrical_risk_sampled,
     empirical_risk,
-    true_risk,
 )

@@ -79,10 +79,10 @@ def _loss_from_args(args):
 
 
 def _default_interval(args) -> tuple[float, float]:
-    if args.w_lo is not None and args.w_hi is not None:
-        lo, hi = args.w_lo, args.w_hi
-    else:  # keep the reciprocal window off the pole
-        lo, hi = (-2.0, 2.0) if args.loss == "tent" else (args.gamma, 2.0)
+    """The --w-lo/--w-hi window; a bound not given takes the loss's default,
+    which keeps the reciprocal window off the pole."""
+    lo = args.w_lo if args.w_lo is not None else (-2.0 if args.loss == "tent" else args.gamma)
+    hi = args.w_hi if args.w_hi is not None else 2.0
     if not lo < hi:
         raise ConfigError(f"the parameter window [{lo}, {hi}] is empty")
     return (lo, hi)
@@ -178,7 +178,7 @@ def _cmd_landscape(args) -> int:
             f"checkpoint {args.checkpoint} has layer shapes {list(w.shapes)}, "
             f"but the network spec needs {list(spec.param_shapes())}"
         )
-    train, _, _ = build_datasets(cfg)
+    train, _ = build_datasets(cfg)
     model = MlpLossModel(spec)
     hist = landscape_histogram(
         model,
@@ -209,6 +209,7 @@ def _cmd_examples(args) -> int:
         trials=args.trials,
         grid_points=args.grid,
         rng=args.seed if args.seed is not None else 0,
+        inner_points=args.inner,
     )
     if args.loss == "tent":
         print("trial,rho,erm_gap,erm_bound,drm_gap")

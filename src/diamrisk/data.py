@@ -5,8 +5,7 @@ labels y, and real regression targets t (read only by the quadratic
 fixture). The 1-D analytic losses use d = 0, where the label alone carries
 the randomness. Class-conditional Gaussian blobs stand in for image
 benchmarks at desk scale; flip_labels corrupts a chosen fraction of training
-labels to a uniformly random incorrect class while keeping the originals and
-a per-row mask.
+labels to a uniformly random incorrect class.
 """
 
 from __future__ import annotations
@@ -19,16 +18,13 @@ import numpy as np
 
 @dataclass(eq=False)
 class Dataset:
-    """m rows: features X (m, d), labels y in [0, num_classes), targets t
-    (zeros unless given), and for corrupted data the per-row noise mask and
-    the labels before corruption."""
+    """m rows: features X (m, d), labels y in [0, num_classes), and targets t
+    (zeros unless given)."""
 
     X: np.ndarray
     y: np.ndarray
     num_classes: int = 2
     t: np.ndarray = None
-    noise_mask: np.ndarray = None
-    original_labels: np.ndarray = None
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.int64)
@@ -39,19 +35,11 @@ class Dataset:
                 f"need X of shape (m, d) and y of shape (m,), got {self.X.shape} and {self.y.shape}"
             )
         self.t = np.zeros(m) if self.t is None else np.asarray(self.t, dtype=np.float64)
-        if self.noise_mask is None:
-            self.noise_mask = np.zeros(m, dtype=bool)
-        if self.original_labels is None:
-            self.original_labels = self.y
-        self.noise_mask = np.asarray(self.noise_mask, dtype=bool)
-        self.original_labels = np.asarray(self.original_labels, dtype=np.int64)
-        if any(a.shape != (m,) for a in (self.t, self.noise_mask, self.original_labels)):
-            raise ValueError("targets, mask and original labels must have one entry per row")
+        if self.t.shape != (m,):
+            raise ValueError("targets must have one entry per row")
         bad = (self.y < 0) | (self.y >= self.num_classes)
         if bad.any():
             raise ValueError(f"label {self.y[bad][0]} outside [0, {self.num_classes})")
-        if (self.noise_mask & (self.y == self.original_labels)).any():
-            raise ValueError("masked row whose label equals its original")
 
     def __len__(self) -> int:
         return self.y.shape[0]
@@ -60,14 +48,7 @@ class Dataset:
         """The rows idx (an index array, slice or single index) as a Dataset."""
         if isinstance(idx, (int, np.integer)):
             idx = [idx]
-        return Dataset(
-            X=self.X[idx],
-            y=self.y[idx],
-            num_classes=self.num_classes,
-            t=self.t[idx],
-            noise_mask=self.noise_mask[idx],
-            original_labels=self.original_labels[idx],
-        )
+        return Dataset(X=self.X[idx], y=self.y[idx], num_classes=self.num_classes, t=self.t[idx])
 
     @staticmethod
     def from_labels(labels: Sequence[int], num_classes: int = 2) -> "Dataset":
@@ -105,7 +86,7 @@ def gen_gaussian_blobs(num_classes: int, n: int, d: int, separation: float, seed
 def flip_labels(data: Dataset, frac: float, rng: np.random.Generator) -> Dataset:
     """Flip exactly round(frac * m) uniformly chosen labels to a uniformly
     random incorrect class. Features and targets are shared with the input
-    dataset; only labels and the mask change."""
+    dataset; only the labels change, so the flipped rows are y != data.y."""
     if not 0.0 <= frac <= 1.0:
         raise ValueError("frac must be in [0, 1]")
     if data.num_classes < 2:
@@ -119,13 +100,4 @@ def flip_labels(data: Dataset, frac: float, rng: np.random.Generator) -> Dataset
     for i in np.sort(chosen):
         offset = int(rng.integers(0, data.num_classes - 1))
         y[i] = offset if offset < y[i] else offset + 1
-    mask = np.zeros(m, dtype=bool)
-    mask[chosen] = True
-    return Dataset(
-        X=data.X,
-        y=y,
-        num_classes=data.num_classes,
-        t=data.t,
-        noise_mask=mask,
-        original_labels=data.y,
-    )
+    return Dataset(X=data.X, y=y, num_classes=data.num_classes, t=data.t)

@@ -38,7 +38,7 @@ from .optimizer import (
     sgd_drm_run,
     sgd_erm_run,
 )
-from .params import Box, NormKind, ParamVector, Unbounded
+from .params import Box, NormKind, Unbounded
 
 SCHEMA_VERSION = 1
 # Upper bound of every size and count key, so that absurd sizes exit 2 in the
@@ -91,8 +91,8 @@ SCHEMA: dict[str, dict[str, _Key]] = {
     },
     "mlp": {
         "hidden_dims": _Key([int], (96, 96, 48), 1, MAX_COUNT),
-        # Checked and stored as MlpSpec.seed, but run draws the initialization
-        # from drm.seed, so it changes no artifact; existing configs set it.
+        # Checked but not stored: run draws the initialization from drm.seed,
+        # so it changes no artifact; existing configs set it.
         "seed": _Key(int, 0, 0),
     },
     "drm": {
@@ -132,9 +132,7 @@ class DatasetConfig:
 class ExperimentConfig:
     dataset: DatasetConfig
     hidden_dims: tuple[int, ...]
-    mlp_seed: int
     drm: DrmConfig
-    epochs: int
     landscape_n: int
     landscape_bins: int
     out_dir: Optional[str]
@@ -145,7 +143,6 @@ class ExperimentConfig:
             input_dim=self.dataset.input_dim,
             hidden_dims=self.hidden_dims,
             num_classes=self.dataset.num_classes,
-            seed=self.mlp_seed,
         )
 
 
@@ -241,9 +238,8 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         raise ConfigError(f"drm: {exc}") from None
     mlp, land = cfg["mlp"], cfg["landscape"]
     return ExperimentConfig(
-        dataset=dataset, hidden_dims=mlp["hidden_dims"], mlp_seed=mlp["seed"], drm=drm_cfg,
-        epochs=drm["epochs"], landscape_n=land["n_samples"], landscape_bins=land["bins"],
-        out_dir=cfg["out_dir"], raw=obj,
+        dataset=dataset, hidden_dims=mlp["hidden_dims"], drm=drm_cfg,
+        landscape_n=land["n_samples"], landscape_bins=land["bins"], out_dir=cfg["out_dir"], raw=obj,
     )
 
 
@@ -276,8 +272,8 @@ def default_experiment_config(seed: int = 0, out_dir: Optional[str] = None) -> E
     return experiment_config_from_dict(default_experiment_dict(seed, out_dir))
 
 
-def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
-    """(noisy train, clean train, clean test), all deterministic in the seeds."""
+def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """(noisy train, clean test), both deterministic in the seeds."""
     ds = cfg.dataset
     train_clean = gen_gaussian_blobs(
         ds.num_classes, ds.n_train, ds.input_dim, ds.separation, seed=[ds.seed, 0]
@@ -286,7 +282,7 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
         ds.num_classes, ds.n_test, ds.input_dim, ds.separation, seed=[ds.seed, 1]
     )
     train = flip_labels(train_clean, ds.noise_frac, np.random.default_rng([ds.seed, 2]))
-    return train, train_clean, test
+    return train, test
 
 
 @dataclass
@@ -318,9 +314,6 @@ class ExperimentResult:
     flatness: FlatnessReport
     erm_trace: RunTrace
     drm_trace: RunTrace
-    erm_final: ParamVector
-    drm_final: ParamVector
-    summary: dict
 
 
 def run_label_noise_experiment(
@@ -340,7 +333,7 @@ def run_label_noise_experiment(
     if not existing.is_dir():
         raise ConfigError(f"output path {out}: {existing} exists and is not a directory")
 
-    train, _, test = build_datasets(cfg)
+    train, test = build_datasets(cfg)
     spec = cfg.mlp_spec()
     model = MlpLossModel(spec)
     w0 = init_params(spec, np.random.default_rng([cfg.drm.seed, 0]))
@@ -405,7 +398,4 @@ def run_label_noise_experiment(
         flatness=report,
         erm_trace=erm_trace,
         drm_trace=drm_trace,
-        erm_final=erm_final,
-        drm_final=drm_final,
-        summary=summary,
     )

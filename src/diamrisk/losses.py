@@ -10,7 +10,7 @@ record is a one-row Dataset.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,12 +44,10 @@ class LossModel:
 
     Subclasses implement batch_risk (mean loss over the rows of a Dataset)
     and batch_grad (that mean and its gradient in w), and set
-    param_template. true_risk is the analytic expected loss when known,
-    else None.
+    param_template.
     """
 
     param_template: ParamVector
-    true_risk: Optional[Callable[..., float]] = None
 
     def batch_risk(self, w: ParamVector, S: Dataset) -> float:
         raise NotImplementedError
@@ -114,30 +112,9 @@ class ScalarLossModel(LossModel):
             w_points.shape
         )
 
-    def sample_z(self, rng: np.random.Generator) -> Dataset:
-        """One record, as a one-row Dataset, with an equiprobable label."""
-        return Dataset.from_labels([int(rng.integers(0, 2))])
-
     def sample_labels(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m labels drawn equiprobably from {0, 1}."""
         return rng.integers(0, 2, size=m)
-
-
-def tent_eval(w: float, z: int, kappa: float, gamma_loss: float) -> float:
-    """Tent loss: piecewise linear on [-gamma_loss, gamma_loss), zero outside.
-
-        kappa*w/gamma_loss + kappa   if w in [-gamma_loss, 0), z = 0
-       -kappa*w/gamma_loss - kappa   if w in [-gamma_loss, 0), z = 1
-       -kappa*w/gamma_loss + kappa   if w in [0, gamma_loss),  z = 0
-        kappa*w/gamma_loss - kappa   if w in [0, gamma_loss),  z = 1
-        0                            otherwise
-    """
-    return float(_tent_shape(np.asarray(w, dtype=float), kappa, gamma_loss) * (1 - 2 * z))
-
-
-def tent_true_risk(w: float) -> float:
-    """Expected tent loss under equiprobable z in {0, 1}: zero for every w."""
-    return 0.0
 
 
 def _tent_shape(w: np.ndarray, kappa: float, gamma_loss: float) -> np.ndarray:
@@ -159,7 +136,13 @@ def _tent_shape_right_derivative(w: np.ndarray, kappa: float, gamma_loss: float)
 
 
 class TentLoss(ScalarLossModel):
-    """Steep piecewise-linear loss with zero expected value everywhere.
+    """Steep piecewise-linear loss with zero expected value everywhere:
+
+        kappa*w/gamma_loss + kappa   if w in [-gamma_loss, 0), z = 0
+       -kappa*w/gamma_loss - kappa   if w in [-gamma_loss, 0), z = 1
+       -kappa*w/gamma_loss + kappa   if w in [0, gamma_loss),  z = 0
+        kappa*w/gamma_loss - kappa   if w in [0, gamma_loss),  z = 1
+        0                            otherwise
 
     The slope magnitude kappa/gamma_loss is the Lipschitz modulus in w; large
     values make the empirical risk landscape arbitrarily sharp around 0.
@@ -186,7 +169,7 @@ class TentLoss(ScalarLossModel):
         ) * (1 - 2 * label)
 
     def true_risk(self, w) -> float:
-        return tent_true_risk(w)
+        return 0.0
 
 
 def reciprocal_eval(w: float, z: int) -> float:
@@ -239,7 +222,6 @@ def quadratic_eval(w: ParamVector, S: Dataset) -> np.ndarray:
 class QuadraticLoss(LossModel):
     """Convex quadratic loss over any parameter template (convexity fixture)."""
 
-    true_risk = None
     label_sufficient = False
     breakpoints: tuple[float, ...] = ()
 

@@ -22,7 +22,6 @@ class MlpSpec:
     input_dim: int
     hidden_dims: tuple[int, ...]
     num_classes: int
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
@@ -44,10 +43,8 @@ class MlpSpec:
         return ParamVector((n, np.zeros(s)) for n, s in zip(names, self.param_shapes()))
 
 
-def init_params(spec: MlpSpec, rng: np.random.Generator | None = None) -> ParamVector:
+def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParamVector:
     """Weights ~ normal(0, 2/fan_in) (He scaling), biases exactly zero."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     return ParamVector(
         (name, rng.standard_normal(a.shape) * np.sqrt(2.0 / a.shape[1]) if a.ndim == 2 else a)
         for name, a in spec.param_template()

@@ -27,6 +27,7 @@ import dataclasses
 import hashlib
 import io
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -35,7 +36,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossModel
 from .params import FeasibleSet, NonFiniteError, NormKind, ParamVector, Unbounded
-from .params import axpy, project, sample_sphere
+from .params import axpy, sample_sphere
 from .risk import diametrical_risk_sampled, neighborhood_risks
 
 # Sub-stream tags for seed derivation; fixed so traces are reproducible.
@@ -140,28 +141,6 @@ def constant_then_drop_schedule(T: int, lr: float = 0.01, final_lr: float = 0.00
     return ((drop_at, lr), (T, final_lr))
 
 
-class PerturbQueue:
-    """FIFO of past worst-case directions, capacity q (oldest evicted first)."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: list[ParamVector] = []
-
-    @property
-    def entries(self) -> tuple[ParamVector, ...]:
-        return tuple(self._entries)
-
-    def push(self, u: ParamVector) -> None:
-        self._entries.append(u)
-        if len(self._entries) > self.capacity:
-            self._entries.pop(0)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 @dataclass
 class IterationRecord:
     iter: int
@@ -259,7 +238,7 @@ def simple_sgd_drm_step(
     candidates = [sample_sphere(w, cfg.gamma, cfg.norm_kind, rng) for _ in range(cfg.r)]
     _, u_star, _ = select_worst(model, w, batch, candidates)
     _, grad = model.batch_grad(axpy(w, 1.0, u_star), batch)
-    return project(axpy(w, -cfg.lr_at(t), grad), cfg.feasible)
+    return cfg.feasible.project(axpy(w, -cfg.lr_at(t), grad))
 
 
 def _next_event(p: Union[float, EveryK], t: int, rng_coin: np.random.Generator) -> bool:
@@ -279,7 +258,7 @@ def _run_loop(
     cfg: DrmConfig,
     algorithm: str,
     w0: Optional[ParamVector],
-    queue_probe: Optional[Callable[[int, PerturbQueue], None]] = None,
+    queue_probe: Optional[Callable[[int, deque], None]] = None,
 ) -> tuple[ParamVector, RunTrace]:
     cfg.validate()
     if algorithm not in ("erm", "drm"):
@@ -291,10 +270,10 @@ def _run_loop(
     rng_coin = np.random.default_rng([cfg.seed, _STREAM_COIN])
     if w0 is None:
         w0 = model.init_params(np.random.default_rng([cfg.seed, _STREAM_INIT]))
-    w = project(w0, cfg.feasible)
+    w = cfg.feasible.project(w0)
 
     measure_acc = getattr(model, "accuracy", None)
-    queue = PerturbQueue(cfg.q)
+    queue = deque(maxlen=cfg.q)  # past worst directions, oldest evicted first
     trace = RunTrace()
     digest = hashlib.sha256()
     m = len(data)
@@ -323,14 +302,14 @@ def _run_loop(
                             for _ in range(cfg.r)
                         ]
                         _, u_star, _ = select_worst(model, w, batch, candidates)
-                        queue.push(u_star)
-                    _, v_star, perturbed_risk = select_worst(model, w, batch, queue.entries)
+                        queue.append(u_star)
+                    _, v_star, perturbed_risk = select_worst(model, w, batch, queue)
                     grad_point = axpy(w, 1.0, v_star)
                 if queue_probe is not None:
                     queue_probe(t, queue)
 
                 _, grad = model.batch_grad(grad_point, batch)
-                w = project(axpy(w, -lr, grad), cfg.feasible)
+                w = cfg.feasible.project(axpy(w, -lr, grad))
             except NonFiniteError as exc:
                 raise DivergenceError(t, epoch, lr, batch_risk, exc) from exc
             trace.iterations.append(

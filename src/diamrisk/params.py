@@ -240,7 +240,8 @@ def sample_sphere(
 
 
 class FeasibleSet:
-    """Set of permissible parameter vectors, with Euclidean-nearest projection."""
+    """Set of permissible parameter vectors. project returns the
+    Euclidean-nearest member, and is the identity on members."""
 
     def project(self, w: ParamVector) -> ParamVector:
         raise NotImplementedError
@@ -277,40 +278,3 @@ class Box(FeasibleSet):
     def contains(self, w: ParamVector) -> bool:
         flat = w.flat()
         return bool(np.all((flat >= self.lo) & (flat <= self.hi)))
-
-
-@dataclass(frozen=True, eq=False)
-class EuclideanBall(FeasibleSet):
-    center: ParamVector
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"ball radius must be >= 0, got {self.radius}")
-
-    def _dist(self, w: ParamVector) -> float:
-        _check_same_structure(w, self.center)
-        return norm(axpy(w, -1.0, self.center), NormKind.EUCLIDEAN)
-
-    def project(self, w: ParamVector) -> ParamVector:
-        dist = self._dist(w)
-        if dist <= self.radius:
-            return w
-        d = axpy(w, -1.0, self.center)
-        factor = self.radius / dist
-        # Radial projection; shave ulps off the factor until membership is
-        # exact so that projection is exactly idempotent.
-        for _ in range(16):
-            candidate = axpy(self.center, factor, d)
-            if self._dist(candidate) <= self.radius:
-                return candidate
-            factor = np.nextafter(factor, 0.0)
-        raise RuntimeError("ball projection failed to converge")  # pragma: no cover
-
-    def contains(self, w: ParamVector) -> bool:
-        return self._dist(w) <= self.radius
-
-
-def project(w: ParamVector, feasible: FeasibleSet) -> ParamVector:
-    """Euclidean-nearest point of the feasible set; identity on members."""
-    return feasible.project(w)

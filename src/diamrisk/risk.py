@@ -1,4 +1,4 @@
-"""Empirical, true, and worst-case-neighborhood (diametrical) risk.
+"""Empirical and worst-case-neighborhood (diametrical) risk.
 
 The diametrical risk of w at radius gamma is the supremum of the empirical
 risk over all parameter perturbations of norm at most gamma. Two estimators
@@ -46,22 +46,6 @@ class RiskEstimate:
     worst_index: Optional[int] = None
 
 
-@dataclass
-class TrueRiskEstimate:
-    value: float
-    stderr: float
-    n: int
-
-
-@dataclass
-class McConfig:
-    """Monte-Carlo fallback for true risk: n draws from the data distribution."""
-
-    n: int
-    rng: np.random.Generator
-    sampler: Optional[callable] = None  # rng -> one-row Dataset; defaults to model.sample_z
-
-
 def empirical_risk(model: LossModel, w, S: Dataset) -> float:
     """Mean loss over the rows of S."""
     if len(S) == 0:
@@ -92,29 +76,6 @@ def empirical_risk_curve(model, w_points: np.ndarray, S: Dataset) -> np.ndarray:
     if getattr(model, "label_sufficient", False):
         return label_risk_curves(model, w_points, S.y)
     return model.risk_curve(w_points, S)
-
-
-def true_risk(model: LossModel, w, mc: Optional[McConfig] = None) -> TrueRiskEstimate:
-    """Analytic expected loss when the model knows it, else a Monte-Carlo mean.
-
-    The Monte-Carlo path reports the standard error of the mean alongside the
-    estimate.
-    """
-    if model.true_risk is not None:
-        return TrueRiskEstimate(value=float(model.true_risk(w)), stderr=0.0, n=0)
-    if mc is None:
-        raise ValueError("model has no analytic true risk and no mc config was given")
-    sampler = mc.sampler if mc.sampler is not None else getattr(model, "sample_z", None)
-    if sampler is None:
-        raise ValueError("mc config needs a sampler for this model")
-    if mc.n < 2:
-        raise ValueError("mc.n must be >= 2 to report a standard error")
-    values = np.array([model.batch_risk(w, sampler(mc.rng)) for _ in range(mc.n)])
-    return TrueRiskEstimate(
-        value=float(values.mean()),
-        stderr=float(values.std(ddof=1) / np.sqrt(mc.n)),
-        n=mc.n,
-    )
 
 
 def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> np.ndarray:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from diamrisk.analysis import (
     FlatnessReport,
+    _neighborhood_matrix,
+    _neighborhood_sup_curve,
     Histogram,
     confidence_region_check,
     directions_digest,
@@ -25,7 +27,7 @@ from diamrisk.losses import LossModel, QuadraticLoss, ReciprocalLoss, TentLoss
 from diamrisk.harness import build_datasets, default_experiment_config
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.params import NormKind, ParamVector
-from diamrisk.risk import label_risk_curves, neighborhood_risks
+from diamrisk.risk import diametrical_risk_grid_1d, label_risk_curves, neighborhood_risks, window_grid
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -33,8 +35,6 @@ ONE_ROW = Dataset.from_labels([0])
 
 
 class ConstantLoss(LossModel):
-    true_risk = None
-
     def __init__(self, c=2.0):
         self.c = c
         self.param_template = ParamVector([("w", np.zeros(3))])
@@ -238,9 +238,6 @@ def test_level_set_nesting_frequency():
     )
     q = study.records[0].q_alpha
     delta = 0.1
-    from diamrisk.analysis import _neighborhood_matrix, _neighborhood_sup_curve
-    from diamrisk.risk import window_grid
-
     w_grid = window_grid(tent, -2.0, 2.0, GAMMA_LOSS, 65)
     X = _neighborhood_matrix(tent, w_grid, GAMMA_LOSS, 65)
     r_true = tent.true_risk_curve(w_grid)
@@ -253,6 +250,28 @@ def test_level_set_nesting_frequency():
         if np.all(r_true[inside] <= delta + q):
             hits += 1
     assert hits / trials >= 1 - alpha
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    loss=st.sampled_from(["tent", "reciprocal"]),
+    lo=st.floats(-3.0, 3.0),
+    width=st.floats(0.01, 3.0),
+    gamma=st.floats(0.01, 2.0),
+    n=st.integers(3, 65),
+    labels=st.lists(st.integers(0, 1), min_size=1, max_size=40),
+)
+def test_neighborhood_sup_rows_match_the_grid_oracle(loss, lo, width, gamma, n, labels):
+    # The fast path of rate, confidence and examples against the grid
+    # estimator, bit for bit, at every centre of the window grid.
+    model = TentLoss(KAPPA, GAMMA_LOSS) if loss == "tent" else ReciprocalLoss()
+    if loss == "reciprocal":  # every neighbourhood off the pole: w - gamma > 0
+        lo = gamma + abs(lo) + 0.01
+    w_grid = window_grid(model, lo, lo + width, gamma, 9)
+    sup_curve = _neighborhood_sup_curve(model, _neighborhood_matrix(model, w_grid, gamma, n), labels)
+    S = Dataset.from_labels(labels)
+    for w, value in zip(w_grid, sup_curve):
+        assert value == diametrical_risk_grid_1d(model, w, gamma, S, grid_points=n).value
 
 
 def test_gap_table_tent_matches_closed_form_bound():
@@ -460,7 +479,7 @@ def test_landscape_histogram_memory_does_not_grow_with_n():
     # 500 directions of the default 96-96-48 net held at once would take
     # 500 x 129 KB = 63 MiB; streamed, the peak is about one chunk of them.
     cfg = default_experiment_config(0)
-    train, _, _ = build_datasets(cfg)
+    train, _ = build_datasets(cfg)
     model = MlpLossModel(cfg.mlp_spec())
     w = init_params(cfg.mlp_spec(), np.random.default_rng(0))
     tracemalloc.start()

@@ -116,6 +116,30 @@ def test_examples_subcommand_reciprocal(capsys):
     assert "log grid near 0" in out
 
 
+def test_examples_passes_inner_points(capsys, monkeypatch):
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return analysis.erm_drm_gap_table(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "erm_drm_gap_table", spy)
+    assert cli_main(["examples", "--m", "50", "--trials", "2", "--grid", "9", "--inner", "5"]) == 0
+    assert seen["inner_points"] == 5
+
+
+ONE_BOUND = [
+    (["rate", "--w-lo", "1"], (1.0, 2.0)),
+    (["rate", "--w-hi", "3"], (-2.0, 3.0)),
+    (["examples", "--loss", "reciprocal", "--gamma", "0.25", "--w-hi", "3"], (0.25, 3.0)),
+]
+
+
+@pytest.mark.parametrize("argv,window", ONE_BOUND, ids=[" ".join(a) for a, _ in ONE_BOUND])
+def test_each_window_bound_defaults_on_its_own(argv, window):
+    assert cli._default_interval(cli.build_parser().parse_args(argv)) == window
+
+
 def test_landscape_subcommand(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     assert cli_main(["run", "--config", str(cfg_path)]) == 0
@@ -284,6 +308,7 @@ BAD_FLAGS = [
     ("rate", ["--w-lo", "nan", "--w-hi", "1"], "--w-lo"),
     ("rate", ["--w-lo", "0", "--w-hi", "inf"], "--w-hi"),
     ("rate", ["--w-lo", "1", "--w-hi", "0"], "window"),
+    ("rate", ["--w-lo", "3"], "window"),
     ("rate", ["--m", "100,50"], "--m"),
     ("rate", ["--trials", "10"], "--trials"),
     ("rate", ["--alpha", "1"], "--alpha"),
@@ -295,6 +320,7 @@ BAD_FLAGS = [
     ("confidence", ["--eps", "0.1,nan"], "--eps"),
     ("examples", ["--m", "0"], "--m"),
     ("examples", ["--trials", "-1"], "--trials"),
+    ("examples", ["--w-hi", "-3"], "window"),
     ("landscape", ["--gamma", "-1"], "--gamma"),
     ("landscape", ["--gamma", "nan"], "--gamma"),
     ("landscape", ["--seed", "-1"], "--seed"),

@@ -42,32 +42,26 @@ def test_flip_labels_zero_fraction_is_identity():
     data = gen_gaussian_blobs(3, 20, 4, 2.0, seed=2)
     flipped = flip_labels(data, 0.0, np.random.default_rng(0))
     assert np.array_equal(flipped.y, data.y)
-    assert not flipped.noise_mask.any()
 
 
 def test_flip_labels_full_fraction_two_classes_toggles_all():
     data = gen_gaussian_blobs(2, 40, 3, 2.0, seed=3)
     flipped = flip_labels(data, 1.0, np.random.default_rng(0))
     assert np.array_equal(flipped.y, 1 - data.y)
-    assert flipped.noise_mask.all()
 
 
 def test_flip_labels_exact_count_and_inequality():
     data = gen_gaussian_blobs(4, 100, 6, 2.0, seed=4)
     flipped = flip_labels(data, 0.5, np.random.default_rng(1))
-    assert int(flipped.noise_mask.sum()) == 50
-    for i in np.nonzero(flipped.noise_mask)[0]:
-        assert flipped.y[i] != flipped.original_labels[i]
-        assert 0 <= flipped.y[i] < 4
-    for i in np.nonzero(~flipped.noise_mask)[0]:
-        assert flipped.y[i] == flipped.original_labels[i]
+    assert int(np.sum(flipped.y != data.y)) == 50
+    assert np.all((0 <= flipped.y) & (flipped.y < 4))
 
 
 def test_flip_labels_noise_fraction_within_one_over_m():
     data = gen_gaussian_blobs(3, 31, 4, 2.0, seed=5)
     for frac in (0.1, 0.33, 0.5, 0.9):
         flipped = flip_labels(data, frac, np.random.default_rng(2))
-        assert abs(flipped.noise_mask.mean() - frac) <= 1.0 / len(data)
+        assert abs(np.mean(flipped.y != data.y) - frac) <= 1.0 / len(data)
 
 
 def test_flip_labels_preserves_features_bit_exactly():
@@ -80,21 +74,10 @@ def test_flip_labels_new_label_roughly_uniform_over_others():
     data = gen_gaussian_blobs(4, 4000, 5, 2.0, seed=7)
     flipped = flip_labels(data, 1.0, np.random.default_rng(4))
     counts = np.zeros(4)
-    for label, orig in zip(flipped.y, flipped.original_labels):
+    for label, orig in zip(flipped.y, data.y):
         counts[(label - orig) % 4] += 1
     assert counts[0] == 0
     assert counts[1:].min() > 0.25 * counts[1:].max()
-
-
-def test_dataset_rejects_bad_mask():
-    with pytest.raises(ValueError):
-        Dataset(
-            X=np.empty((2, 0)),
-            y=[0, 1],
-            num_classes=2,
-            noise_mask=np.array([True, False]),
-            original_labels=np.array([0, 1]),  # masked sample not actually flipped
-        )
 
 
 def test_accuracy_saturated_and_zero_weight_cases():
@@ -121,7 +104,7 @@ def test_accuracy_diverges_from_original_labels_after_flip():
     acc_noisy_labels = accuracy_on(spec, strong, noisy)
     acc_original = np.mean(
         np.argmax(noisy.X @ (np.eye(3) * 10.0).T, axis=1)
-        == noisy.original_labels
+        == clean.y
     )
     assert acc_original == 1.0
     assert acc_noisy_labels < acc_original

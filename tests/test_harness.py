@@ -243,7 +243,7 @@ def test_integral_floats_are_valid_ints():
     obj["drm"]["epochs"] = 2.0
     obj["mlp"]["hidden_dims"] = [8.0, 4]
     cfg = experiment_config_from_dict(obj)
-    assert cfg.epochs == 2 and type(cfg.epochs) is int
+    assert cfg.drm.T == 2 * 6 and type(cfg.drm.T) is int  # 6 batches of 10 per epoch
     assert cfg.hidden_dims == (8, 4) and all(type(h) is int for h in cfg.hidden_dims)
 
 
@@ -273,13 +273,14 @@ def test_default_config_is_valid():
 
 def test_build_datasets_deterministic_and_noisy():
     cfg = experiment_config_from_dict(tiny_config_dict())
-    train1, clean1, test1 = build_datasets(cfg)
-    train2, clean2, test2 = build_datasets(cfg)
+    train1, test1 = build_datasets(cfg)
+    train2, test2 = build_datasets(cfg)
     assert np.array_equal(train1.X, train2.X)
     assert np.array_equal(train1.y, train2.y)
     assert np.array_equal(test1.y, test2.y)
-    assert int(train1.noise_mask.sum()) == 30  # half of 60
-    assert np.array_equal(clean1.y, train1.original_labels)
+    clean_y = np.arange(60) % 3  # blob row i belongs to class i mod 3
+    assert int(np.sum(train1.y != clean_y)) == 30  # half of 60
+    assert np.array_equal(test1.y, np.arange(60) % 3)  # the test labels stay clean
 
 
 def test_run_experiment_artifacts_and_shared_initialization(tmp_path):

@@ -12,13 +12,15 @@ from diamrisk.losses import (
     quadratic_eval,
     reciprocal_eval,
     rho_m,
-    tent_eval,
-    tent_true_risk,
 )
 from diamrisk.params import ParamVector
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
+
+
+def tent_eval(w, z):
+    return float(TentLoss(KAPPA, GAMMA_LOSS).eval_scalar(w, z))
 
 
 def tent_oracle(w, z, kappa, gamma_loss):
@@ -36,18 +38,18 @@ def tent_oracle(w, z, kappa, gamma_loss):
 
 
 def test_tent_eval_at_zero():
-    assert tent_eval(0.0, 0, KAPPA, GAMMA_LOSS) == KAPPA
+    assert tent_eval(0.0, 0) == KAPPA
 
 
 def test_tent_eval_vanishes_outside_support():
     for z in (0, 1):
-        assert tent_eval(GAMMA_LOSS, z, KAPPA, GAMMA_LOSS) == 0.0
-        assert tent_eval(-GAMMA_LOSS - 0.1, z, KAPPA, GAMMA_LOSS) == 0.0
-        assert tent_eval(3.0, z, KAPPA, GAMMA_LOSS) == 0.0
+        assert tent_eval(GAMMA_LOSS, z) == 0.0
+        assert tent_eval(-GAMMA_LOSS - 0.1, z) == 0.0
+        assert tent_eval(3.0, z) == 0.0
 
 
 def test_tent_eval_negative_midpoint():
-    assert tent_eval(-GAMMA_LOSS / 2, 1, KAPPA, GAMMA_LOSS) == -KAPPA / 2
+    assert tent_eval(-GAMMA_LOSS / 2, 1) == -KAPPA / 2
 
 
 def test_tent_eval_matches_table_oracle():
@@ -55,14 +57,13 @@ def test_tent_eval_matches_table_oracle():
     for _ in range(500):
         w = rng.uniform(-1.5, 1.5)
         z = int(rng.integers(0, 2))
-        assert tent_eval(w, z, KAPPA, GAMMA_LOSS) == pytest.approx(
+        assert tent_eval(w, z) == pytest.approx(
             tent_oracle(w, z, KAPPA, GAMMA_LOSS), abs=1e-15
         )
 
 
 def test_tent_true_risk_is_zero_everywhere():
     for w in (0.0, -0.3, 10.0):
-        assert tent_true_risk(w) == 0.0
         assert TentLoss(KAPPA, GAMMA_LOSS).true_risk(w) == 0.0
 
 
@@ -100,7 +101,7 @@ def test_tent_empirical_risk_closed_form():
         m = int(rng.integers(1, 50))
         labels = rng.integers(0, 2, size=m)
         w = rng.uniform(-1.2, 1.2)
-        mean = sum(tent_eval(w, int(z), KAPPA, GAMMA_LOSS) for z in labels) / m
+        mean = sum(tent_eval(w, int(z)) for z in labels) / m
         rho = rho_m(labels.tolist())
         if -GAMMA_LOSS <= w < GAMMA_LOSS:
             closed = (rho / m) * (-KAPPA * abs(w) / GAMMA_LOSS + KAPPA)

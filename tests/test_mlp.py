@@ -96,8 +96,8 @@ def per_row_loss_and_grad(spec: MlpSpec, w: ParamVector, batch: Dataset) -> tupl
 
 
 def test_init_params_deterministic():
-    spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=2, seed=9)
-    assert init_params(spec) == init_params(spec)
+    spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=2)
+    assert init_params(spec, np.random.default_rng(9)) == init_params(spec, np.random.default_rng(9))
 
 
 def test_init_params_biases_zero_and_shapes():

@@ -20,8 +20,6 @@ ONE_ROW = Dataset.from_labels([0])
 class StepLoss(LossModel):
     """Risk 1 where the first coordinate is positive, else 0: plenty of ties."""
 
-    true_risk = None
-
     def __init__(self):
         self.param_template = ParamVector([("w", np.zeros(3))])
 

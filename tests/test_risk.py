@@ -12,14 +12,12 @@ from diamrisk.params import NormKind, ParamVector
 from diamrisk.risk import (
     Exact,
     Grid,
-    McConfig,
     RiskEstimate,
     Sampled,
     diametrical_risk_grid_1d,
     diametrical_risk_sampled,
     empirical_risk,
     empirical_risk_curve,
-    true_risk,
 )
 
 KAPPA = 2.0
@@ -34,8 +32,6 @@ def quad_rows(rng, m, draw=lambda rng: rng.uniform(0.5, 2.0)):
 
 class ConstantLoss(LossModel):
     """Loss that ignores both parameters and data."""
-
-    true_risk = None
 
     def __init__(self, c=3.25):
         self.c = c
@@ -93,34 +89,12 @@ def test_empirical_risk_curve_matches_pointwise():
 def test_true_risk_analytic_values():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
     recip = ReciprocalLoss()
-    for w in (-1.0, 0.0, 0.3, 5.0):
-        assert true_risk(tent, w).value == 0.0
-        assert true_risk(recip, w).value == 0.0
-        assert true_risk(tent, w).stderr == 0.0
-
-
-def test_true_risk_requires_analytic_or_mc():
-    with pytest.raises(ValueError):
-        true_risk(ConstantLoss(), None)
-
-
-def test_true_risk_mc_clt_band():
-    # Monte-Carlo mean should sit within 4 standard errors of the analytic
-    # value (zero) in at least 95 of 100 trials.
-    tent = TentLoss(KAPPA, GAMMA_LOSS)
-
-    class NoAnalytic(TentLoss):
-        true_risk = None
-
-    model = NoAnalytic(KAPPA, GAMMA_LOSS)
-    w = model.wrap(0.1)
-    hits = 0
-    for trial in range(100):
-        est = true_risk(model, w, McConfig(n=400, rng=np.random.default_rng(1000 + trial)))
-        assert est.stderr > 0
-        if abs(est.value - 0.0) <= 4 * est.stderr:
-            hits += 1
-    assert hits >= 95
+    points = np.array([[-1.0, 0.0], [0.3, 5.0]])
+    for model in (tent, recip):
+        for w in points.ravel():
+            assert model.true_risk(w) == 0.0
+        curve = model.true_risk_curve(points)
+        assert curve.shape == points.shape and not curve.any()
 
 
 def test_grid_1d_gamma_zero_equals_empirical_exactly():
