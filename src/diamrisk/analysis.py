@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossModel, rho_m
 from .params import NormKind, ParamVector, axpy, sample_sphere
-from .risk import label_risk_curves, neighborhood_risks, window_grid
+from .risk import label_mean, neighborhood_risks, window_grid
 
 
 def g17(x: float) -> str:
@@ -36,39 +36,23 @@ def g17(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def excess(A, B, kind: NormKind = NormKind.EUCLIDEAN) -> float:
-    """sup over a in A of the distance from a to B; exact double loop.
+def excess(A, B) -> float:
+    """sup over a in A of the distance |a - b| to the nearest b in B, for
+    sets of real numbers: each a is compared with its neighbours on either
+    side in sorted B.
 
     Returns inf when A is nonempty and B is empty, 0 when A is empty.
-    Points may be scalars or equal-length vectors.
     """
-    A = _as_points(A)
-    B = _as_points(B)
-    if A.shape[0] == 0:
+    A = np.ravel(np.asarray(A, dtype=np.float64))
+    B = np.sort(np.ravel(np.asarray(B, dtype=np.float64)))
+    if A.size == 0:
         return 0.0
-    if B.shape[0] == 0:
+    if B.size == 0:
         return float("inf")
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"points must share dimension, got {A.shape[1]} vs {B.shape[1]}")
-    diff = A[:, None, :] - B[None, :, :]
-    if kind is NormKind.SUP:
-        dists = np.max(np.abs(diff), axis=2)
-    elif kind is NormKind.EUCLIDEAN:
-        dists = np.sqrt(np.sum(diff * diff, axis=2))
-    else:
-        raise ValueError("excess supports Euclidean and sup norms")
-    return float(dists.min(axis=1).max())
-
-
-def _as_points(pts) -> np.ndarray:
-    arr = np.asarray(pts, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr[:, None]
-    elif arr.ndim != 2:
-        raise ValueError("point sets must be scalars, vectors, or (n, d) arrays")
-    return arr
+    i = np.searchsorted(B, A)
+    below = np.abs(A - B[np.maximum(i - 1, 0)])
+    above = np.abs(B[np.minimum(i, B.size - 1)] - A)
+    return float(np.minimum(below, above).max())
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +76,32 @@ def _neighborhood_matrix(model, w_grid: np.ndarray, gamma: float, inner_points: 
     return np.concatenate(cols, axis=1)
 
 
-def _neighborhood_sup_curve(model, X: np.ndarray, labels) -> np.ndarray:
-    """Row-wise max of the empirical risk over the evaluation matrix."""
-    return label_risk_curves(model, X, labels).max(axis=1)
+class _Window:
+    """The parameter window of a 1-D study: its grid, the true risk on it, and
+    each label's loss on the grid and on the neighbourhood matrix, evaluated
+    once. The analytic losses depend on a sample only through its labels,
+    so every trial is built from its label counts."""
+
+    def __init__(self, model, lo: float, hi: float, gamma: float, grid_points: int, inner_points: int):
+        self.w_grid = window_grid(model, lo, hi, gamma, grid_points)
+        self.r_true = model.true_risk_curve(self.w_grid)
+        # Column 0 is the grid point itself, the rest its neighbourhood.
+        points = np.concatenate(
+            [self.w_grid[:, None], _neighborhood_matrix(model, self.w_grid, gamma, inner_points)], axis=1
+        )
+        self.loss = {lab: model.eval_scalar(points, lab) for lab in (0, 1)}
+
+    def curves(self, labels, trial: int) -> tuple[np.ndarray, np.ndarray]:
+        """(empirical risk, its neighbourhood sup) on the grid for one sample."""
+        values, counts = np.unique(labels, return_counts=True)
+        risk = label_mean(self.loss, values, counts)
+        r_emp, sup_curve = risk[:, 0], risk[:, 1:].max(axis=1)
+        if not (np.isfinite(r_emp).all() and np.isfinite(sup_curve).all()):
+            raise ValueError(
+                f"trial {trial} (m={counts.sum()}): the empirical risk is not finite on the window "
+                f"[{g17(self.w_grid[0])}, {g17(self.w_grid[-1])}]"
+            )
+        return r_emp, sup_curve
 
 
 def _spawn_seed(rng: Union[np.random.Generator, int]) -> int:
@@ -121,7 +128,6 @@ class RateRecord:
     q50: float
     q95: float
     q_alpha: float
-    n_positive: int  # trials with a strictly positive gap
 
 
 @dataclass
@@ -171,15 +177,12 @@ def rate_study(
     records = []
     for mi, m in enumerate(m_list):
         gamma_m = gamma if gamma_mode == "fixed" else gamma * m_list[0] / m
-        w_grid = window_grid(model, lo, hi, gamma_m, grid_points)
-        X = _neighborhood_matrix(model, w_grid, gamma_m, inner_points)
-        r_true = model.true_risk_curve(w_grid)
+        window = _Window(model, lo, hi, gamma_m, grid_points, inner_points)
         gaps = np.empty(trials)
         for trial in range(trials):
             trial_rng = np.random.default_rng([base_seed, mi, trial])
             labels = model.sample_labels(trial_rng, m)
-            sup_curve = _neighborhood_sup_curve(model, X, labels)
-            gaps[trial] = float(np.max(r_true - sup_curve))
+            gaps[trial] = float(np.max(window.r_true - window.curves(labels, trial)[1]))
         gaps.sort()
         q05, q50, q95 = np.quantile(gaps, [0.05, 0.5, 0.95])
         q_alpha = float(np.quantile(gaps, 1.0 - alpha))
@@ -192,7 +195,6 @@ def rate_study(
                 q50=float(q50),
                 q95=float(q95),
                 q_alpha=q_alpha,
-                n_positive=int(np.sum(gaps > 0)),
             )
         )
 
@@ -239,8 +241,6 @@ def write_rate_csv(result: RateStudyResult, path) -> None:
 class ConfidenceResult:
     epsilons: list[float]
     pass_rates: list[float]  # both excess conditions hold
-    level_rates: list[float]  # level-set condition alone
-    argmin_rates: list[float]  # argmin-set condition alone
     empty_level_sets: int  # (trial, epsilon) events with a required set empty
     gamma: float
     delta: float
@@ -279,23 +279,19 @@ def confidence_region_check(
         raise ValueError("need at least one epsilon")
     lo, hi = float(interval[0]), float(interval[1])
     base_seed = _spawn_seed(rng)
-    w_grid = window_grid(model, lo, hi, gamma, grid_points)
+    window = _Window(model, lo, hi, gamma, grid_points, inner_points)
+    w_grid, r_true = window.w_grid, window.r_true
     cell = float(np.max(np.diff(w_grid)))
-    X = _neighborhood_matrix(model, w_grid, gamma, inner_points)
-    r_true = model.true_risk_curve(w_grid)
     level_mask = r_true <= delta_level
     argmin_mask = r_true <= r_true.min() + 1e-15
 
     both = np.zeros(len(epsilons), dtype=int)
-    lvl = np.zeros(len(epsilons), dtype=int)
-    arg = np.zeros(len(epsilons), dtype=int)
     empty_events = 0
     tol = gamma + cell
     for trial in range(trials):
         trial_rng = np.random.default_rng([base_seed, trial])
         labels = model.sample_labels(trial_rng, m)
-        r_emp = label_risk_curves(model, w_grid, labels)
-        sup_curve = _neighborhood_sup_curve(model, X, labels)
+        r_emp, sup_curve = window.curves(labels, trial)
         inf_sup = float(sup_curve.min())
         for j, eps in enumerate(epsilons):
             b1 = w_grid[r_emp <= delta_level + eps]
@@ -304,14 +300,10 @@ def confidence_region_check(
                 empty_events += 1
             ok1 = excess(w_grid[level_mask], b1) <= tol
             ok2 = excess(w_grid[argmin_mask], b2) <= tol
-            lvl[j] += ok1
-            arg[j] += ok2
             both[j] += ok1 and ok2
     return ConfidenceResult(
         epsilons=epsilons,
         pass_rates=(both / trials).tolist(),
-        level_rates=(lvl / trials).tolist(),
-        argmin_rates=(arg / trials).tolist(),
         empty_level_sets=empty_events,
         gamma=gamma,
         delta=delta_level,
@@ -343,9 +335,7 @@ def write_confidence_csv(result: ConfidenceResult, path) -> None:
 class GapRecord:
     trial: int
     rho: int
-    erm_min_risk: float
     erm_gap: float  # true risk minus empirical risk at the empirical minimizer
-    drm_min_risk: float
     drm_gap: float  # true risk minus neighborhood sup at its minimizer
 
 
@@ -364,24 +354,20 @@ def erm_drm_gap_table(
     risk and of its neighborhood sup (argmin ties go to the lowest index)."""
     lo, hi = float(interval[0]), float(interval[1])
     base_seed = _spawn_seed(rng)
-    w_grid = window_grid(model, lo, hi, gamma, grid_points)
-    X = _neighborhood_matrix(model, w_grid, gamma, inner_points)
-    r_true = model.true_risk_curve(w_grid)
+    window = _Window(model, lo, hi, gamma, grid_points, inner_points)
+    r_true = window.r_true
     out = []
     for trial in range(trials):
         trial_rng = np.random.default_rng([base_seed, trial])
         labels = model.sample_labels(trial_rng, m)
-        r_emp = label_risk_curves(model, w_grid, labels)
-        sup_curve = _neighborhood_sup_curve(model, X, labels)
+        r_emp, sup_curve = window.curves(labels, trial)
         i = int(np.argmin(r_emp))
         j = int(np.argmin(sup_curve))
         out.append(
             GapRecord(
                 trial=trial,
                 rho=rho_m(labels),
-                erm_min_risk=float(r_emp[i]),
                 erm_gap=float(r_true[i] - r_emp[i]),
-                drm_min_risk=float(sup_curve[j]),
                 drm_gap=float(r_true[j] - sup_curve[j]),
             )
         )
@@ -511,11 +497,7 @@ def write_hist_csv(hist: Histogram, path, extra: Optional[dict] = None) -> None:
 
 @dataclass
 class FlatnessReport:
-    erm_reference: float
-    erm_max: float
     erm_gap: float
-    drm_reference: float
-    drm_max: float
     drm_gap: float
     flatter: Optional[str]  # "drm", "erm", or None on a tie
 
@@ -528,22 +510,12 @@ def flatness_report(hist_erm: Histogram, hist_drm: Histogram) -> FlatnessReport:
     """
     if hist_erm.direction_digest != hist_drm.direction_digest:
         raise ValueError("histograms were built from different direction sets")
-    erm_max = float(hist_erm.values.max())
-    drm_max = float(hist_drm.values.max())
-    erm_gap = erm_max - hist_erm.reference
-    drm_gap = drm_max - hist_drm.reference
+    erm_gap = float(hist_erm.values.max()) - hist_erm.reference
+    drm_gap = float(hist_drm.values.max()) - hist_drm.reference
     if drm_gap < erm_gap:
         flatter = "drm"
     elif erm_gap < drm_gap:
         flatter = "erm"
     else:
         flatter = None
-    return FlatnessReport(
-        erm_reference=hist_erm.reference,
-        erm_max=erm_max,
-        erm_gap=erm_gap,
-        drm_reference=hist_drm.reference,
-        drm_max=drm_max,
-        drm_gap=drm_gap,
-        flatter=flatter,
-    )
+    return FlatnessReport(erm_gap=erm_gap, drm_gap=drm_gap, flatter=flatter)

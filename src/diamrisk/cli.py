@@ -223,7 +223,7 @@ def _cmd_examples(args) -> int:
     n_pos = sum(1 for rec in table if rec.erm_gap > 0)
     print(f"# erm gap positive in {n_pos}/{len(table)} trials")
     print(f"# max drm gap: {g17(max(rec.drm_gap for rec in table))}")
-    if args.loss == "reciprocal":
+    if args.loss == "reciprocal" and interval[1] > 0:
         negative = [rec for rec in table if rec.rho < 0]
         if negative:
             rho = negative[0].rho

@@ -53,19 +53,25 @@ def empirical_risk(model: LossModel, w, S: Dataset) -> float:
     return model.batch_risk(w, S)
 
 
-def label_risk_curves(model, w_points: np.ndarray, labels) -> np.ndarray:
-    """Empirical risk at each w point for a label-only loss.
-
-    Groups the sample by label value, so the sum over m samples becomes a
-    count-weighted sum over distinct labels (the two are the same sum up to
-    floating-point rounding). Labels are combined in ascending order.
+def label_mean(per_label, values, counts) -> np.ndarray:
+    """Empirical risk of a sample with the given label counts, for a loss
+    that depends on a row only through its label: per_label[lab] holds that
+    label's loss values, and the count-weighted sum runs over the labels in
+    the order given (np.unique's ascending order). It is the same sum as
+    over the m rows up to floating-point rounding.
     """
+    acc = 0.0
+    for lab, count in zip(values, counts):
+        acc = acc + count * per_label[int(lab)]
+    return acc / counts.sum()
+
+
+def label_risk_curves(model, w_points: np.ndarray, labels) -> np.ndarray:
+    """Empirical risk at each w point for a label-only loss, evaluating the
+    loss once per distinct label (see label_mean)."""
     w_points = np.asarray(w_points, dtype=np.float64)
     values, counts = np.unique(np.asarray(labels), return_counts=True)
-    acc = np.zeros_like(w_points)
-    for lab, count in zip(values, counts):
-        acc = acc + count * model.eval_scalar(w_points, int(lab))
-    return acc / counts.sum()
+    return label_mean({int(lab): model.eval_scalar(w_points, int(lab)) for lab in values}, values, counts)
 
 
 def empirical_risk_curve(model, w_points: np.ndarray, S: Dataset) -> np.ndarray:

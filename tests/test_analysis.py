@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from diamrisk.analysis import (
     FlatnessReport,
-    _neighborhood_matrix,
-    _neighborhood_sup_curve,
     Histogram,
+    _Window,
     confidence_region_check,
     directions_digest,
     erm_drm_gap_table,
@@ -27,7 +26,7 @@ from diamrisk.losses import LossModel, QuadraticLoss, ReciprocalLoss, TentLoss
 from diamrisk.harness import build_datasets, default_experiment_config
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.params import NormKind, ParamVector
-from diamrisk.risk import diametrical_risk_grid_1d, label_risk_curves, neighborhood_risks, window_grid
+from diamrisk.risk import diametrical_risk_grid_1d, empirical_risk_curve, neighborhood_risks
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -48,7 +47,7 @@ class ConstantLoss(LossModel):
 
 def test_excess_of_set_over_itself_is_zero():
     rng = np.random.default_rng(0)
-    A = rng.standard_normal((10, 3))
+    A = rng.standard_normal(10)
     assert excess(A, A) == 0.0
 
 
@@ -63,27 +62,41 @@ def test_excess_brute_force_example():
     assert excess([0.0, 5.0], [3.0]) == 3.0
 
 
-def test_excess_matches_double_loop_oracle():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        A = rng.standard_normal((rng.integers(1, 8), 2))
-        B = rng.standard_normal((rng.integers(1, 8), 2))
-        oracle = max(min(float(np.linalg.norm(a - b)) for b in B) for a in A)
-        assert excess(A, B) == pytest.approx(oracle, abs=1e-12)
+def _excess_oracle(A, B):
+    """Double loop over the two sets, with the empty-set conventions."""
+    if not A:
+        return 0.0
+    if not B:
+        return float("inf")
+    return max(min(abs(a - b) for b in B) for a in A)
 
 
-def test_excess_dimension_mismatch():
-    with pytest.raises(ValueError):
-        excess(np.zeros((2, 2)), np.zeros((2, 3)))
+_POINTS = st.lists(
+    st.one_of(
+        st.floats(-1e6, 1e6),
+        st.sampled_from([0.0, -0.0, 1.0, 1e-200, -1e-200, 5e-324, 1e-170]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(A=_POINTS, B=_POINTS)
+@example(A=[], B=[])
+@example(A=[0.0], B=[])
+@example(A=[1.0, 2.0], B=[2.0, 1.0])  # every gap zero
+@example(A=[1e-200], B=[0.0, 3e-200])  # the squared gaps underflow to 0
+def test_excess_matches_double_loop_oracle(A, B):
+    assert excess(A, B) == _excess_oracle(A, B)
 
 
 def test_excess_triangle_monotonicity():
     # exs(A;B) <= exs(A;C) + exs(C;B) on 500 random finite-set triples.
     rng = np.random.default_rng(2)
     for _ in range(500):
-        A = rng.standard_normal((rng.integers(1, 6), 2))
-        B = rng.standard_normal((rng.integers(1, 6), 2))
-        C = rng.standard_normal((rng.integers(1, 6), 2))
+        A = rng.standard_normal(rng.integers(1, 6))
+        B = rng.standard_normal(rng.integers(1, 6))
+        C = rng.standard_normal(rng.integers(1, 6))
         assert excess(A, B) <= excess(A, C) + excess(C, B) + 1e-12
 
 
@@ -106,7 +119,12 @@ def test_rate_study_tent_gap_never_positive():
     assert result.slope is None
     for rec in result.records:
         assert rec.q95 <= 0.0
-        assert rec.n_positive == 0
+    # The same trials one by one: no trial's gap is positive.
+    for mi, m in enumerate([100, 400]):
+        window = _Window(tent, -2.0, 2.0, GAMMA_LOSS, 129, 129)
+        for trial in range(60):
+            labels = tent.sample_labels(np.random.default_rng([0, mi, trial]), m)
+            assert np.max(window.r_true - window.curves(labels, trial)[1]) <= 0.0
 
 
 def test_rate_study_reciprocal_quantiles_decrease_like_inverse_sqrt_m():
@@ -186,7 +204,6 @@ def test_confidence_check_delta_above_max_risk_trivially_passes():
         epsilons=[0.05],
         inner_points=65,
     )
-    assert result.level_rates[0] == 1.0
     assert result.pass_rates[0] == 1.0
 
 
@@ -238,16 +255,13 @@ def test_level_set_nesting_frequency():
     )
     q = study.records[0].q_alpha
     delta = 0.1
-    w_grid = window_grid(tent, -2.0, 2.0, GAMMA_LOSS, 65)
-    X = _neighborhood_matrix(tent, w_grid, GAMMA_LOSS, 65)
-    r_true = tent.true_risk_curve(w_grid)
+    window = _Window(tent, -2.0, 2.0, GAMMA_LOSS, 65, 65)
     hits = 0
     trials = 60
     for trial in range(trials):
         labels = tent.sample_labels(np.random.default_rng([70, trial]), 200)
-        sup_curve = _neighborhood_sup_curve(tent, X, labels)
-        inside = sup_curve <= delta
-        if np.all(r_true[inside] <= delta + q):
+        inside = window.curves(labels, trial)[1] <= delta
+        if np.all(window.r_true[inside] <= delta + q):
             hits += 1
     assert hits / trials >= 1 - alpha
 
@@ -262,15 +276,17 @@ def test_level_set_nesting_frequency():
     labels=st.lists(st.integers(0, 1), min_size=1, max_size=40),
 )
 def test_neighborhood_sup_rows_match_the_grid_oracle(loss, lo, width, gamma, n, labels):
-    # The fast path of rate, confidence and examples against the grid
-    # estimator, bit for bit, at every centre of the window grid.
+    # The trial curves of rate, confidence and examples against the risk
+    # layer, bit for bit: the empirical risk curve, and the grid estimator of
+    # the neighbourhood sup at every centre of the window grid.
     model = TentLoss(KAPPA, GAMMA_LOSS) if loss == "tent" else ReciprocalLoss()
     if loss == "reciprocal":  # every neighbourhood off the pole: w - gamma > 0
         lo = gamma + abs(lo) + 0.01
-    w_grid = window_grid(model, lo, lo + width, gamma, 9)
-    sup_curve = _neighborhood_sup_curve(model, _neighborhood_matrix(model, w_grid, gamma, n), labels)
+    window = _Window(model, lo, lo + width, gamma, 9, n)
+    r_emp, sup_curve = window.curves(labels, 0)
     S = Dataset.from_labels(labels)
-    for w, value in zip(w_grid, sup_curve):
+    assert r_emp.tobytes() == empirical_risk_curve(model, window.w_grid, S).tobytes()
+    for w, value in zip(window.w_grid, sup_curve):
         assert value == diametrical_risk_grid_1d(model, w, gamma, S, grid_points=n).value
 
 

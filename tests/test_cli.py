@@ -116,6 +116,25 @@ def test_examples_subcommand_reciprocal(capsys):
     assert "log grid near 0" in out
 
 
+def test_examples_non_finite_window_exits_1(capsys):
+    # 1/w overflows at the window's lower end, so the empirical risk there is
+    # inf - inf; the command names the trial instead of printing nan.
+    argv = ["examples", "--loss", "reciprocal", "--w-lo", "1e-320", "--m", "20", "--trials", "3"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert "trial 0" in captured.err and "not finite" in captured.err
+    assert "nan" not in captured.out
+
+
+def test_examples_window_below_zero_prints_no_log_grid_line(capsys):
+    argv = ["examples", "--loss", "reciprocal", "--w-lo", "-3", "--w-hi", "-1", "--m", "20", "--trials", "3"]
+    with np.errstate(all="raise"):
+        assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert "log grid" not in out and "nan" not in out
+
+
 def test_examples_passes_inner_points(capsys, monkeypatch):
     seen = {}
 
