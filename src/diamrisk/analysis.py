@@ -31,6 +31,17 @@ def g17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def csv_text(meta: dict, header: Optional[str], rows) -> str:
+    """The text of an artifact CSV: a '# key=value' line per meta item, then
+    the header line when there is one, then each row's cells (strings)
+    joined by commas."""
+    lines = [f"# {key}={value}" for key, value in meta.items()]
+    if header is not None:
+        lines.append(header)
+    lines += [",".join(row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # Excess of one point set over another (one-sided Hausdorff distance).
 # ---------------------------------------------------------------------------
@@ -89,12 +100,15 @@ class _Window:
         points = np.concatenate(
             [self.w_grid[:, None], _neighborhood_matrix(model, self.w_grid, gamma, inner_points)], axis=1
         )
-        self.loss = {lab: model.eval_scalar(points, lab) for lab in (0, 1)}
+        # A window reaching a pole overflows; curves() raises on the non-finite risk.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.loss = {lab: model.eval_scalar(points, lab) for lab in (0, 1)}
 
     def curves(self, labels, trial: int) -> tuple[np.ndarray, np.ndarray]:
         """(empirical risk, its neighbourhood sup) on the grid for one sample."""
         values, counts = np.unique(labels, return_counts=True)
-        risk = label_mean(self.loss, values, counts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            risk = label_mean(self.loss, values, counts)
         r_emp, sup_curve = risk[:, 0], risk[:, 1:].max(axis=1)
         if not (np.isfinite(r_emp).all() and np.isfinite(sup_curve).all()):
             raise ValueError(
@@ -213,23 +227,22 @@ def rate_study(
     )
 
 
-def write_rate_csv(result: RateStudyResult, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# alpha={g17(result.alpha)}\n")
-        fh.write(f"# eps_floor={g17(EPS_FLOOR)}\n")
-        fh.write(f"# gamma_mode={result.gamma_mode}\n")
-        fh.write(f"# all_nonpositive={int(result.all_nonpositive)}\n")
-        fh.write(
-            "# note=the fitted quantile coefficient absorbs all variance and "
-            "covering constants; confidence-level variants of the bound are "
-            "empirically indistinguishable\n"
-        )
-        fh.write("m,trials,q05,q50,q95,slope\n")
-        slope_txt = "" if result.slope is None else g17(result.slope)
-        for rec in result.records:
-            fh.write(
-                f"{rec.m},{rec.trials},{g17(rec.q05)},{g17(rec.q50)},{g17(rec.q95)},{slope_txt}\n"
-            )
+def rate_csv(result: RateStudyResult) -> str:
+    meta = {
+        "alpha": g17(result.alpha),
+        "eps_floor": g17(EPS_FLOOR),
+        "gamma_mode": result.gamma_mode,
+        "all_nonpositive": int(result.all_nonpositive),
+        "note": "the fitted quantile coefficient absorbs all variance and "
+        "covering constants; confidence-level variants of the bound are "
+        "empirically indistinguishable",
+    }
+    slope_txt = "" if result.slope is None else g17(result.slope)
+    rows = [
+        (str(rec.m), str(rec.trials), g17(rec.q05), g17(rec.q50), g17(rec.q95), slope_txt)
+        for rec in result.records
+    ]
+    return csv_text(meta, "m,trials,q05,q50,q95,slope", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +326,17 @@ def confidence_region_check(
     )
 
 
-def write_confidence_csv(result: ConfidenceResult, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# gamma={g17(result.gamma)}\n")
-        fh.write(f"# delta={g17(result.delta)}\n")
-        fh.write(f"# m={result.m}\n")
-        fh.write(f"# trials={result.trials}\n")
-        fh.write(f"# grid_cell={g17(result.cell)}\n")
-        fh.write(f"# empty_level_sets={result.empty_level_sets}\n")
-        fh.write("epsilon,pass_rate\n")
-        for eps, rate in zip(result.epsilons, result.pass_rates):
-            fh.write(f"{g17(eps)},{g17(rate)}\n")
+def confidence_csv(result: ConfidenceResult) -> str:
+    meta = {
+        "gamma": g17(result.gamma),
+        "delta": g17(result.delta),
+        "m": result.m,
+        "trials": result.trials,
+        "grid_cell": g17(result.cell),
+        "empty_level_sets": result.empty_level_sets,
+    }
+    rows = [(g17(eps), g17(rate)) for eps, rate in zip(result.epsilons, result.pass_rates)]
+    return csv_text(meta, "epsilon,pass_rate", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +494,17 @@ def landscape_histogram(
     return hists[0] if isinstance(w_center, ParamVector) else hists
 
 
-def write_hist_csv(hist: Histogram, path, extra: Optional[dict] = None) -> None:
-    """Metadata lines prefixed '#', then one neighborhood risk value per line."""
-    with open(path, "w") as fh:
-        fh.write(f"# n={len(hist.values)}\n")
-        fh.write(f"# gamma={g17(hist.gamma)}\n")
-        fh.write(f"# kind={hist.kind.value}\n")
-        fh.write(f"# reference={g17(hist.reference)}\n")
-        fh.write(f"# direction_digest={hist.direction_digest}\n")
-        for key, value in (extra or {}).items():
-            fh.write(f"# {key}={value}\n")
-        for v in hist.values:
-            fh.write(g17(v) + "\n")
+def hist_csv(hist: Histogram, **extra) -> str:
+    """Metadata lines, extra's last, then one neighborhood risk value per line."""
+    meta = {
+        "n": len(hist.values),
+        "gamma": g17(hist.gamma),
+        "kind": hist.kind.value,
+        "reference": g17(hist.reference),
+        "direction_digest": hist.direction_digest,
+        **extra,
+    }
+    return csv_text(meta, None, [(g17(v),) for v in hist.values])
 
 
 @dataclass

@@ -15,26 +15,28 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
+    confidence_csv,
     confidence_region_check,
+    csv_text,
     erm_drm_gap_table,
     g17,
+    hist_csv,
     landscape_histogram,
+    rate_csv,
     rate_study,
-    write_confidence_csv,
-    write_hist_csv,
-    write_rate_csv,
 )
 from .harness import (
     ConfigError,
     build_datasets,
+    check_out_path,
     experiment_config_from_dict,
     load_experiment_config,
     run_label_noise_experiment,
+    write_artifacts,
 )
 from .losses import ReciprocalLoss, TentLoss
 from .mlp import MlpLossModel
@@ -110,6 +112,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    out = check_out_path(args.out or ".")
     model = _loss_from_args(args)
     result = rate_study(
         model,
@@ -119,13 +122,11 @@ def _cmd_rate(args) -> int:
         trials=args.trials,
         alpha=args.alpha,
         grid_points=args.grid,
-        rng=args.seed if args.seed is not None else 0,
+        rng=args.seed,
         inner_points=args.inner,
         gamma_mode=args.gamma_mode,
     )
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    write_rate_csv(result, out / "rate.csv")
+    write_artifacts(out, {"rate.csv": rate_csv(result)})
     for rec in result.records:
         print(
             f"m={rec.m:>7d}  gamma={rec.gamma:.6g}  q05={rec.q05:.6g}  "
@@ -140,6 +141,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_confidence(args) -> int:
+    out = check_out_path(args.out or ".")
     model = _loss_from_args(args)
     result = confidence_region_check(
         model,
@@ -149,13 +151,11 @@ def _cmd_confidence(args) -> int:
         m=args.m,
         trials=args.trials,
         grid_points=args.grid,
-        rng=args.seed if args.seed is not None else 0,
+        rng=args.seed,
         epsilons=args.eps,
         inner_points=args.inner,
     )
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    write_confidence_csv(result, out / "confidence.csv")
+    write_artifacts(out, {"confidence.csv": confidence_csv(result)})
     for eps, rate in zip(result.epsilons, result.pass_rates):
         print(f"eps={eps:.6g}  pass_rate={rate:.4f}")
     if result.empty_level_sets:
@@ -165,6 +165,7 @@ def _cmd_confidence(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
+    out = check_out_path(args.out or ".")
     cfg = load_experiment_config(args.config)
     try:
         w = ParamVector.load(args.checkpoint)
@@ -187,18 +188,17 @@ def _cmd_landscape(args) -> int:
         cfg.drm.norm_kind,
         args.n,
         train,
-        rng=np.random.default_rng(args.seed if args.seed is not None else 0),
+        rng=np.random.default_rng(args.seed),
         bins=args.bins,
     )
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    write_hist_csv(hist, out / "hist.csv", extra={"checkpoint": args.checkpoint})
+    write_artifacts(out, {"hist.csv": hist_csv(hist, checkpoint=args.checkpoint)})
     print(f"reference risk {hist.reference:.6g}, neighborhood max {hist.values.max():.6g}")
     print(f"wrote {out / 'hist.csv'}")
     return 0
 
 
 def _cmd_examples(args) -> int:
+    out = check_out_path(args.out) if args.out else None
     model = _loss_from_args(args)
     interval = _default_interval(args)
     table = erm_drm_gap_table(
@@ -208,18 +208,18 @@ def _cmd_examples(args) -> int:
         m=args.m,
         trials=args.trials,
         grid_points=args.grid,
-        rng=args.seed if args.seed is not None else 0,
+        rng=args.seed,
         inner_points=args.inner,
     )
+    rows = [(str(rec.trial), str(rec.rho), g17(rec.erm_gap), g17(rec.drm_gap)) for rec in table]
+    text = csv_text({}, "trial,rho,erm_gap,drm_gap", rows)
     if args.loss == "tent":
         print("trial,rho,erm_gap,erm_bound,drm_gap")
         for rec in table:
             bound = max(0, -rec.rho) * args.kappa / args.m
             print(f"{rec.trial},{rec.rho},{g17(rec.erm_gap)},{g17(bound)},{g17(rec.drm_gap)}")
     else:
-        print("trial,rho,erm_gap,drm_gap")
-        for rec in table:
-            print(f"{rec.trial},{rec.rho},{g17(rec.erm_gap)},{g17(rec.drm_gap)}")
+        print(text, end="")
     n_pos = sum(1 for rec in table if rec.erm_gap > 0)
     print(f"# erm gap positive in {n_pos}/{len(table)} trials")
     print(f"# max drm gap: {g17(max(rec.drm_gap for rec in table))}")
@@ -230,13 +230,8 @@ def _cmd_examples(args) -> int:
             w_grid = np.logspace(-8, np.log10(interval[1]), 200)
             curve = (rho / args.m) / w_grid
             print(f"# empirical risk min over a log grid near 0 (rho={rho}): {g17(curve.min())}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "examples.csv", "w") as fh:
-            fh.write("trial,rho,erm_gap,drm_gap\n")
-            for rec in table:
-                fh.write(f"{rec.trial},{rec.rho},{g17(rec.erm_gap)},{g17(rec.drm_gap)}\n")
+    if out is not None:
+        write_artifacts(out, {"examples.csv": text})
         print(f"# wrote {out / 'examples.csv'}")
     return 0
 
@@ -249,8 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_at_least(0), default=None, help="override the seed")
     common.add_argument("--out", default=None, help="output directory")
+    # run's --seed is its own: parents share Action objects, so a default
+    # set on one subcommand would change every other's.
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=_at_least(0), default=0, help="random seed")
 
     scalar = argparse.ArgumentParser(add_help=False)
     scalar.add_argument("--loss", choices=("tent", "reciprocal"), default="tent")
@@ -264,23 +262,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[common], help="run the label-noise experiment")
     p.add_argument("--config", required=True, help="experiment JSON config")
+    p.add_argument("--seed", type=_at_least(0), default=None, help="override the config's seeds")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("rate", parents=[common, scalar], help="sup-gap rate study")
+    p = sub.add_parser("rate", parents=[seeded, scalar], help="sup-gap rate study")
     p.add_argument("--m", type=_sizes, default="250,1000,4000,16000", help="comma-separated sample sizes")
     p.add_argument("--trials", type=_at_least(30), default=200)
     p.add_argument("--alpha", type=_fraction, default=0.05)
     p.add_argument("--gamma-mode", dest="gamma_mode", choices=("fixed", "inverse_m"), default="fixed")
     p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("confidence", parents=[common, scalar], help="confidence-region check")
+    p = sub.add_parser("confidence", parents=[seeded, scalar], help="confidence-region check")
     p.add_argument("--m", type=_at_least(1), default=1000)
     p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--delta", type=_finite, default=0.0, help="risk level of the target set")
     p.add_argument("--eps", type=_slacks, default="0.0,0.01,0.1", help="comma-separated slack values")
     p.set_defaults(func=_cmd_confidence)
 
-    p = sub.add_parser("landscape", parents=[common], help="neighborhood risk histogram")
+    p = sub.add_parser("landscape", parents=[seeded], help="neighborhood risk histogram")
     p.add_argument("--config", required=True, help="experiment JSON config (dataset + model)")
     p.add_argument("--checkpoint", required=True, help="ParamVector JSON checkpoint")
     p.add_argument("--gamma", type=_nonnegative, required=True)
@@ -288,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_at_least(1), default=50)
     p.set_defaults(func=_cmd_landscape)
 
-    p = sub.add_parser("examples", parents=[common, scalar], help="ERM vs DRM gap tables")
+    p = sub.add_parser("examples", parents=[seeded, scalar], help="ERM vs DRM gap tables")
     p.add_argument("--m", type=_at_least(1), default=1000)
     p.add_argument("--trials", type=_at_least(1), default=200)
     p.set_defaults(func=_cmd_examples)

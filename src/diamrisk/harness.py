@@ -1,4 +1,5 @@
-"""Label-noise experiment orchestration and the JSON config schema.
+"""Label-noise experiment orchestration, the JSON config schema, and the
+staged writer through which every subcommand writes its artifacts.
 
 An experiment trains the same network on the same corrupted dataset twice,
 once with plain SGD and once with the worst-case-neighborhood variant,
@@ -25,8 +26,8 @@ import numpy as np
 from .analysis import (
     FlatnessReport,
     flatness_report,
+    hist_csv,
     landscape_histogram,
-    write_hist_csv,
 )
 from .data import Dataset, flip_labels, gen_gaussian_blobs
 from .mlp import MlpLossModel, MlpSpec, init_params
@@ -80,7 +81,6 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "landscape": _Key(dict),
     },
     "dataset": {
-        "generator": _Key(("gaussian_blobs",), "gaussian_blobs"),
         "n_train": _Key(int, 300, 1, MAX_COUNT),
         "n_test": _Key(int, 600, 1, MAX_COUNT),
         "input_dim": _Key(int, 20, 1, MAX_COUNT),
@@ -118,7 +118,6 @@ SCHEMA: dict[str, dict[str, _Key]] = {
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    generator: str
     n_train: int
     n_test: int
     input_dim: int
@@ -136,7 +135,7 @@ class ExperimentConfig:
     landscape_n: int
     landscape_bins: int
     out_dir: Optional[str]
-    raw: dict = field(default=None, repr=False, compare=False)
+    raw: dict = field(repr=False, compare=False)
 
     def mlp_spec(self) -> MlpSpec:
         return MlpSpec(
@@ -272,6 +271,38 @@ def default_experiment_config(seed: int = 0, out_dir: Optional[str] = None) -> E
     return experiment_config_from_dict(default_experiment_dict(seed, out_dir))
 
 
+def check_out_path(out) -> Path:
+    """The output directory out as a Path, checked before any work: neither
+    it nor a parent may exist as a non-directory."""
+    out = Path(out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {out}: {existing} exists and is not a directory")
+    return out
+
+
+def write_artifacts(out: Path, files: dict[str, str]) -> None:
+    """Write each named text into the directory out, all or none: the files
+    are staged beside out and moved into place after the last one is written,
+    so a failure or Ctrl-C leaves no partial set and earlier files unchanged.
+    The stage sits inside mkdtemp's private (0o700) directory so that it gets
+    the mode mkdir gives."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    stage = scratch / "out"
+    try:
+        stage.mkdir()
+        for name, text in files.items():
+            (stage / name).write_text(text)
+        if out.exists():
+            for path in sorted(stage.iterdir()):
+                os.replace(path, out / path.name)
+        else:
+            os.replace(stage, out)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """(noisy train, clean test), both deterministic in the seeds."""
     ds = cfg.dataset
@@ -328,10 +359,7 @@ def run_label_noise_experiment(
     target = out_dir if out_dir is not None else cfg.out_dir
     if target is None:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")
-    out = Path(target)
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"output path {out}: {existing} exists and is not a directory")
+    out = check_out_path(target)
 
     train, test = build_datasets(cfg)
     spec = cfg.mlp_spec()
@@ -364,32 +392,16 @@ def run_label_noise_experiment(
             "flatter": report.flatter,
         },
     }
-    # Every file goes into a staging directory beside out and is moved into
-    # place only after the last one is written, so a failure or Ctrl-C while
-    # writing leaves no partial set. The stage sits inside mkdtemp's private
-    # (0o700) directory so that it gets the mode mkdir gives.
-    out.parent.mkdir(parents=True, exist_ok=True)
-    scratch = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
-    stage = scratch / "out"
-    try:
-        stage.mkdir()
-        erm_trace.save_csv(stage / "trace_erm.csv")
-        drm_trace.save_csv(stage / "trace_drm.csv")
-        erm_final.save(stage / "checkpoint_erm.json")
-        drm_final.save(stage / "checkpoint_drm.json")
-        write_hist_csv(hist_erm, stage / "hist_erm.csv", extra={"solution": "erm"})
-        write_hist_csv(hist_drm, stage / "hist_drm.csv", extra={"solution": "drm"})
-        with open(stage / "config.json", "w") as fh:
-            json.dump(cfg.raw if cfg.raw is not None else {}, fh, indent=2, sort_keys=True)
-        with open(stage / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        if out.exists():
-            for path in sorted(stage.iterdir()):
-                os.replace(path, out / path.name)
-        else:
-            os.replace(stage, out)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    write_artifacts(out, {
+        "trace_erm.csv": erm_trace.to_csv_text(),
+        "trace_drm.csv": drm_trace.to_csv_text(),
+        "checkpoint_erm.json": erm_final.to_json(),
+        "checkpoint_drm.json": drm_final.to_json(),
+        "hist_erm.csv": hist_csv(hist_erm, solution="erm"),
+        "hist_drm.csv": hist_csv(hist_drm, solution="drm"),
+        "config.json": json.dumps(cfg.raw, indent=2, sort_keys=True),
+        "summary.json": json.dumps(summary, indent=2, sort_keys=True),
+    })
 
     return ExperimentResult(
         out_dir=out,

@@ -22,10 +22,8 @@ repeated simple steps.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
-import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,6 +31,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .analysis import csv_text
 from .data import Dataset
 from .losses import LossModel
 from .params import FeasibleSet, NonFiniteError, NormKind, ParamVector, Unbounded
@@ -166,42 +165,19 @@ class RunTrace:
     epochs: list[EpochRecord] = field(default_factory=list)
     batch_digest: str = ""
 
-    def rows(self) -> list[tuple]:
-        """Merged per-iteration and per-epoch rows in chronological order."""
-        out = []
+    def to_csv_text(self) -> str:
+        """Iteration and epoch rows in chronological order; a blank cell does not apply."""
         epoch_by_end = {e.iter: e for e in self.epochs}
+        rows = []
         for rec in self.iterations:
-            out.append(
-                (
-                    rec.iter,
-                    rec.epoch,
-                    "sample" if rec.event else "",
-                    rec.lr,
-                    rec.batch_risk,
-                    rec.perturbed_batch_risk,
-                    None,
-                    None,
-                    None,
-                )
-            )
+            event = "sample" if rec.event else ""
+            rows.append((rec.iter, rec.epoch, event, rec.lr, rec.batch_risk, rec.perturbed_batch_risk,
+                         None, None, None))
             e = epoch_by_end.get(rec.iter)
             if e is not None:
-                out.append(
-                    (e.iter, e.epoch, "epoch", None, None, None, e.train_risk, e.test_acc, e.diam_risk_est)
-                )
-        return out
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(TRACE_CSV_HEADER + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in self.rows():
-            writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v) for v in row])
-        return buf.getvalue()
-
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
+                rows.append((e.iter, e.epoch, "epoch", None, None, None,
+                             e.train_risk, e.test_acc, e.diam_risk_est))
+        return csv_text({}, TRACE_CSV_HEADER, (["" if v is None else str(v) for v in row] for row in rows))
 
 
 def make_batch_indices(m: int, batch_size: int, epoch_seed) -> list[np.ndarray]:

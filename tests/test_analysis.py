@@ -9,17 +9,18 @@ from diamrisk.analysis import (
     FlatnessReport,
     Histogram,
     _Window,
+    confidence_csv,
     confidence_region_check,
+    csv_text,
     directions_digest,
     erm_drm_gap_table,
     excess,
     flatness_report,
+    hist_csv,
     landscape_histogram,
+    rate_csv,
     rate_study,
     sample_directions,
-    write_confidence_csv,
-    write_hist_csv,
-    write_rate_csv,
 )
 from diamrisk.data import Dataset, gen_gaussian_blobs
 from diamrisk.losses import LossModel, QuadraticLoss, ReciprocalLoss, TentLoss
@@ -516,34 +517,39 @@ def test_flatness_report_rejects_mismatched_directions():
         flatness_report(h1, h2)
 
 
-def test_csv_writers_roundtrip_shapes(tmp_path):
+def test_csv_text_layout():
+    text = csv_text({"a": 1, "b": "x=y"}, "h1,h2", [("1", "2"), ("", "3")])
+    assert text == "# a=1\n# b=x=y\nh1,h2\n1,2\n,3\n"
+    assert csv_text({}, None, [("0.5",)]) == "0.5\n"
+    assert csv_text({}, None, []) == ""
+
+
+def test_csv_writers_roundtrip_shapes():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
     study = rate_study(
         tent, (-2.0, 2.0), GAMMA_LOSS, [50, 100], trials=30, alpha=0.05,
         grid_points=65, rng=20, inner_points=65,
     )
-    rate_path = tmp_path / "rate.csv"
-    write_rate_csv(study, rate_path)
-    lines = rate_path.read_text().splitlines()
+    lines = rate_csv(study).splitlines()
     header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
     assert lines[header_idx] == "m,trials,q05,q50,q95,slope"
     assert len(lines) == header_idx + 1 + 2
+    assert lines[2:4] == ["# gamma_mode=fixed", f"# all_nonpositive={int(study.all_nonpositive)}"]
 
     conf = confidence_region_check(
         tent, (-2.0, 2.0), GAMMA_LOSS, 0.0, m=50, trials=10, grid_points=65,
         rng=21, epsilons=[0.0, 0.1], inner_points=65,
     )
-    conf_path = tmp_path / "confidence.csv"
-    write_confidence_csv(conf, conf_path)
-    lines = conf_path.read_text().splitlines()
-    assert "epsilon,pass_rate" in lines
-    assert lines[-1].count(",") == 1
+    lines = confidence_csv(conf).splitlines()
+    assert lines[2:4] == ["# m=50", "# trials=10"]
+    assert lines[-3] == "epsilon,pass_rate"
+    rows = [tuple(map(float, ln.split(","))) for ln in lines[-2:]]
+    assert rows == list(zip(conf.epsilons, conf.pass_rates))
 
     quad = QuadraticLoss(dim=1)
     S = Dataset(X=[[1.0]], y=[0], t=[0.0])
     hist = landscape_histogram(quad, quad.wrap(0.0), 1.0, NormKind.EUCLIDEAN, 25, S, rng=22)
-    hist_path = tmp_path / "hist.csv"
-    write_hist_csv(hist, hist_path)
-    lines = hist_path.read_text().splitlines()
+    lines = hist_csv(hist, solution="erm").splitlines()
+    assert lines[0] == "# n=25" and lines[5] == "# solution=erm"
     values = [float(x) for x in lines if not x.startswith("#")]
-    assert len(values) == 25
+    assert values == hist.values.tolist()

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,15 +117,30 @@ def test_examples_subcommand_reciprocal(capsys):
     assert "log grid near 0" in out
 
 
+def _non_finite_window_stderr(capsys, w_lo: str, m: int) -> list[str]:
+    argv = ["examples", "--loss", "reciprocal", "--w-lo", w_lo, "--m", str(m), "--trials", "3"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out
+    return captured.err.splitlines()
+
+
+# Under filterwarnings("error") a numpy RuntimeWarning would become the
+# command's error instead of the message naming the trial.
+@pytest.mark.filterwarnings("error")
 def test_examples_non_finite_window_exits_1(capsys):
     # 1/w overflows at the window's lower end, so the empirical risk there is
-    # inf - inf; the command names the trial instead of printing nan.
-    argv = ["examples", "--loss", "reciprocal", "--w-lo", "1e-320", "--m", "20", "--trials", "3"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli_main(argv) == 1
-    captured = capsys.readouterr()
-    assert "trial 0" in captured.err and "not finite" in captured.err
-    assert "nan" not in captured.out
+    # inf - inf; the command names the trial instead of printing nan, and
+    # prints nothing else to stderr.
+    err = _non_finite_window_stderr(capsys, "1e-320", 20)
+    assert len(err) == 1 and err[0].startswith("error: trial 0 (m=20): the empirical risk is not finite")
+
+
+@pytest.mark.filterwarnings("error")
+def test_examples_window_overflowing_in_the_label_mean_exits_1(capsys):
+    # The losses are finite at w = 1e-306, but count * 1e306 overflows.
+    err = _non_finite_window_stderr(capsys, "1e-306", 2000)
+    assert len(err) == 1 and err[0].startswith("error: trial 0 (m=2000): the empirical risk is not finite")
 
 
 def test_examples_window_below_zero_prints_no_log_grid_line(capsys):
@@ -133,6 +149,18 @@ def test_examples_window_below_zero_prints_no_log_grid_line(capsys):
         assert cli_main(argv) == 0
     out = capsys.readouterr().out
     assert "log grid" not in out and "nan" not in out
+
+
+def test_seed_defaults_to_0_and_run_keeps_the_config_seeds(capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(["run", "--config", "c.json"]).seed is None
+    for command in ("rate", "confidence", "examples"):
+        assert parser.parse_args([command]).seed == 0
+    argv = ["examples", "--m", "50", "--trials", "3", "--grid", "9", "--inner", "5"]
+    assert cli_main(argv) == 0
+    unseeded = capsys.readouterr().out
+    assert cli_main([*argv, "--seed", "0"]) == 0
+    assert capsys.readouterr().out == unseeded
 
 
 def test_examples_passes_inner_points(capsys, monkeypatch):
@@ -317,6 +345,20 @@ def test_landscape_nonpositive_sizes_exit_2(tmp_path, capsys, flag):
 SMALL_STUDY = ["--loss", "tent", "--trials", "30", "--grid", "65", "--inner", "65"]
 
 
+def _small_argv(tmp_path, command) -> list[str]:
+    """A quick, valid invocation of command, without --out."""
+    if command in ("run", "landscape"):
+        cfg_path = tiny_config(tmp_path)
+        if command == "run":
+            return ["run", "--config", str(cfg_path)]
+        spec = experiment_config_from_dict(json.loads(cfg_path.read_text())).mlp_spec()
+        checkpoint = tmp_path / "w.json"
+        init_params(spec, np.random.default_rng(0)).save(checkpoint)
+        return [command, "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+                "--gamma", "1", "--n", "10"]
+    return [command, "--m", "50,100" if command == "rate" else "50", *SMALL_STUDY]
+
+
 BAD_FLAGS = [
     ("rate", ["--gamma", "nan"], "--gamma"),
     ("rate", ["--gamma", "-1"], "--gamma"),
@@ -352,16 +394,8 @@ BAD_FLAGS = [
     ids=[f"{c} {' '.join(e)}" for c, e, _ in BAD_FLAGS],
 )
 def test_bad_numeric_flags_exit_2_before_work(tmp_path, capsys, command, extra, fragment):
-    if command == "landscape":
-        cfg_path = tiny_config(tmp_path)
-        spec = experiment_config_from_dict(json.loads(cfg_path.read_text())).mlp_spec()
-        checkpoint = tmp_path / "w.json"
-        init_params(spec, np.random.default_rng(0)).save(checkpoint)
-        base = ["--config", str(cfg_path), "--checkpoint", str(checkpoint), "--gamma", "1", "--n", "10"]
-    else:
-        base = ["--m", "50", *SMALL_STUDY] if command != "rate" else ["--m", "50,100", *SMALL_STUDY]
     out = tmp_path / "out"
-    assert cli_main([command, *base, *extra, "--out", str(out)]) == 2
+    assert cli_main([*_small_argv(tmp_path, command), *extra, "--out", str(out)]) == 2
     assert fragment in capsys.readouterr().err
     assert not out.exists()
 
@@ -378,12 +412,50 @@ def test_divergence_names_the_iteration_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "exp").exists()
 
 
-@pytest.mark.parametrize("blocker", ["exp", "parent"])
-def test_out_path_under_a_file_exits_2_before_training(tmp_path, capsys, monkeypatch, blocker):
-    cfg_path = tiny_config(tmp_path)
+# The functions that do each subcommand's work; the test below sets them all
+# to None, so that any work raises TypeError and exits 1.
+WORK = [
+    (harness, "build_datasets"), (harness, "sgd_erm_run"), (cli, "rate_study"),
+    (cli, "confidence_region_check"), (cli, "build_datasets"), (cli, "landscape_histogram"),
+    (cli, "erm_drm_gap_table"),
+]
+BLOCKED = [(c, b) for c in ("run", "rate", "confidence", "landscape", "examples") for b in ("exp", "parent")]
+
+
+@pytest.mark.parametrize(
+    "command,blocker", BLOCKED, ids=[b if c == "run" else f"{c}-{b}" for c, b in BLOCKED]
+)
+def test_out_path_under_a_file_exits_2_before_training(tmp_path, capsys, monkeypatch, command, blocker):
+    argv = _small_argv(tmp_path, command)
     (tmp_path / blocker).write_text("keep")
     out = tmp_path / "exp" if blocker == "exp" else tmp_path / "parent" / "exp"
-    monkeypatch.setattr(harness, "sgd_erm_run", None)  # training would raise TypeError
-    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    for module, name in WORK:
+        monkeypatch.setattr(module, name, None)
+    assert cli_main([*argv, "--out", str(out)]) == 2
     assert "not a directory" in capsys.readouterr().err
     assert (tmp_path / blocker).read_text() == "keep"
+
+
+def test_failed_write_leaves_an_earlier_rate_csv_unchanged(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "rate"
+    argv = [*_small_argv(tmp_path, "rate"), "--out", str(out)]
+    assert cli_main([*argv, "--seed", "1"]) == 0
+    before = (out / "rate.csv").read_bytes()
+
+    def fail(path, text, *args, **kwargs):
+        path.write_bytes(text[: len(text) // 2].encode())  # the disk fills halfway through
+        raise OSError(f"disk full writing {path.name}")
+
+    monkeypatch.setattr(Path, "write_text", fail)
+    assert cli_main([*argv, "--seed", "2"]) == 1
+    assert "disk full writing rate.csv" in capsys.readouterr().err
+    assert (out / "rate.csv").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["rate"]  # no .rate.* staging directory
+    assert [p.name for p in out.iterdir()] == ["rate.csv"]
+
+
+def test_rate_without_out_writes_only_rate_csv_in_the_working_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(_small_argv(tmp_path, "rate")) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["rate.csv"]
+    assert capsys.readouterr().out.endswith("wrote rate.csv\n")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diamrisk import harness
 from diamrisk.cli import cli_main
 from diamrisk.harness import (
     SCHEMA,
@@ -65,6 +64,10 @@ def test_unknown_keys_are_hard_errors():
     obj = tiny_config_dict()
     obj["extras"] = {}
     with pytest.raises(ConfigError, match="extras"):
+        experiment_config_from_dict(obj)
+    obj = tiny_config_dict()
+    obj["dataset"]["generator"] = "gaussian_blobs"  # removed: it had one allowed value and no reader
+    with pytest.raises(ConfigError, match="generator"):
         experiment_config_from_dict(obj)
 
 
@@ -333,10 +336,17 @@ def test_run_experiment_gamma_zero_traces_identical(tmp_path):
 
 
 def _fail_writing_histograms(monkeypatch, exc):
-    def fail(*args, **kwargs):
-        raise exc
+    """Make the staged writer fail at hist_erm.csv, after it has staged the
+    traces and checkpoints."""
+    write_text = Path.write_text
 
-    monkeypatch.setattr(harness, "write_hist_csv", fail)
+    def fail(path, *args, **kwargs):
+        if path.name == "hist_erm.csv":
+            assert (path.parent / "trace_erm.csv").exists()
+            raise exc
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail)
 
 
 def test_interrupted_run_leaves_no_output_directory(tmp_path, monkeypatch):
