@@ -71,9 +71,4 @@ from .params import (
     norm,
     sample_sphere,
 )
-from .risk import (
-    RiskEstimate,
-    diametrical_risk_grid_1d,
-    diametrical_risk_sampled,
-    empirical_risk,
-)
+from .risk import diametrical_risk_grid_1d, diametrical_risk_sampled, empirical_risk

@@ -395,8 +395,6 @@ def erm_drm_gap_table(
 @dataclass
 class Histogram:
     values: np.ndarray
-    bin_edges: np.ndarray
-    counts: np.ndarray
     reference: float  # empirical risk at the center point
     gamma: float
     kind: NormKind
@@ -436,7 +434,6 @@ def landscape_histogram(
     S: Dataset,
     rng: Union[np.random.Generator, int],
     *,
-    bins: int = 50,
     max_workers: int = 1,
 ) -> Union[Histogram, list[Histogram]]:
     """Empirical risk at n_samples random norm-gamma points around w_center.
@@ -449,13 +446,10 @@ def landscape_histogram(
     directions at once and fans the evaluations out to a thread pool instead
     (measured slower; only the benchmark's span tests use it); results are
     written by draw index, so the histogram does not depend on scheduling.
-    When the value range is too narrow to split into bins, the histogram is
-    one bin [min, max].
+    A non-finite neighborhood risk raises ValueError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     centers = [w_center] if isinstance(w_center, ParamVector) else list(w_center)
     if not centers:
         raise ValueError("need at least one center")
@@ -479,18 +473,12 @@ def landscape_histogram(
         for u in directions:
             digest.update(u.flat().tobytes())
 
-    hists = []
-    for w, values in zip(centers, rows):
-        try:
-            counts, edges = np.histogram(values, bins=bins)
-        except ValueError as exc:
-            # Value range too narrow to split into the requested bins; numpy
-            # cannot widen it either when the values are large.
-            if "Too many bins" not in str(exc):
-                raise
-            counts, edges = np.array([n_samples]), np.array([values.min(), values.max()])
-        reference = float(model.batch_risk(w, S))
-        hists.append(Histogram(values, edges, counts, reference, gamma, kind, digest.hexdigest()))
+    if not np.isfinite(rows).all():
+        raise ValueError(f"non-finite neighborhood risk at gamma={gamma:g}")
+    hists = [
+        Histogram(values, float(model.batch_risk(w, S)), gamma, kind, digest.hexdigest())
+        for w, values in zip(centers, rows)
+    ]
     return hists[0] if isinstance(w_center, ParamVector) else hists
 
 

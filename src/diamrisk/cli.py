@@ -189,7 +189,6 @@ def _cmd_landscape(args) -> int:
         args.n,
         train,
         rng=np.random.default_rng(args.seed),
-        bins=args.bins,
     )
     write_artifacts(out, {"hist.csv": hist_csv(hist, checkpoint=args.checkpoint)})
     print(f"reference risk {hist.reference:.6g}, neighborhood max {hist.values.max():.6g}")
@@ -284,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="ParamVector JSON checkpoint")
     p.add_argument("--gamma", type=_nonnegative, required=True)
     p.add_argument("--n", type=_at_least(1), default=10000)
-    p.add_argument("--bins", type=_at_least(1), default=50)
     p.set_defaults(func=_cmd_landscape)
 
     p = sub.add_parser("examples", parents=[seeded, scalar], help="ERM vs DRM gap tables")

@@ -112,7 +112,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "feasible": _Key(dict),
     },
     "drm.feasible": {"kind": _Key(("unbounded", "box"), "unbounded"), "lo": _Key(float), "hi": _Key(float)},
-    "landscape": {"n_samples": _Key(int, 2000, 1, MAX_COUNT), "bins": _Key(int, 50, 1, MAX_COUNT)},
+    "landscape": {"n_samples": _Key(int, 2000, 1, MAX_COUNT)},
 }
 
 
@@ -133,7 +133,6 @@ class ExperimentConfig:
     hidden_dims: tuple[int, ...]
     drm: DrmConfig
     landscape_n: int
-    landscape_bins: int
     out_dir: Optional[str]
     raw: dict = field(repr=False, compare=False)
 
@@ -238,7 +237,7 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     mlp, land = cfg["mlp"], cfg["landscape"]
     return ExperimentConfig(
         dataset=dataset, hidden_dims=mlp["hidden_dims"], drm=drm_cfg,
-        landscape_n=land["n_samples"], landscape_bins=land["bins"], out_dir=cfg["out_dir"], raw=obj,
+        landscape_n=land["n_samples"], out_dir=cfg["out_dir"], raw=obj,
     )
 
 
@@ -374,7 +373,7 @@ def run_label_noise_experiment(
 
     hist_erm, hist_drm = landscape_histogram(
         model, [erm_final, drm_final], cfg.drm.gamma, cfg.drm.norm_kind, cfg.landscape_n,
-        train, np.random.default_rng([cfg.drm.seed, 5]), bins=cfg.landscape_bins,
+        train, np.random.default_rng([cfg.drm.seed, 5]),
     )
     report = flatness_report(hist_erm, hist_drm)
 

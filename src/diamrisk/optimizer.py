@@ -131,8 +131,8 @@ class DrmConfig:
         raise ValueError(f"iteration {t} outside lr_schedule")
 
 
-def constant_then_drop_schedule(T: int, lr: float = 0.01, final_lr: float = 0.001,
-                                final_fraction: float = 1.0 / 6.0) -> tuple[tuple[int, float], ...]:
+def constant_then_drop_schedule(T: int, lr: float, final_lr: float,
+                                final_fraction: float) -> tuple[tuple[int, float], ...]:
     """lr until the final fraction of training, then final_lr."""
     drop_at = max(1, int(round(T * (1.0 - final_fraction))))
     if drop_at >= T:
@@ -304,7 +304,7 @@ def _run_loop(
             data,
             rng=np.random.default_rng([cfg.seed, _STREAM_EVAL, epoch]),
         )
-        trace.epochs.append(EpochRecord(t - 1, epoch, train_risk, test_acc, diam.value))
+        trace.epochs.append(EpochRecord(t - 1, epoch, train_risk, test_acc, diam))
         epoch += 1
 
     trace.batch_digest = digest.hexdigest()

@@ -144,15 +144,18 @@ class ParamVector:
 
     # -- serialization: {layer name -> {shape: [...], data: [row-major floats]}} --
 
-    def to_json_dict(self) -> dict:
-        return {n: {"shape": list(a.shape), "data": a.ravel().tolist()} for n, a in self}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return json.dumps({n: {"shape": list(a.shape), "data": a.ravel().tolist()} for n, a in self})
+
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            fh.write(self.to_json())
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "ParamVector":
-        """Inverse of to_json_dict; ValueError on any malformed entry."""
+    def load(cls, path) -> "ParamVector":
+        """Inverse of save; ValueError on any malformed entry."""
+        with open(path) as fh:
+            obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError("expected an object mapping layer names to layers")
         layers = []
@@ -164,19 +167,6 @@ class ParamVector:
                 raise ValueError(f"layer {name!r}: {exc}") from None
             layers.append((name, data))
         return cls(layers)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParamVector":
-        return cls.from_json_dict(json.loads(text))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "ParamVector":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _check_same_structure(a: ParamVector, b: ParamVector) -> None:

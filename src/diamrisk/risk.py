@@ -2,48 +2,23 @@
 
 The diametrical risk of w at radius gamma is the supremum of the empirical
 risk over all parameter perturbations of norm at most gamma. Two estimators
-are provided: an exact-by-construction 1-D grid oracle (the grid is augmented
-with every breakpoint of piecewise losses, so piecewise-linear suprema are
-exact), and a sampled outer approximation that maximizes over random
-directions of norm exactly gamma, matching what the training algorithms do.
-The sampled estimate never exceeds the true supremum.
+are provided, each returning the estimate as a float: an exact-by-construction
+1-D grid oracle (the grid is augmented with every breakpoint of piecewise
+losses, so piecewise-linear suprema are exact), and a sampled outer
+approximation that maximizes over random directions of norm exactly gamma,
+matching what the training algorithms do. The sampled estimate never exceeds
+the true supremum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .data import Dataset
 from .losses import LossModel
 from .params import NormKind, ParamVector, axpy, sample_sphere
-
-
-@dataclass(frozen=True)
-class Exact:
-    pass
-
-
-@dataclass(frozen=True)
-class Grid:
-    points: int
-
-
-@dataclass(frozen=True)
-class Sampled:
-    r: int
-    seed: Optional[int] = None
-
-
-@dataclass
-class RiskEstimate:
-    value: float
-    method: Union[Exact, Grid, Sampled]
-    gamma: float
-    worst_direction: Optional[ParamVector] = None
-    worst_index: Optional[int] = None
 
 
 def empirical_risk(model: LossModel, w, S: Dataset) -> float:
@@ -66,21 +41,15 @@ def label_mean(per_label, values, counts) -> np.ndarray:
     return acc / counts.sum()
 
 
-def label_risk_curves(model, w_points: np.ndarray, labels) -> np.ndarray:
-    """Empirical risk at each w point for a label-only loss, evaluating the
-    loss once per distinct label (see label_mean)."""
-    w_points = np.asarray(w_points, dtype=np.float64)
-    values, counts = np.unique(np.asarray(labels), return_counts=True)
-    return label_mean({int(lab): model.eval_scalar(w_points, int(lab)) for lab in values}, values, counts)
-
-
 def empirical_risk_curve(model, w_points: np.ndarray, S: Dataset) -> np.ndarray:
-    """Empirical risk of a 1-D loss evaluated at every point of w_points."""
+    """Empirical risk of a 1-D loss evaluated at every point of w_points. A
+    label-only loss is evaluated once per distinct label (see label_mean)."""
     if len(S) == 0:
         raise ValueError("empty sample")
     w_points = np.asarray(w_points, dtype=np.float64)
     if getattr(model, "label_sufficient", False):
-        return label_risk_curves(model, w_points, S.y)
+        values, counts = np.unique(np.asarray(S.y), return_counts=True)
+        return label_mean({int(lab): model.eval_scalar(w_points, int(lab)) for lab in values}, values, counts)
     return model.risk_curve(w_points, S)
 
 
@@ -111,7 +80,7 @@ def neighborhood_risks(
 
 def diametrical_risk_grid_1d(
     model, w: float, gamma: float, S: Dataset, grid_points: int = 4097
-) -> RiskEstimate:
+) -> float:
     """Worst empirical risk over the radius-gamma interval around scalar w.
 
     Exact for piecewise-linear losses because every breakpoint in range is a
@@ -123,11 +92,11 @@ def diametrical_risk_grid_1d(
     w = float(w)
     if gamma == 0.0:
         wrapped = model.wrap(w) if hasattr(model, "wrap") else w
-        return RiskEstimate(value=empirical_risk(model, wrapped, S), method=Exact(), gamma=0.0)
+        return empirical_risk(model, wrapped, S)
     # The centre plus uniform points and in-range breakpoints of the interval.
     pts = np.union1d(window_grid(model, w - gamma, w + gamma, 0.0, grid_points), [w])
     values = empirical_risk_curve(model, pts, S)
-    return RiskEstimate(value=float(values.max()), method=Grid(len(pts)), gamma=gamma)
+    return float(values.max())
 
 
 def diametrical_risk_sampled(
@@ -138,25 +107,12 @@ def diametrical_risk_sampled(
     r: int,
     S: Dataset,
     rng: Union[np.random.Generator, int],
-) -> RiskEstimate:
+) -> float:
     """Max empirical risk over r random directions of norm exactly gamma.
-
-    Deterministic given the seed; ties in the maximum go to the lowest draw
-    index. The argmax direction is recorded on the estimate.
-    """
+    Deterministic given the seed."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    seed = None
     if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(rng)
     directions = [sample_sphere(w, gamma, kind, rng) for _ in range(r)]
-    values = neighborhood_risks(model, w, directions, S)
-    best_index = int(np.argmax(values))
-    return RiskEstimate(
-        value=float(values[best_index]),
-        method=Sampled(r=r, seed=seed),
-        gamma=gamma,
-        worst_direction=directions[best_index],
-        worst_index=best_index,
-    )
+    return float(neighborhood_risks(model, w, directions, S).max())

@@ -260,7 +260,7 @@ def test_criterion_6_convexity_preservation():
 
         def sup_at(w):
             if w not in cache:
-                cache[w] = diametrical_risk_grid_1d(quad, w, gamma, S, grid_points=129).value
+                cache[w] = diametrical_risk_grid_1d(quad, w, gamma, S, grid_points=129)
             return cache[w]
 
         for _ in range(1000):
@@ -322,15 +322,15 @@ def test_criterion_8_sampled_sup_soundness():
             for case in range(10):
                 w = rng.uniform(*w_range)
                 gamma = rng.uniform(*g_range)
-                exact = diametrical_risk_grid_1d(model, w, gamma, data, grid_points=513).value
+                exact = diametrical_risk_grid_1d(model, w, gamma, data, grid_points=513)
                 seed = 8000 + case
                 values = []
                 for r in (1, 10, 100):
                     est = diametrical_risk_sampled(
                         model, model.wrap(w), gamma, NormKind.EUCLIDEAN, r, data, rng=seed
                     )
-                    assert est.value <= exact + 1e-12, (
-                        f"{type(model).__name__}: sampled {est.value} exceeds grid {exact}"
+                    assert est <= exact + 1e-12, (
+                        f"{type(model).__name__}: sampled {est} exceeds grid {exact}"
                     )
-                    values.append(est.value)
+                    values.append(est)
                 assert values[0] <= values[1] <= values[2]

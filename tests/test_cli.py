@@ -27,7 +27,7 @@ def tiny_config(tmp_path, out_name="exp", seed=2):
         "mlp": {"hidden_dims": [6], "seed": seed},
         "drm": {"gamma": 0.5, "r": 3, "q": 1, "sample_every": 5, "epochs": 4,
                 "batch_size": 10, "seed": seed},
-        "landscape": {"n_samples": 40, "bins": 10},
+        "landscape": {"n_samples": 40},
         "out_dir": str(tmp_path / out_name),
     }
     path = tmp_path / "config.json"
@@ -273,7 +273,7 @@ def test_landscape_malformed_checkpoint_exits_2(tmp_path, capsys, monkeypatch, t
 @pytest.mark.parametrize(
     "section,key,value",
     [
-        ("landscape", "bins", 0),
+        ("landscape", "n_samples", 2**31),
         ("landscape", "n_samples", 0),
         ("dataset", "n_test", 0),
         ("mlp", "hidden_dims", ["abc"]),
@@ -305,7 +305,7 @@ def test_landscape_malformed_checkpoint_exits_2(tmp_path, capsys, monkeypatch, t
         ("dataset", "n_train", "60"),
         ("drm", "gamma", " 1.5 "),
         ("mlp", "hidden_dims", ["8", "8"]),
-        ("landscape", "bins", "16"),
+        ("landscape", "n_samples", "16"),
         ("drm", "final_fraction", -1e308),
         # Sizes past harness.MAX_COUNT used to exit 1 after set-up or overflow
         # a float in the parser.
@@ -328,7 +328,7 @@ def test_bad_config_values_exit_2_before_training(tmp_path, capsys, section, key
     assert not (tmp_path / "exp").exists()  # nothing was trained or written
 
 
-@pytest.mark.parametrize("flag", ["--n", "--bins"])
+@pytest.mark.parametrize("flag", ["--n"])
 def test_landscape_nonpositive_sizes_exit_2(tmp_path, capsys, flag):
     cfg_path = tiny_config(tmp_path)
     spec = experiment_config_from_dict(json.loads(cfg_path.read_text())).mlp_spec()
@@ -340,6 +340,32 @@ def test_landscape_nonpositive_sizes_exit_2(tmp_path, capsys, flag):
     )
     assert code == 2
     assert not (tmp_path / "land").exists()
+
+
+def test_landscape_bins_key_exits_2(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path)
+    obj = json.loads(cfg_path.read_text())
+    obj["landscape"]["bins"] = 10
+    cfg_path.write_text(json.dumps(obj))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "bins" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_landscape_non_finite_risk_exits_1_and_writes_nothing(tmp_path, capsys):
+    # At radius 1e200 the forward pass overflows; the risk must not reach hist.csv.
+    cfg_path = tiny_config(tmp_path)
+    spec = experiment_config_from_dict(json.loads(cfg_path.read_text())).mlp_spec()
+    checkpoint = tmp_path / "w.json"
+    init_params(spec, np.random.default_rng(0)).save(checkpoint)
+    code = cli_main(
+        ["landscape", "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+         "--gamma", "1e200", "--n", "5", "--out", str(tmp_path / "X")]
+    )
+    assert code == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "non-finite neighborhood risk" in errors[0]
+    assert not (tmp_path / "X").exists()
 
 
 SMALL_STUDY = ["--loss", "tent", "--trials", "30", "--grid", "65", "--inner", "65"]

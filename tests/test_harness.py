@@ -38,7 +38,7 @@ def tiny_config_dict(out_dir=None, seed=1):
         "mlp": {"hidden_dims": [8, 8], "seed": seed},
         "drm": {"gamma": 1.0, "r": 4, "q": 1, "sample_every": 5, "epochs": 6,
                 "batch_size": 10, "seed": seed},
-        "landscape": {"n_samples": 60, "bins": 16},
+        "landscape": {"n_samples": 60},
     }
     if out_dir is not None:
         obj["out_dir"] = str(out_dir)
@@ -117,7 +117,7 @@ def test_bad_values_are_config_errors():
 # Each of these used to pass the parser and fail (or silently degrade) only
 # during or after training.
 BAD_VALUES = [
-    ("landscape", "bins", 0),
+    ("landscape", "n_samples", 2**31),
     ("landscape", "n_samples", 0),
     ("dataset", "n_test", 0),
     ("dataset", "num_classes", 1),
@@ -159,7 +159,7 @@ BAD_VALUES = [
     ("dataset", "n_train", "60"),
     ("drm", "gamma", " 1.5 "),
     ("mlp", "hidden_dims", ["8", "8"]),
-    ("landscape", "bins", "16"),
+    ("landscape", "n_samples", "16"),
     ("drm", "final_fraction", -1e308),
     # Sizes past MAX_COUNT: numpy's "Maximum allowed size exceeded" while
     # building the data, and an epoch count whose iteration total overflows

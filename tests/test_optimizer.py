@@ -73,7 +73,7 @@ def test_lr_schedule_lookup():
 
 
 def test_constant_then_drop_schedule_covers_T():
-    sched = constant_then_drop_schedule(600)
+    sched = constant_then_drop_schedule(600, 0.01, 0.001, 1.0 / 3.0)
     cfg = quad_config(T=600, lr_schedule=sched)
     cfg.validate()
     assert cfg.lr_at(0) == 0.01
@@ -317,7 +317,7 @@ def test_descent_sanity_on_convex_fixture():
     values = []
     for t in range(60):
         values.append(
-            diametrical_risk_grid_1d(quad, float(w.flat()[0]), gamma, data, grid_points=257).value
+            diametrical_risk_grid_1d(quad, float(w.flat()[0]), gamma, data, grid_points=257)
         )
         w = simple_sgd_drm_step(quad, w, data, cfg, step_rng, t=0)
     for before, after in zip(values, values[1:]):

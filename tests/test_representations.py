@@ -1,6 +1,9 @@
 """Property tests of the two core representations: the flat ParamVector
 buffer with its per-layer views, and the X/y Dataset."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +38,10 @@ def vectors(draw, shapes=SHAPES):
 @given(v=vectors())
 def test_flat_from_flat_and_json_round_trips(v):
     assert ParamVector.from_flat(v, v.flat()) == v
-    assert ParamVector.from_json(v.to_json()) == v
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.json"
+        v.save(path)
+        assert ParamVector.load(path) == v
     assert v.flat().shape == (v.size,)
     assert v.shapes == tuple(a.shape for a in v.arrays)
     assert np.array_equal(
