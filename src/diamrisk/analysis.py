@@ -21,9 +21,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data import Dataset
-from .losses import LossModel, rho_m
+from .losses import LossModel, label_mean, rho_m
 from .params import NormKind, ParamVector, axpy, sample_sphere
-from .risk import label_mean, neighborhood_risks, window_grid
+from .risk import neighborhood_risks, window_grid
 
 
 def g17(x: float) -> str:
@@ -458,18 +458,22 @@ def landscape_histogram(
     rows = np.empty((len(centers), n_samples))
     digest = hashlib.sha256()
     chunk = n_samples if max_workers > 1 else _CHUNK
+    # Overflow shows as a non-finite value, checked below; numpy's error
+    # state is per thread, so each pool worker sets it too.
     for start in range(0, n_samples, chunk):
         directions = sample_directions(centers[0], gamma, kind, min(chunk, n_samples - start), rng)
         for w, values in zip(centers, rows[:, start:]):
             if max_workers > 1:
 
                 def _evaluate(i: int) -> None:
-                    values[i] = model.batch_risk(axpy(w, 1.0, directions[i]), S)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        values[i] = model.batch_risk(axpy(w, 1.0, directions[i]), S)
 
                 with ThreadPoolExecutor(max_workers=max_workers) as pool:
                     list(pool.map(_evaluate, range(n_samples)))
             else:
-                values[: len(directions)] = neighborhood_risks(model, w, directions, S)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values[: len(directions)] = neighborhood_risks(model, w, directions, S)
         for u in directions:
             digest.update(u.flat().tobytes())
 

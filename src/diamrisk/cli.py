@@ -30,6 +30,7 @@ from .analysis import (
     rate_study,
 )
 from .harness import (
+    MAX_COUNT,
     ConfigError,
     build_datasets,
     check_out_path,
@@ -58,19 +59,24 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
-def _at_least(low: int):
-    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+def _count(low: int):
+    """A size flag, bounded like the config schema's counts."""
+    return _checked(int, lambda v: low <= v <= MAX_COUNT, f"an integer in [{low}, {MAX_COUNT}]")
 
 
 def _comma_list(kind):
     return lambda text: [kind(x) for x in text.split(",")]
 
 
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _finite = _checked(float, math.isfinite, "a finite number")
 _nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _fraction = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 _kappa = _checked(float, lambda v: 1 < v < math.inf, "a finite number > 1")
-_sizes = _checked(_comma_list(int), lambda v: 0 < v[0] and v == sorted(set(v)), "increasing sizes >= 1")
+_sizes = _checked(
+    _comma_list(int), lambda v: 0 < v[0] and v[-1] <= MAX_COUNT and v == sorted(set(v)),
+    f"increasing sizes in [1, {MAX_COUNT}]",
+)
 _slacks = _checked(_comma_list(float), lambda v: all(0 <= e < math.inf for e in v), "finite values >= 0")
 
 
@@ -247,33 +253,33 @@ def build_parser() -> argparse.ArgumentParser:
     # run's --seed is its own: parents share Action objects, so a default
     # set on one subcommand would change every other's.
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=_at_least(0), default=0, help="random seed")
+    seeded.add_argument("--seed", type=_seed, default=0, help="random seed")
 
     scalar = argparse.ArgumentParser(add_help=False)
     scalar.add_argument("--loss", choices=("tent", "reciprocal"), default="tent")
     scalar.add_argument("--kappa", type=_kappa, default=2.0)
     scalar.add_argument("--gamma-loss", dest="gamma_loss", type=_fraction, default=0.5)
     scalar.add_argument("--gamma", type=_nonnegative, default=0.5, help="neighborhood radius")
-    scalar.add_argument("--grid", type=_at_least(3), default=257, help="points on the parameter window")
-    scalar.add_argument("--inner", type=_at_least(3), default=257, help="points per neighborhood interval")
+    scalar.add_argument("--grid", type=_count(3), default=257, help="points on the parameter window")
+    scalar.add_argument("--inner", type=_count(3), default=257, help="points per neighborhood interval")
     scalar.add_argument("--w-lo", dest="w_lo", type=_finite, default=None)
     scalar.add_argument("--w-hi", dest="w_hi", type=_finite, default=None)
 
     p = sub.add_parser("run", parents=[common], help="run the label-noise experiment")
     p.add_argument("--config", required=True, help="experiment JSON config")
-    p.add_argument("--seed", type=_at_least(0), default=None, help="override the config's seeds")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config's seeds")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("rate", parents=[seeded, scalar], help="sup-gap rate study")
     p.add_argument("--m", type=_sizes, default="250,1000,4000,16000", help="comma-separated sample sizes")
-    p.add_argument("--trials", type=_at_least(30), default=200)
+    p.add_argument("--trials", type=_count(30), default=200)
     p.add_argument("--alpha", type=_fraction, default=0.05)
     p.add_argument("--gamma-mode", dest="gamma_mode", choices=("fixed", "inverse_m"), default="fixed")
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("confidence", parents=[seeded, scalar], help="confidence-region check")
-    p.add_argument("--m", type=_at_least(1), default=1000)
-    p.add_argument("--trials", type=_at_least(1), default=200)
+    p.add_argument("--m", type=_count(1), default=1000)
+    p.add_argument("--trials", type=_count(1), default=200)
     p.add_argument("--delta", type=_finite, default=0.0, help="risk level of the target set")
     p.add_argument("--eps", type=_slacks, default="0.0,0.01,0.1", help="comma-separated slack values")
     p.set_defaults(func=_cmd_confidence)
@@ -282,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment JSON config (dataset + model)")
     p.add_argument("--checkpoint", required=True, help="ParamVector JSON checkpoint")
     p.add_argument("--gamma", type=_nonnegative, required=True)
-    p.add_argument("--n", type=_at_least(1), default=10000)
+    p.add_argument("--n", type=_count(1), default=10000)
     p.set_defaults(func=_cmd_landscape)
 
     p = sub.add_parser("examples", parents=[seeded, scalar], help="ERM vs DRM gap tables")
-    p.add_argument("--m", type=_at_least(1), default=1000)
-    p.add_argument("--trials", type=_at_least(1), default=200)
+    p.add_argument("--m", type=_count(1), default=1000)
+    p.add_argument("--trials", type=_count(1), default=200)
     p.set_defaults(func=_cmd_examples)
 
     return parser

@@ -1,11 +1,12 @@
-"""Loss models: empirical risk and its gradient over a Dataset.
+"""Loss models: empirical risk over a Dataset, and its gradient where a loop
+trains the model.
 
 Includes two 1-D analytic losses whose true risk is identically zero (a
 piecewise-linear "tent" with a steep slope, and a reciprocal loss that is not
 even Lipschitz), plus a convex quadratic fixture. Both analytic losses make
 plain empirical-risk minimization misbehave while the worst-case-neighborhood
-risk stays well behaved, which is what the test suite exercises. A single
-record is a one-row Dataset.
+risk stays well behaved, which is what the 1-D studies measure; nothing
+trains them, so they have no gradient. A single record is a one-row Dataset.
 """
 
 from __future__ import annotations
@@ -39,15 +40,25 @@ def _index_order_mean(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(rows, axis=0)[-1] / rows.shape[0]
 
 
+def label_mean(per_label, values, counts) -> np.ndarray:
+    """Empirical risk of a sample with the given label counts, for a loss
+    that depends on a row only through its label: per_label[lab] holds that
+    label's loss values, and the count-weighted sum runs over the labels in
+    the order given (np.unique's ascending order). It is the same sum as
+    over the m rows up to floating-point rounding.
+    """
+    acc = 0.0
+    for lab, count in zip(values, counts):
+        acc = acc + count * per_label[int(lab)]
+    return acc / counts.sum()
+
+
 class LossModel:
-    """Empirical risk with gradient, consumed by the risk and optimizer layers.
+    """Empirical risk, consumed by the risk and optimizer layers.
 
     Subclasses implement batch_risk (mean loss over the rows of a Dataset)
-    and batch_grad (that mean and its gradient in w), and set
-    param_template.
+    and, if a loop trains them, batch_grad (that mean and its gradient in w).
     """
-
-    param_template: ParamVector
 
     def batch_risk(self, w: ParamVector, S: Dataset) -> float:
         raise NotImplementedError
@@ -55,62 +66,39 @@ class LossModel:
     def batch_grad(self, w: ParamVector, S: Dataset) -> tuple[float, ParamVector]:
         raise NotImplementedError
 
-    def init_params(self, rng: np.random.Generator) -> ParamVector:
-        return ParamVector.zeros_like(self.param_template)
-
 
 class ScalarLossModel(LossModel):
     """1-D loss over a scalar parameter, stored as one shape-(1,) layer.
 
-    eval_scalar/grad_scalar are vectorized over w. breakpoints lists the
-    parameter values where the loss is non-differentiable; gradients return
-    the right-hand derivative there. label_sufficient marks losses that
-    depend on a row only through its label, which lets risk curves group
-    rows by label.
+    The loss depends on a row only through its label, so every risk is a
+    label-count sum (label_mean) of eval_scalar, which is vectorized over w.
+    breakpoints lists the parameter values where the loss is not
+    differentiable.
     """
 
     breakpoints: tuple[float, ...] = ()
-    label_sufficient: bool = True
-
-    def __init__(self):
-        self.param_template = ParamVector([("w", np.zeros(1))])
 
     def eval_scalar(self, w, label: int):
-        raise NotImplementedError
-
-    def grad_scalar(self, w, label: int):
         raise NotImplementedError
 
     def wrap(self, x: float) -> ParamVector:
         return ParamVector([("w", np.array([float(x)]))])
 
-    @staticmethod
-    def unwrap(w) -> float:
-        if isinstance(w, ParamVector):
-            return float(w.flat()[0])
-        return float(w)
+    def risk_curve(self, w_points: np.ndarray, S: Dataset) -> np.ndarray:
+        """Empirical risk at every point of w_points, one eval_scalar call per
+        distinct label."""
+        if len(S) == 0:
+            raise ValueError("empty sample")
+        values, counts = np.unique(S.y, return_counts=True)
+        w_points = np.asarray(w_points, dtype=np.float64)
+        return label_mean({int(lab): self.eval_scalar(w_points, int(lab)) for lab in values}, values, counts)
 
-    def _per_row(self, fn, w, S: Dataset) -> np.ndarray:
-        """fn at scalar w for each row's label, one call per distinct label."""
-        labels, inverse = np.unique(S.y, return_inverse=True)
-        x = self.unwrap(w)
-        return np.array([float(fn(x, int(lab))) for lab in labels])[inverse]
-
-    def batch_risk(self, w, S: Dataset) -> float:
-        return float(_index_order_mean(self._per_row(self.eval_scalar, w, S)))
-
-    def batch_grad(self, w, S: Dataset) -> tuple[float, ParamVector]:
-        grad = _index_order_mean(self._per_row(self.grad_scalar, w, S))
-        return self.batch_risk(w, S), self.wrap(float(grad))
-
-    def true_risk(self, w) -> float:
-        raise NotImplementedError
+    def batch_risk(self, w: ParamVector, S: Dataset) -> float:
+        return float(self.risk_curve(w.flat()[:1], S)[0])
 
     def true_risk_curve(self, w_points: np.ndarray) -> np.ndarray:
-        w_points = np.asarray(w_points, dtype=np.float64)
-        return np.array([self.true_risk(float(x)) for x in w_points.ravel()]).reshape(
-            w_points.shape
-        )
+        """Both analytic losses have zero true risk everywhere."""
+        return np.zeros(np.shape(w_points))
 
     def sample_labels(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m labels drawn equiprobably from {0, 1}."""
@@ -122,15 +110,6 @@ def _tent_shape(w: np.ndarray, kappa: float, gamma_loss: float) -> np.ndarray:
     return np.select(
         [(w >= -gamma_loss) & (w < 0.0), (w >= 0.0) & (w < gamma_loss)],
         [slope * w + kappa, -slope * w + kappa],
-        default=0.0,
-    )
-
-
-def _tent_shape_right_derivative(w: np.ndarray, kappa: float, gamma_loss: float) -> np.ndarray:
-    slope = kappa / gamma_loss
-    return np.select(
-        [(w >= -gamma_loss) & (w < 0.0), (w >= 0.0) & (w < gamma_loss)],
-        [np.full_like(w, slope), np.full_like(w, -slope)],
         default=0.0,
     )
 
@@ -149,7 +128,6 @@ class TentLoss(ScalarLossModel):
     """
 
     def __init__(self, kappa: float = 2.0, gamma_loss: float = 0.5):
-        super().__init__()
         if not kappa > 1:
             raise ValueError(f"kappa must be > 1, got {kappa}")
         if not 0 < gamma_loss < 1:
@@ -162,14 +140,6 @@ class TentLoss(ScalarLossModel):
         return _tent_shape(np.asarray(w, dtype=float), self.kappa, self.gamma_loss) * (
             1 - 2 * label
         )
-
-    def grad_scalar(self, w, label: int):
-        return _tent_shape_right_derivative(
-            np.asarray(w, dtype=float), self.kappa, self.gamma_loss
-        ) * (1 - 2 * label)
-
-    def true_risk(self, w) -> float:
-        return 0.0
 
 
 def reciprocal_eval(w: float, z: int) -> float:
@@ -196,17 +166,6 @@ class ReciprocalLoss(ScalarLossModel):
         np.divide(1.0 - 2.0 * label, w, out=out, where=mask)
         return out
 
-    def grad_scalar(self, w, label: int):
-        # Constant (zero) for w <= 0, so the gradient there is 0.
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        mask = w > 0
-        np.divide(-(1.0 - 2.0 * label), np.square(w), out=out, where=mask)
-        return out
-
-    def true_risk(self, w) -> float:
-        return 0.0
-
 
 def quadratic_eval(w: ParamVector, S: Dataset) -> np.ndarray:
     """Per-row half squared residual 0.5 * (<x, w> - t)^2 over the rows of S."""
@@ -220,15 +179,10 @@ def quadratic_eval(w: ParamVector, S: Dataset) -> np.ndarray:
 
 
 class QuadraticLoss(LossModel):
-    """Convex quadratic loss over any parameter template (convexity fixture)."""
+    """Convex quadratic loss over a dim-vector parameter (convexity fixture)."""
 
-    label_sufficient = False
-    breakpoints: tuple[float, ...] = ()
-
-    def __init__(self, template: ParamVector | None = None, dim: int = 1):
-        if template is None:
-            template = ParamVector([("w", np.zeros(dim))])
-        self.param_template = template
+    def __init__(self, dim: int = 1):
+        self.param_template = ParamVector([("w", np.zeros(dim))])
 
     def batch_risk(self, w: ParamVector, S: Dataset) -> float:
         return float(_index_order_mean(quadratic_eval(w, S)))

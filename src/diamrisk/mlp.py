@@ -132,16 +132,12 @@ class MlpLossModel(LossModel):
 
     def __init__(self, spec: MlpSpec):
         self.spec = spec
-        self.param_template = spec.param_template()
 
     def batch_risk(self, w: ParamVector, S: Dataset) -> float:
         return batch_nll(self.spec, w, S)
 
     def batch_grad(self, w: ParamVector, S: Dataset) -> tuple[float, ParamVector]:
         return loss_and_grad(self.spec, w, S)
-
-    def init_params(self, rng: np.random.Generator) -> ParamVector:
-        return init_params(self.spec, rng)
 
     def accuracy(self, w: ParamVector, S: Dataset) -> float:
         return accuracy_on(self.spec, w, S)

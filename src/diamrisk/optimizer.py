@@ -13,11 +13,12 @@ simple_sgd_drm_run is sgd_drm_run with q = 1 and sampling every iteration.
 simple_sgd_drm_step, one such step on its own, is the reference it is
 checked against.
 
-All randomness is split into independent streams derived from the config
-seed (batching, perturbations, the sampling coin, per-epoch evaluation), so
-runs that should coincide do so bitwise: gamma = 0 reduces DRM to the ERM
-baseline, and q = 1 with sampling every iteration reduces the queued loop to
-repeated simple steps.
+Both loops start from the caller's w0. Their randomness is split into
+independent streams derived from the config seed: batching, perturbations,
+the sampling coin and per-epoch evaluation. Stream tag 0 is left to the
+caller's draw of w0. Runs that should coincide do so bitwise: gamma = 0
+reduces DRM to the ERM baseline, and q = 1 with sampling every iteration
+reduces the queued loop to repeated simple steps.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .params import axpy, sample_sphere
 from .risk import diametrical_risk_sampled, neighborhood_risks
 
 # Sub-stream tags for seed derivation; fixed so traces are reproducible.
-_STREAM_INIT = 0
 _STREAM_BATCH = 1
 _STREAM_PERTURB = 2
 _STREAM_COIN = 3
@@ -233,7 +233,7 @@ def _run_loop(
     test: Optional[Dataset],
     cfg: DrmConfig,
     algorithm: str,
-    w0: Optional[ParamVector],
+    w0: ParamVector,
     queue_probe: Optional[Callable[[int, deque], None]] = None,
 ) -> tuple[ParamVector, RunTrace]:
     cfg.validate()
@@ -244,8 +244,6 @@ def _run_loop(
 
     rng_perturb = np.random.default_rng([cfg.seed, _STREAM_PERTURB])
     rng_coin = np.random.default_rng([cfg.seed, _STREAM_COIN])
-    if w0 is None:
-        w0 = model.init_params(np.random.default_rng([cfg.seed, _STREAM_INIT]))
     w = cfg.feasible.project(w0)
 
     measure_acc = getattr(model, "accuracy", None)
@@ -257,43 +255,48 @@ def _run_loop(
     epoch = 0
     while t < cfg.T:
         batch_index_lists = make_batch_indices(m, cfg.batch_size, [cfg.seed, _STREAM_BATCH, epoch])
-        for idx in batch_index_lists:
-            if t >= cfg.T:
-                break
-            digest.update(idx.astype(np.int64).tobytes())
-            batch = data[idx]
-            lr = cfg.lr_at(t)
-            event = _next_event(cfg.p, t, rng_coin)
-            batch_risk = model.batch_risk(w, batch)
-            try:
-                if not math.isfinite(batch_risk):
-                    raise NonFiniteError("non-finite batch risk")
-                if algorithm == "erm":
-                    perturbed_risk = batch_risk
-                    grad_point = w
-                else:
-                    if event:
-                        candidates = [
-                            sample_sphere(w, cfg.gamma, cfg.norm_kind, rng_perturb)
-                            for _ in range(cfg.r)
-                        ]
-                        _, u_star, _ = select_worst(model, w, batch, candidates)
-                        queue.append(u_star)
-                    _, v_star, perturbed_risk = select_worst(model, w, batch, queue)
-                    grad_point = axpy(w, 1.0, v_star)
-                if queue_probe is not None:
-                    queue_probe(t, queue)
+        # Overflow shows as a non-finite risk or parameter, which raises DivergenceError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in batch_index_lists:
+                if t >= cfg.T:
+                    break
+                digest.update(idx.astype(np.int64).tobytes())
+                batch = data[idx]
+                lr = cfg.lr_at(t)
+                event = _next_event(cfg.p, t, rng_coin)
+                batch_risk = model.batch_risk(w, batch)
+                try:
+                    if not math.isfinite(batch_risk):
+                        raise NonFiniteError("non-finite batch risk")
+                    if algorithm == "erm":
+                        perturbed_risk = batch_risk
+                        grad_point = w
+                    else:
+                        if event:
+                            candidates = [
+                                sample_sphere(w, cfg.gamma, cfg.norm_kind, rng_perturb)
+                                for _ in range(cfg.r)
+                            ]
+                            _, u_star, _ = select_worst(model, w, batch, candidates)
+                            queue.append(u_star)
+                        _, v_star, perturbed_risk = select_worst(model, w, batch, queue)
+                        if not math.isfinite(perturbed_risk):
+                            raise NonFiniteError("non-finite perturbed batch risk")
+                        grad_point = axpy(w, 1.0, v_star)
+                    if queue_probe is not None:
+                        queue_probe(t, queue)
 
-                _, grad = model.batch_grad(grad_point, batch)
-                w = cfg.feasible.project(axpy(w, -lr, grad))
-            except NonFiniteError as exc:
-                raise DivergenceError(t, epoch, lr, batch_risk, exc) from exc
-            trace.iterations.append(
-                IterationRecord(t, epoch, event, lr, batch_risk, perturbed_risk)
-            )
-            t += 1
+                    _, grad = model.batch_grad(grad_point, batch)
+                    w = cfg.feasible.project(axpy(w, -lr, grad))
+                except NonFiniteError as exc:
+                    raise DivergenceError(t, epoch, lr, batch_risk, exc) from exc
+                trace.iterations.append(IterationRecord(t, epoch, event, lr, batch_risk, perturbed_risk))
+                t += 1
 
-        train_risk = model.batch_risk(w, data)
+            train_risk = model.batch_risk(w, data)
+        if not math.isfinite(train_risk):
+            reason = f"non-finite train risk {train_risk!r} at the end of the epoch"
+            raise DivergenceError(t - 1, epoch, lr, batch_risk, reason)
         test_acc = measure_acc(w, test) if (measure_acc and test is not None and len(test)) else None
         diam = diametrical_risk_sampled(
             model,
@@ -311,12 +314,12 @@ def _run_loop(
     return w, trace
 
 
-def sgd_erm_run(model, data, test, cfg: DrmConfig, w0=None) -> tuple[ParamVector, RunTrace]:
+def sgd_erm_run(model, data, test, cfg: DrmConfig, w0: ParamVector) -> tuple[ParamVector, RunTrace]:
     """Plain SGD on the empirical risk; the gradient is taken at w itself."""
     return _run_loop(model, data, test, cfg, "erm", w0)
 
 
-def simple_sgd_drm_run(model, data, test, cfg: DrmConfig, w0=None) -> tuple[ParamVector, RunTrace]:
+def simple_sgd_drm_run(model, data, test, cfg: DrmConfig, w0: ParamVector) -> tuple[ParamVector, RunTrace]:
     """Simple DRM loop: the queued loop with q = 1 and fresh perturbations
     every iteration, whatever cfg.q and cfg.p say."""
     cfg.validate()
@@ -324,7 +327,7 @@ def simple_sgd_drm_run(model, data, test, cfg: DrmConfig, w0=None) -> tuple[Para
 
 
 def sgd_drm_run(
-    model, data, test, cfg: DrmConfig, w0=None, queue_probe=None
+    model, data, test, cfg: DrmConfig, w0: ParamVector, queue_probe=None
 ) -> tuple[ParamVector, RunTrace]:
     """Queued DRM loop: sampling events per cfg.p, reuse queue of capacity q."""
     return _run_loop(model, data, test, cfg, "drm", w0, queue_probe)

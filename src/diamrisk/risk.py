@@ -28,28 +28,8 @@ def empirical_risk(model: LossModel, w, S: Dataset) -> float:
     return model.batch_risk(w, S)
 
 
-def label_mean(per_label, values, counts) -> np.ndarray:
-    """Empirical risk of a sample with the given label counts, for a loss
-    that depends on a row only through its label: per_label[lab] holds that
-    label's loss values, and the count-weighted sum runs over the labels in
-    the order given (np.unique's ascending order). It is the same sum as
-    over the m rows up to floating-point rounding.
-    """
-    acc = 0.0
-    for lab, count in zip(values, counts):
-        acc = acc + count * per_label[int(lab)]
-    return acc / counts.sum()
-
-
 def empirical_risk_curve(model, w_points: np.ndarray, S: Dataset) -> np.ndarray:
-    """Empirical risk of a 1-D loss evaluated at every point of w_points. A
-    label-only loss is evaluated once per distinct label (see label_mean)."""
-    if len(S) == 0:
-        raise ValueError("empty sample")
-    w_points = np.asarray(w_points, dtype=np.float64)
-    if getattr(model, "label_sufficient", False):
-        values, counts = np.unique(np.asarray(S.y), return_counts=True)
-        return label_mean({int(lab): model.eval_scalar(w_points, int(lab)) for lab in values}, values, counts)
+    """Empirical risk of a 1-D loss evaluated at every point of w_points."""
     return model.risk_curve(w_points, S)
 
 
@@ -91,8 +71,7 @@ def diametrical_risk_grid_1d(
         raise ValueError("gamma must be >= 0")
     w = float(w)
     if gamma == 0.0:
-        wrapped = model.wrap(w) if hasattr(model, "wrap") else w
-        return empirical_risk(model, wrapped, S)
+        return empirical_risk(model, model.wrap(w), S)
     # The centre plus uniform points and in-range breakpoints of the interval.
     pts = np.union1d(window_grid(model, w - gamma, w + gamma, 0.0, grid_points), [w])
     values = empirical_risk_curve(model, pts, S)

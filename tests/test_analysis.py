@@ -416,12 +416,13 @@ def _problem(which, dim, seed):
     rng = np.random.default_rng(seed)
     if which == "quadratic":
         model = QuadraticLoss(dim=dim)
+        template = model.param_template
         S = Dataset(X=rng.standard_normal((5, dim)), y=[0] * 5, t=rng.standard_normal(5))
     else:
         spec = MlpSpec(input_dim=dim + 1, hidden_dims=(4,), num_classes=2)
-        model = MlpLossModel(spec)
+        model, template = MlpLossModel(spec), spec.param_template()
         S = gen_gaussian_blobs(2, 12, dim + 1, 4.0, seed=seed)
-    w = ParamVector.from_flat(model.param_template, rng.standard_normal(model.param_template.size))
+    w = ParamVector.from_flat(template, rng.standard_normal(template.size))
     return model, w, S
 
 

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diamrisk
 from diamrisk import analysis, cli, harness
 from diamrisk.cli import cli_main
 from diamrisk.harness import experiment_config_from_dict
@@ -411,6 +415,10 @@ BAD_FLAGS = [
     ("landscape", ["--gamma", "-1"], "--gamma"),
     ("landscape", ["--gamma", "nan"], "--gamma"),
     ("landscape", ["--seed", "-1"], "--seed"),
+    # Sizes past harness.MAX_COUNT used to exit 1 with numpy's "Maximum allowed
+    # size exceeded".
+    ("examples", ["--m", "100000000000000000000"], "--m"),
+    ("rate", ["--grid", "100000000000000000000"], "--grid"),
 ]
 
 
@@ -424,6 +432,69 @@ def test_bad_numeric_flags_exit_2_before_work(tmp_path, capsys, command, extra, 
     assert cli_main([*_small_argv(tmp_path, command), *extra, "--out", str(out)]) == 2
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+# Every size flag and the commands that take it.
+COUNT_FLAGS = [
+    ("rate", "--m"), ("rate", "--trials"), ("rate", "--grid"), ("rate", "--inner"),
+    ("confidence", "--m"), ("confidence", "--trials"), ("examples", "--m"), ("examples", "--trials"),
+    ("landscape", "--n"),
+]
+
+
+@pytest.mark.parametrize("command,flag", COUNT_FLAGS)
+def test_count_flags_are_bounded_at_parse_time(tmp_path, capsys, command, flag):
+    # Parsing only: no subcommand runs. Past the bound, confidence --trials
+    # used to run until killed.
+    parser = cli.build_parser()
+    argv = _small_argv(tmp_path, command)
+    parser.parse_args([*argv, flag, str(harness.MAX_COUNT)])
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, flag, str(harness.MAX_COUNT + 1)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def diverging_config(tmp_path, **drm):
+    """A 30-row, one-iteration-per-epoch experiment over two epochs."""
+    obj = {
+        "schema_version": 1,
+        "dataset": {"n_train": 30, "n_test": 30},
+        "mlp": {"hidden_dims": [4]},
+        "drm": {"epochs": 2, **drm},
+        "out_dir": str(tmp_path / "exp"),
+    }
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("command", ["landscape", "run"])
+def test_overflow_exits_1_with_only_the_error_line(tmp_path, command):
+    # A fresh interpreter, so numpy's warnings would reach stderr as they do
+    # for a user of the console script.
+    if command == "landscape":
+        argv = [*_small_argv(tmp_path, "landscape"), "--gamma", "1e200", "--n", "5"]
+    else:
+        argv = ["run", "--config", str(diverging_config(tmp_path, lr=1e200, final_lr=1e200))]
+    src = str(Path(diamrisk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "diamrisk.cli", *argv, "--out", str(tmp_path / "X")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+    assert not (tmp_path / "X").exists()
+
+
+def test_divergence_on_the_last_step_is_reported_before_the_histograms(tmp_path, capsys):
+    # Only iteration 1, the last of epoch 1, uses lr 1e250: the parameters stay
+    # finite and the epoch-end train risk overflows.
+    cfg_path = diverging_config(tmp_path, lr_schedule=[[1, 0.01], [2, 1e250]])
+    assert cli_main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "diverged at iteration 1 (epoch 1, lr 1e+250" in err and "non-finite train risk" in err
+    assert not (tmp_path / "exp").exists()
 
 
 def test_divergence_names_the_iteration_and_writes_nothing(tmp_path, capsys):

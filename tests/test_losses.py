@@ -6,7 +6,6 @@ import pytest
 from diamrisk.data import Dataset
 from diamrisk.losses import (
     QuadraticLoss,
-    ReciprocalLoss,
     TentLoss,
     gradient_check,
     quadratic_eval,
@@ -63,8 +62,8 @@ def test_tent_eval_matches_table_oracle():
 
 
 def test_tent_true_risk_is_zero_everywhere():
-    for w in (0.0, -0.3, 10.0):
-        assert TentLoss(KAPPA, GAMMA_LOSS).true_risk(w) == 0.0
+    curve = TentLoss(KAPPA, GAMMA_LOSS).true_risk_curve(np.array([0.0, -0.3, 10.0]))
+    assert curve.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_tent_parameter_validation():
@@ -156,31 +155,10 @@ def test_quadratic_is_nonnegative_and_convex_in_w():
         )
 
 
-def _away_from_breakpoints(model, x, margin):
-    return all(abs(x - b) > margin for b in model.breakpoints)
-
-
 def test_gradients_match_finite_differences():
-    # 20 random (w, z) probes per model, kept away from the declared kinks.
+    # 20 random (w, row) probes of the quadratic; the 1-D losses have no gradient.
     rng = np.random.default_rng(4)
     step = 1e-6
-
-    tent = TentLoss(KAPPA, GAMMA_LOSS)
-    pairs = []
-    while len(pairs) < 20:
-        x = rng.uniform(-1.2, 1.2)
-        if _away_from_breakpoints(tent, x, 100 * step):
-            pairs.append((tent.wrap(x), Dataset.from_labels([int(rng.integers(0, 2))])))
-    assert gradient_check(tent, pairs, step=step) <= 1e-5
-
-    recip = ReciprocalLoss()
-    pairs = []
-    while len(pairs) < 20:
-        x = rng.uniform(-2.0, 2.0)
-        if abs(x) > 0.05:
-            pairs.append((recip.wrap(x), Dataset.from_labels([int(rng.integers(0, 2))])))
-    assert gradient_check(recip, pairs, step=step) <= 1e-5
-
     quad = QuadraticLoss(dim=4)
     pairs = [
         (
@@ -190,22 +168,6 @@ def test_gradients_match_finite_differences():
         for _ in range(20)
     ]
     assert gradient_check(quad, pairs, step=step) <= 1e-5
-
-
-def test_tent_gradient_right_hand_rule_at_kinks():
-    tent = TentLoss(KAPPA, GAMMA_LOSS)
-    slope = KAPPA / GAMMA_LOSS
-    # Right-hand derivatives at the three kinks, z = 0.
-    assert float(tent.grad_scalar(-GAMMA_LOSS, 0)) == slope
-    assert float(tent.grad_scalar(0.0, 0)) == -slope
-    assert float(tent.grad_scalar(GAMMA_LOSS, 0)) == 0.0
-
-
-def test_reciprocal_gradient_zero_on_nonpositive_side():
-    recip = ReciprocalLoss()
-    for x in (0.0, -0.5, -10.0):
-        assert float(recip.grad_scalar(x, 0)) == 0.0
-        assert float(recip.grad_scalar(x, 1)) == 0.0
 
 
 def test_scalar_model_sampling_is_balanced_bernoulli():

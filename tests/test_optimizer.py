@@ -339,10 +339,33 @@ def test_deterministic_traces_given_seed():
     cfg = DrmConfig(
         gamma=0.5, T=9, batch_size=4, lr_schedule=((9, 0.05),), r=3, seed=21
     )
-    _, t1 = sgd_drm_run(model, train, None, cfg)
-    _, t2 = sgd_drm_run(model, train, None, cfg)
+    w0 = init_params(spec, np.random.default_rng(21))
+    _, t1 = sgd_drm_run(model, train, None, cfg, w0=w0)
+    _, t2 = sgd_drm_run(model, train, None, cfg, w0=w0)
     assert t1.to_csv_text() == t2.to_csv_text()
     assert t1.batch_digest == t2.batch_digest
+
+
+@pytest.mark.parametrize("run", [sgd_erm_run, sgd_drm_run])
+def test_non_finite_train_risk_at_epoch_end_raises_divergence(run):
+    # Iteration 2 is the last step of epoch 0 and the only one at lr 1e200:
+    # the step is finite, and the first risk after it is the epoch-end train risk.
+    data = quad_data(np.random.default_rng(11))
+    cfg = quad_config(T=6, lr_schedule=((2, 0.05), (3, 1e200), (6, 0.05)))
+    with pytest.raises(DivergenceError, match="non-finite train risk") as info:
+        run(QuadraticLoss(dim=1), data, None, cfg, w0=ParamVector([("w", np.ones(1))]))
+    err = info.value
+    assert (err.iteration, err.epoch, err.lr) == (2, 0, 1e200)
+    assert np.isfinite(err.batch_risk)
+
+
+def test_non_finite_perturbed_risk_raises_divergence():
+    # Radius 1e200: the risk at w is finite, at every w + u it overflows.
+    data = quad_data(np.random.default_rng(11))
+    with pytest.raises(DivergenceError, match="non-finite perturbed batch risk") as info:
+        sgd_drm_run(QuadraticLoss(dim=1), data, None, quad_config(gamma=1e200), w0=ParamVector([("w", np.ones(1))]))
+    assert (info.value.iteration, info.value.epoch) == (0, 0)
+    assert np.isfinite(info.value.batch_risk)
 
 
 @pytest.mark.parametrize("run", [sgd_erm_run, sgd_drm_run])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamrisk.data import Dataset
 from diamrisk.losses import (
@@ -82,13 +84,26 @@ def test_empirical_risk_curve_matches_pointwise():
             assert v == pytest.approx(empirical_risk(model, wrapped, data), abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from([TentLoss(KAPPA, GAMMA_LOSS), ReciprocalLoss()]),
+    x=st.one_of(
+        st.sampled_from([-GAMMA_LOSS, 0.0, GAMMA_LOSS]),
+        st.floats(-3.0, 3.0).filter(lambda v: v == 0 or abs(v) >= 1e-9),
+    ),
+    labels=st.lists(st.integers(0, 1), min_size=1, max_size=60),
+)
+def test_batch_risk_is_the_risk_curve_at_one_point(model, x, labels):
+    S = Dataset.from_labels(labels)
+    risk = np.float64(model.batch_risk(model.wrap(x), S))
+    assert risk.tobytes() == empirical_risk_curve(model, [x], S)[0].tobytes()
+
+
 def test_true_risk_analytic_values():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
     recip = ReciprocalLoss()
     points = np.array([[-1.0, 0.0], [0.3, 5.0]])
     for model in (tent, recip):
-        for w in points.ravel():
-            assert model.true_risk(w) == 0.0
         curve = model.true_risk_curve(points)
         assert curve.shape == points.shape and not curve.any()
 
