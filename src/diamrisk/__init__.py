@@ -1,5 +1,8 @@
 """Diametrical risk minimization: training against the worst empirical risk
-in a parameter-space neighborhood, plus the analysis tools to study it."""
+in a parameter-space neighborhood, plus the analysis tools to study it.
+
+Names are imported from their submodules (diamrisk.analysis, diamrisk.risk,
+...); the package root exposes only __version__."""
 
 __version__ = "0.1.0"
 
@@ -20,55 +23,3 @@ if "numpy" not in _sys.modules and not any(
         import numpy as _numpy  # noqa: F401  (loads OpenBLAS)
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
-
-from .analysis import (
-    FlatnessReport,
-    Histogram,
-    RateStudyResult,
-    confidence_region_check,
-    erm_drm_gap_table,
-    excess,
-    flatness_report,
-    landscape_histogram,
-    rate_study,
-)
-from .data import Dataset, flip_labels, gen_gaussian_blobs
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    default_experiment_config,
-    load_experiment_config,
-    run_label_noise_experiment,
-)
-from .losses import (
-    LossModel,
-    QuadraticLoss,
-    ReciprocalLoss,
-    TentLoss,
-    quadratic_eval,
-    reciprocal_eval,
-    rho_m,
-)
-from .mlp import MlpLossModel, MlpSpec, accuracy_on, init_params, loss_and_grad, nll_softmax
-from .optimizer import (
-    DivergenceError,
-    DrmConfig,
-    EveryK,
-    RunTrace,
-    select_worst,
-    sgd_drm_run,
-    sgd_erm_run,
-    simple_sgd_drm_run,
-    simple_sgd_drm_step,
-)
-from .params import (
-    Box,
-    FeasibleSet,
-    NormKind,
-    ParamVector,
-    Unbounded,
-    axpy,
-    norm,
-    sample_sphere,
-)
-from .risk import diametrical_risk_grid_1d, diametrical_risk_sampled, empirical_risk

@@ -5,7 +5,10 @@ rate_study measures how fast the sup over a 1-D parameter window of
 (true risk - neighborhood-sup empirical risk) shrinks with the sample size;
 its high quantile should scale like m^(-1/2). confidence_region_check tests
 the two excess inclusions that make level sets of the empirical risk valid
-confidence regions for good parameters. landscape_histogram and
+confidence regions for good parameters. erm_drm_gap_table compares the
+generalization gaps of the ERM and DRM grid minimizers. These three 1-D
+studies share one trial loop, _Window.trials, which also checks the window
+(lo < hi). landscape_histogram and
 flatness_report compare how sharply the empirical risk rises around two
 trained solutions, using one shared set of random directions so the
 comparison is paired.
@@ -93,7 +96,11 @@ class _Window:
     once. The analytic losses depend on a sample only through its labels,
     so every trial is built from its label counts."""
 
-    def __init__(self, model, lo: float, hi: float, gamma: float, grid_points: int, inner_points: int):
+    def __init__(self, model, interval, gamma: float, grid_points: int, inner_points: int):
+        lo, hi = float(interval[0]), float(interval[1])
+        if not lo < hi:
+            raise ValueError("interval must satisfy lo < hi")
+        self.model = model
         self.w_grid = window_grid(model, lo, hi, gamma, grid_points)
         self.r_true = model.true_risk_curve(self.w_grid)
         # Column 0 is the grid point itself, the rest its neighbourhood.
@@ -116,6 +123,13 @@ class _Window:
                 f"[{g17(self.w_grid[0])}, {g17(self.w_grid[-1])}]"
             )
         return r_emp, sup_curve
+
+    def trials(self, m: int, trials: int, seed: Sequence[int]):
+        """(labels, empirical risk, its neighbourhood sup) for each trial, the
+        m labels of trial t drawn from stream [*seed, t]."""
+        for trial in range(trials):
+            labels = self.model.sample_labels(np.random.default_rng([*seed, trial]), m)
+            yield (labels, *self.curves(labels, trial))
 
 
 def _spawn_seed(rng: Union[np.random.Generator, int]) -> int:
@@ -183,20 +197,14 @@ def rate_study(
         raise ValueError("m_list must be nonempty and strictly increasing")
     if gamma_mode not in ("fixed", "inverse_m"):
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
     base_seed = _spawn_seed(rng)
 
     records = []
     for mi, m in enumerate(m_list):
         gamma_m = gamma if gamma_mode == "fixed" else gamma * m_list[0] / m
-        window = _Window(model, lo, hi, gamma_m, grid_points, inner_points)
-        gaps = np.empty(trials)
-        for trial in range(trials):
-            trial_rng = np.random.default_rng([base_seed, mi, trial])
-            labels = model.sample_labels(trial_rng, m)
-            gaps[trial] = float(np.max(window.r_true - window.curves(labels, trial)[1]))
+        window = _Window(model, interval, gamma_m, grid_points, inner_points)
+        trial_curves = window.trials(m, trials, [base_seed, mi])
+        gaps = np.array([np.max(window.r_true - sup_curve) for _, _, sup_curve in trial_curves])
         gaps.sort()
         q05, q50, q95 = np.quantile(gaps, [0.05, 0.5, 0.95])
         q_alpha = float(np.quantile(gaps, 1.0 - alpha))
@@ -290,9 +298,8 @@ def confidence_region_check(
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise ValueError("need at least one epsilon")
-    lo, hi = float(interval[0]), float(interval[1])
     base_seed = _spawn_seed(rng)
-    window = _Window(model, lo, hi, gamma, grid_points, inner_points)
+    window = _Window(model, interval, gamma, grid_points, inner_points)
     w_grid, r_true = window.w_grid, window.r_true
     cell = float(np.max(np.diff(w_grid)))
     level_mask = r_true <= delta_level
@@ -301,10 +308,7 @@ def confidence_region_check(
     both = np.zeros(len(epsilons), dtype=int)
     empty_events = 0
     tol = gamma + cell
-    for trial in range(trials):
-        trial_rng = np.random.default_rng([base_seed, trial])
-        labels = model.sample_labels(trial_rng, m)
-        r_emp, sup_curve = window.curves(labels, trial)
+    for _, r_emp, sup_curve in window.trials(m, trials, [base_seed]):
         inf_sup = float(sup_curve.min())
         for j, eps in enumerate(epsilons):
             b1 = w_grid[r_emp <= delta_level + eps]
@@ -365,15 +369,11 @@ def erm_drm_gap_table(
 ) -> list[GapRecord]:
     """Per-trial generalization gaps of the grid minimizers of the empirical
     risk and of its neighborhood sup (argmin ties go to the lowest index)."""
-    lo, hi = float(interval[0]), float(interval[1])
     base_seed = _spawn_seed(rng)
-    window = _Window(model, lo, hi, gamma, grid_points, inner_points)
+    window = _Window(model, interval, gamma, grid_points, inner_points)
     r_true = window.r_true
     out = []
-    for trial in range(trials):
-        trial_rng = np.random.default_rng([base_seed, trial])
-        labels = model.sample_labels(trial_rng, m)
-        r_emp, sup_curve = window.curves(labels, trial)
+    for trial, (labels, r_emp, sup_curve) in enumerate(window.trials(m, trials, [base_seed])):
         i = int(np.argmin(r_emp))
         j = int(np.argmin(sup_curve))
         out.append(

@@ -140,8 +140,10 @@ def _cmd_rate(args) -> int:
         )
     if result.slope is not None:
         print(f"log-log slope of the (1-alpha) quantile: {result.slope:.4f}")
-    else:
+    elif result.all_nonpositive:
         print("all quantiles nonpositive; no slope fitted")
+    else:
+        print("fewer than two sizes have a positive quantile; no slope fitted")
     print(f"wrote {out / 'rate.csv'}")
     return 0
 

@@ -294,19 +294,20 @@ def _run_loop(
                 t += 1
 
             train_risk = model.batch_risk(w, data)
-        if not math.isfinite(train_risk):
-            reason = f"non-finite train risk {train_risk!r} at the end of the epoch"
-            raise DivergenceError(t - 1, epoch, lr, batch_risk, reason)
-        test_acc = measure_acc(w, test) if (measure_acc and test is not None and len(test)) else None
-        diam = diametrical_risk_sampled(
-            model,
-            w,
-            cfg.gamma,
-            cfg.norm_kind,
-            cfg.r,
-            data,
-            rng=np.random.default_rng([cfg.seed, _STREAM_EVAL, epoch]),
-        )
+            test_acc = measure_acc(w, test) if (measure_acc and test is not None and len(test)) else None
+            diam = diametrical_risk_sampled(
+                model,
+                w,
+                cfg.gamma,
+                cfg.norm_kind,
+                cfg.r,
+                data,
+                rng=np.random.default_rng([cfg.seed, _STREAM_EVAL, epoch]),
+            )
+        for name, value in (("train risk", train_risk), ("diametrical risk estimate", diam)):
+            if not math.isfinite(value):
+                reason = f"non-finite {name} {value!r} at the end of the epoch"
+                raise DivergenceError(t - 1, epoch, lr, batch_risk, reason)
         trace.epochs.append(EpochRecord(t - 1, epoch, train_risk, test_acc, diam))
         epoch += 1
 

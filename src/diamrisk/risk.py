@@ -1,7 +1,9 @@
-"""Empirical and worst-case-neighborhood (diametrical) risk.
+"""Worst-case-neighborhood (diametrical) risk.
 
 The diametrical risk of w at radius gamma is the supremum of the empirical
-risk over all parameter perturbations of norm at most gamma. Two estimators
+risk over all parameter perturbations of norm at most gamma. The empirical
+risk itself is the loss model's: model.batch_risk at one parameter vector,
+and model.risk_curve along a 1-D grid. Two estimators
 are provided, each returning the estimate as a float: an exact-by-construction
 1-D grid oracle (the grid is augmented with every breakpoint of piecewise
 losses, so piecewise-linear suprema are exact), and a sampled outer
@@ -19,18 +21,6 @@ import numpy as np
 from .data import Dataset
 from .losses import LossModel
 from .params import NormKind, ParamVector, axpy, sample_sphere
-
-
-def empirical_risk(model: LossModel, w, S: Dataset) -> float:
-    """Mean loss over the rows of S."""
-    if len(S) == 0:
-        raise ValueError("empty sample")
-    return model.batch_risk(w, S)
-
-
-def empirical_risk_curve(model, w_points: np.ndarray, S: Dataset) -> np.ndarray:
-    """Empirical risk of a 1-D loss evaluated at every point of w_points."""
-    return model.risk_curve(w_points, S)
 
 
 def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> np.ndarray:
@@ -71,11 +61,10 @@ def diametrical_risk_grid_1d(
         raise ValueError("gamma must be >= 0")
     w = float(w)
     if gamma == 0.0:
-        return empirical_risk(model, model.wrap(w), S)
+        return model.batch_risk(model.wrap(w), S)
     # The centre plus uniform points and in-range breakpoints of the interval.
     pts = np.union1d(window_grid(model, w - gamma, w + gamma, 0.0, grid_points), [w])
-    values = empirical_risk_curve(model, pts, S)
-    return float(values.max())
+    return float(model.risk_curve(pts, S).max())
 
 
 def diametrical_risk_sampled(

@@ -36,11 +36,7 @@ from diamrisk.optimizer import (
     simple_sgd_drm_step,
 )
 from diamrisk.params import NormKind
-from diamrisk.risk import (
-    diametrical_risk_grid_1d,
-    diametrical_risk_sampled,
-    empirical_risk_curve,
-)
+from diamrisk.risk import diametrical_risk_grid_1d, diametrical_risk_sampled
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -120,7 +116,7 @@ def test_criterion_2_reciprocal_unboundedness_and_rate():
             labels = recip.sample_labels(rng, 1000)
         S = Dataset.from_labels(labels.tolist())
         log_grid = np.logspace(-8, np.log10(2.0), 400)
-        curve = empirical_risk_curve(recip, log_grid, S)
+        curve = recip.risk_curve(log_grid, S)
         assert curve.min() < -1e3
 
         result = rate_study(

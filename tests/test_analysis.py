@@ -27,7 +27,7 @@ from diamrisk.losses import LossModel, QuadraticLoss, ReciprocalLoss, TentLoss
 from diamrisk.harness import build_datasets, default_experiment_config
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.params import NormKind, ParamVector
-from diamrisk.risk import diametrical_risk_grid_1d, empirical_risk_curve, neighborhood_risks
+from diamrisk.risk import diametrical_risk_grid_1d, neighborhood_risks
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -122,7 +122,7 @@ def test_rate_study_tent_gap_never_positive():
         assert rec.q95 <= 0.0
     # The same trials one by one: no trial's gap is positive.
     for mi, m in enumerate([100, 400]):
-        window = _Window(tent, -2.0, 2.0, GAMMA_LOSS, 129, 129)
+        window = _Window(tent, (-2.0, 2.0), GAMMA_LOSS, 129, 129)
         for trial in range(60):
             labels = tent.sample_labels(np.random.default_rng([0, mi, trial]), m)
             assert np.max(window.r_true - window.curves(labels, trial)[1]) <= 0.0
@@ -153,6 +153,28 @@ def test_rate_study_validates_inputs():
         rate_study(tent, (-1, 1), 0.5, [100], trials=10, alpha=0.05, grid_points=65, rng=0)
     with pytest.raises(ValueError):
         rate_study(tent, (-1, 1), 0.5, [100, 100], trials=30, alpha=0.05, grid_points=65, rng=0)
+
+
+STUDIES = {
+    "rate": lambda model, interval: rate_study(
+        model, interval, 0.5, [50], trials=30, alpha=0.05, grid_points=9, rng=0, inner_points=9
+    ),
+    "confidence": lambda model, interval: confidence_region_check(
+        model, interval, 0.5, 0.1, m=50, trials=3, grid_points=9, rng=0, epsilons=[0.1], inner_points=9
+    ),
+    "gap_table": lambda model, interval: erm_drm_gap_table(
+        model, interval, 0.5, m=50, trials=3, grid_points=9, rng=0, inner_points=9
+    ),
+}
+
+
+@pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, -2.0)], ids=["point", "reversed"])
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_studies_reject_an_empty_window(study, interval):
+    # Every study checks the window in one place, before any trial: a
+    # one-point window has no grid cell, a reversed one no points.
+    with pytest.raises(ValueError, match="interval must satisfy lo < hi"):
+        STUDIES[study](TentLoss(KAPPA, GAMMA_LOSS), interval)
 
 
 def test_rate_study_inverse_m_mode_shrinks_gamma():
@@ -256,7 +278,7 @@ def test_level_set_nesting_frequency():
     )
     q = study.records[0].q_alpha
     delta = 0.1
-    window = _Window(tent, -2.0, 2.0, GAMMA_LOSS, 65, 65)
+    window = _Window(tent, (-2.0, 2.0), GAMMA_LOSS, 65, 65)
     hits = 0
     trials = 60
     for trial in range(trials):
@@ -283,10 +305,10 @@ def test_neighborhood_sup_rows_match_the_grid_oracle(loss, lo, width, gamma, n, 
     model = TentLoss(KAPPA, GAMMA_LOSS) if loss == "tent" else ReciprocalLoss()
     if loss == "reciprocal":  # every neighbourhood off the pole: w - gamma > 0
         lo = gamma + abs(lo) + 0.01
-    window = _Window(model, lo, lo + width, gamma, 9, n)
+    window = _Window(model, (lo, lo + width), gamma, 9, n)
     r_emp, sup_curve = window.curves(labels, 0)
     S = Dataset.from_labels(labels)
-    assert r_emp.tobytes() == empirical_risk_curve(model, window.w_grid, S).tobytes()
+    assert r_emp.tobytes() == model.risk_curve(window.w_grid, S).tobytes()
     for w, value in zip(window.w_grid, sup_curve):
         assert value == diametrical_risk_grid_1d(model, w, gamma, S, grid_points=n)
 

@@ -84,6 +84,20 @@ def test_rate_subcommand_writes_csv(tmp_path, capsys):
     assert "m,trials,q05,q50,q95,slope" in lines
 
 
+NO_SLOPE_REASONS = {"tent": "all quantiles nonpositive", "reciprocal": "fewer than two sizes have a positive quantile"}
+
+
+@pytest.mark.parametrize("loss", sorted(NO_SLOPE_REASONS))
+def test_rate_says_why_no_slope_was_fitted(tmp_path, capsys, loss):
+    # One size: never a slope. The reciprocal's q95 is positive, so "all
+    # quantiles nonpositive" would contradict the artifact's all_nonpositive=0.
+    argv = ["rate", "--loss", loss, "--m", "250", "--trials", "30", "--grid", "65", "--inner", "65"]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 0
+    assert f"{NO_SLOPE_REASONS[loss]}; no slope fitted\n" in capsys.readouterr().out
+    all_nonpositive = int(loss == "tent")
+    assert f"# all_nonpositive={all_nonpositive}" in (tmp_path / "rate.csv").read_text().splitlines()
+
+
 def test_confidence_subcommand_writes_csv(tmp_path, capsys):
     code = cli_main(
         [
@@ -469,14 +483,16 @@ def diverging_config(tmp_path, **drm):
     return path
 
 
-@pytest.mark.parametrize("command", ["landscape", "run"])
+@pytest.mark.parametrize("command", ["landscape", "run", "run-gamma"])
 def test_overflow_exits_1_with_only_the_error_line(tmp_path, command):
     # A fresh interpreter, so numpy's warnings would reach stderr as they do
     # for a user of the console script.
     if command == "landscape":
         argv = [*_small_argv(tmp_path, "landscape"), "--gamma", "1e200", "--n", "5"]
-    else:
+    elif command == "run":
         argv = ["run", "--config", str(diverging_config(tmp_path, lr=1e200, final_lr=1e200))]
+    else:  # ERM's first epoch-end estimate overflows; its second epoch never runs
+        argv = ["run", "--config", str(diverging_config(tmp_path, gamma=1e200))]
     src = str(Path(diamrisk.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "diamrisk.cli", *argv, "--out", str(tmp_path / "X")],
@@ -485,6 +501,8 @@ def test_overflow_exits_1_with_only_the_error_line(tmp_path, command):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
     assert not (tmp_path / "X").exists()
+    if command == "run-gamma":
+        assert "(epoch 0," in lines[0] and "non-finite diametrical risk estimate" in lines[0]
 
 
 def test_divergence_on_the_last_step_is_reported_before_the_histograms(tmp_path, capsys):

@@ -368,6 +368,16 @@ def test_non_finite_perturbed_risk_raises_divergence():
     assert np.isfinite(info.value.batch_risk)
 
 
+def test_non_finite_epoch_estimate_raises_divergence_in_the_first_epoch():
+    # ERM steps at w alone, so radius 1e200 first shows in the epoch-end
+    # sampled estimate; the run stops there, not after its last epoch.
+    data = quad_data(np.random.default_rng(11))
+    with pytest.raises(DivergenceError, match="non-finite diametrical risk estimate") as info:
+        sgd_erm_run(QuadraticLoss(dim=1), data, None, quad_config(gamma=1e200), w0=ParamVector([("w", np.ones(1))]))
+    assert (info.value.iteration, info.value.epoch) == (2, 0)
+    assert np.isfinite(info.value.batch_risk)
+
+
 @pytest.mark.parametrize("run", [sgd_erm_run, sgd_drm_run])
 def test_divergence_raises_typed_error_naming_the_iteration(run):
     # lr 1e200: the first step is finite, the batch risk after it overflows.

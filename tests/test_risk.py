@@ -11,12 +11,7 @@ from diamrisk.losses import (
     TentLoss,
 )
 from diamrisk.params import NormKind, ParamVector
-from diamrisk.risk import (
-    diametrical_risk_grid_1d,
-    diametrical_risk_sampled,
-    empirical_risk,
-    empirical_risk_curve,
-)
+from diamrisk.risk import diametrical_risk_grid_1d, diametrical_risk_sampled
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -45,27 +40,27 @@ class ConstantLoss(LossModel):
 def test_empirical_risk_single_sample():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
     z = Dataset.from_labels([0])
-    assert empirical_risk(tent, tent.wrap(0.1), z) == float(tent.eval_scalar(0.1, 0))
+    assert tent.batch_risk(tent.wrap(0.1), z) == float(tent.eval_scalar(0.1, 0))
 
 
 def test_empirical_risk_balanced_tent_is_zero():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
     S = Dataset.from_labels([0, 0, 1, 1])  # rho_m = 0 kills the closed form
     for w in (-0.4, 0.0, 0.2, 0.7):
-        assert empirical_risk(tent, tent.wrap(w), S) == pytest.approx(0.0, abs=1e-15)
+        assert tent.batch_risk(tent.wrap(w), S) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_empirical_risk_tent_brute_force():
     tent = TentLoss(kappa=2.0, gamma_loss=0.5)
     S = Dataset.from_labels([0, 0, 0, 1])  # rho_m = 2
     # Brute-force sum over the four samples at w = 0: (2 + 2 + 2 - 2) / 4 = 1.
-    assert empirical_risk(tent, tent.wrap(0.0), S) == pytest.approx(1.0, abs=1e-15)
+    assert tent.batch_risk(tent.wrap(0.0), S) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_empirical_risk_empty_errors():
     tent = TentLoss()
     with pytest.raises(ValueError):
-        empirical_risk(tent, tent.wrap(0.0), Dataset.from_labels([]))
+        tent.batch_risk(tent.wrap(0.0), Dataset.from_labels([]))
 
 
 def test_empirical_risk_curve_matches_pointwise():
@@ -78,10 +73,10 @@ def test_empirical_risk_curve_matches_pointwise():
     quad_S = quad_rows(rng, 7, draw=lambda rng: rng.standard_normal(1)[0])
     pts = rng.uniform(-2, 2, size=40)
     for model, data in ((tent, S), (recip, S), (quad, quad_S)):
-        curve = empirical_risk_curve(model, pts, data)
+        curve = model.risk_curve(pts, data)
         for x, v in zip(pts, curve):
             wrapped = model.wrap(float(x))
-            assert v == pytest.approx(empirical_risk(model, wrapped, data), abs=1e-12)
+            assert v == pytest.approx(model.batch_risk(wrapped, data), abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -96,7 +91,7 @@ def test_empirical_risk_curve_matches_pointwise():
 def test_batch_risk_is_the_risk_curve_at_one_point(model, x, labels):
     S = Dataset.from_labels(labels)
     risk = np.float64(model.batch_risk(model.wrap(x), S))
-    assert risk.tobytes() == empirical_risk_curve(model, [x], S)[0].tobytes()
+    assert risk.tobytes() == model.risk_curve([x], S)[0].tobytes()
 
 
 def test_true_risk_analytic_values():
@@ -112,7 +107,7 @@ def test_grid_1d_gamma_zero_equals_empirical_exactly():
     tent = TentLoss(KAPPA, GAMMA_LOSS)
     S = Dataset.from_labels([0, 0, 1])
     est = diametrical_risk_grid_1d(tent, 0.1, 0.0, S)
-    assert est == empirical_risk(tent, tent.wrap(0.1), S)
+    assert est == tent.batch_risk(tent.wrap(0.1), S)
 
 
 def test_grid_1d_tent_negative_rho_sup_is_zero():
@@ -132,7 +127,7 @@ def test_grid_1d_dominates_empirical():
         w = rng.uniform(-1.5, 1.5)
         gamma = rng.uniform(0.01, 1.0)
         est = diametrical_risk_grid_1d(tent, w, gamma, S, grid_points=513)
-        assert est >= empirical_risk(tent, tent.wrap(w), S) - 1e-15
+        assert est >= tent.batch_risk(tent.wrap(w), S) - 1e-15
 
 
 def test_grid_1d_monotone_in_gamma_on_exact_fixtures():
@@ -213,7 +208,7 @@ def test_sampled_gamma_zero_equals_empirical():
     S = Dataset.from_labels([0, 0, 0, 1])
     w = tent.wrap(0.0)
     est = diametrical_risk_sampled(tent, w, 0.0, NormKind.EUCLIDEAN, 5, S, rng=0)
-    assert est == empirical_risk(tent, w, S)
+    assert est == tent.batch_risk(w, S)
 
 
 def test_reciprocal_erm_unbounded_but_neighborhood_sup_bounded():
@@ -225,7 +220,7 @@ def test_reciprocal_erm_unbounded_but_neighborhood_sup_bounded():
     rho_over_m = -2.0 / 4.0
     for k in range(1, 13):
         w = 10.0 ** (-k)
-        value = empirical_risk(recip, recip.wrap(w), S)
+        value = recip.batch_risk(recip.wrap(w), S)
         assert value == pytest.approx(rho_over_m / w, rel=1e-12)
         assert value <= -(10.0**k) * abs(rho_over_m) * (1 - 1e-12)
     sups = [
