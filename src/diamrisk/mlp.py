@@ -28,6 +28,9 @@ class MlpSpec:
         for dim in (self.input_dim, self.num_classes, *self.hidden_dims):
             if dim < 1:
                 raise ValueError(f"all dimensions must be >= 1, got {dim}")
+        # Built once: every forward pass checks the parameter shapes against it.
+        shapes = tuple(s for out, inp in self.layer_sizes() for s in ((out, inp), (out,)))
+        object.__setattr__(self, "_param_shapes", shapes)
 
     def layer_sizes(self) -> list[tuple[int, int]]:
         """(fan_out, fan_in) for each affine layer, hidden layers then output."""
@@ -36,7 +39,7 @@ class MlpSpec:
 
     def param_shapes(self) -> tuple[tuple[int, ...], ...]:
         """Layer shapes W0, b0, W1, b1, ... in parameter order."""
-        return tuple(s for out, inp in self.layer_sizes() for s in ((out, inp), (out,)))
+        return self._param_shapes
 
     def param_template(self) -> ParamVector:
         names = (f"{kind}{i}" for i in range(len(self.layer_sizes())) for kind in "Wb")

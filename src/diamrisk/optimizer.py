@@ -15,10 +15,12 @@ checked against.
 
 Both loops start from the caller's w0. Their randomness is split into
 independent streams derived from the config seed: batching, perturbations,
-the sampling coin and per-epoch evaluation. Stream tag 0 is left to the
-caller's draw of w0. Runs that should coincide do so bitwise: gamma = 0
-reduces DRM to the ERM baseline, and q = 1 with sampling every iteration
-reduces the queued loop to repeated simple steps.
+the sampling coin and the epoch-end evaluation directions. Stream tag 0 is
+left to the caller's draw of w0. The r evaluation directions are drawn once
+per run, so every epoch's sampled diametrical estimate, in both loops, is
+the max risk over one shared set. Runs that should coincide do so bitwise:
+gamma = 0 reduces DRM to the ERM baseline, and q = 1 with sampling every
+iteration reduces the queued loop to repeated simple steps.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ from .data import Dataset
 from .losses import LossModel
 from .params import FeasibleSet, NonFiniteError, NormKind, ParamVector, Unbounded
 from .params import axpy, sample_sphere
-from .risk import diametrical_risk_sampled, neighborhood_risks
+from .risk import neighborhood_risks
 
 # Sub-stream tags for seed derivation; fixed so traces are reproducible.
 _STREAM_BATCH = 1
 _STREAM_PERTURB = 2
 _STREAM_COIN = 3
-_STREAM_EVAL = 4
+_STREAM_EVAL = 4  # the r epoch-end evaluation directions, drawn once per run
 
 TRACE_CSV_HEADER = (
     "iter,epoch,event,lr,batch_risk,perturbed_batch_risk,train_risk,test_acc,diam_risk_est"
@@ -219,8 +221,9 @@ def simple_sgd_drm_step(
 
 def _next_event(p: Union[float, EveryK], t: int, rng_coin: np.random.Generator) -> bool:
     """Whether iteration t is a sampling event. t = 0 always is (the queue
-    starts empty). The probabilistic coin is flipped for every t > 0 so the
-    coin stream advances identically across algorithm variants."""
+    starts empty). The probabilistic coin is flipped at every t, t = 0
+    included, so the coin stream advances identically across algorithm
+    variants."""
     if isinstance(p, EveryK):
         return t % p.k == 0
     flip = rng_coin.random() < float(p)
@@ -245,6 +248,9 @@ def _run_loop(
     rng_perturb = np.random.default_rng([cfg.seed, _STREAM_PERTURB])
     rng_coin = np.random.default_rng([cfg.seed, _STREAM_COIN])
     w = cfg.feasible.project(w0)
+    rng_eval = np.random.default_rng([cfg.seed, _STREAM_EVAL])
+    with np.errstate(over="ignore"):  # an overflowing radius raises NonFiniteError, not a warning
+        eval_directions = [sample_sphere(w, cfg.gamma, cfg.norm_kind, rng_eval) for _ in range(cfg.r)]
 
     measure_acc = getattr(model, "accuracy", None)
     queue = deque(maxlen=cfg.q)  # past worst directions, oldest evicted first
@@ -295,15 +301,7 @@ def _run_loop(
 
             train_risk = model.batch_risk(w, data)
             test_acc = measure_acc(w, test) if (measure_acc and test is not None and len(test)) else None
-            diam = diametrical_risk_sampled(
-                model,
-                w,
-                cfg.gamma,
-                cfg.norm_kind,
-                cfg.r,
-                data,
-                rng=np.random.default_rng([cfg.seed, _STREAM_EVAL, epoch]),
-            )
+            diam = float(neighborhood_risks(model, w, eval_directions, data).max())
         for name, value in (("train risk", train_risk), ("diametrical risk estimate", diam)):
             if not math.isfinite(value):
                 reason = f"non-finite {name} {value!r} at the end of the epoch"

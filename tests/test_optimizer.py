@@ -16,7 +16,8 @@ from diamrisk.optimizer import (
     simple_sgd_drm_run,
     simple_sgd_drm_step,
 )
-from diamrisk.params import Box, NonFiniteError, NormKind, ParamVector, Unbounded
+from diamrisk.params import Box, NonFiniteError, NormKind, ParamVector, Unbounded, sample_sphere
+from diamrisk.risk import neighborhood_risks
 
 
 class ConstantLoss(LossModel):
@@ -344,6 +345,51 @@ def test_deterministic_traces_given_seed():
     _, t2 = sgd_drm_run(model, train, None, cfg, w0=w0)
     assert t1.to_csv_text() == t2.to_csv_text()
     assert t1.batch_digest == t2.batch_digest
+
+
+@pytest.mark.parametrize(
+    "run, overrides",
+    [(sgd_erm_run, {}), (sgd_drm_run, {"q": 3, "p": 0.3}), (simple_sgd_drm_run, {})],
+    ids=["erm", "drm_queued", "drm_simple"],
+)
+def test_epoch_estimate_is_max_over_one_direction_set_per_run(run, overrides, monkeypatch):
+    # Oracle: r directions drawn once from stream [seed, 4] on the template;
+    # epoch e's estimate is the max risk over them at that epoch's iterate,
+    # which a rerun with T cut to the epoch's end returns as its final w.
+    # Every loop is checked against the one set, so ERM and DRM share it.
+    spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
+    model = MlpLossModel(spec)
+    train = gen_gaussian_blobs(3, 18, 3, 4.0, seed=14)
+    test = gen_gaussian_blobs(3, 12, 3, 4.0, seed=15)
+    cfg = DrmConfig(
+        gamma=0.7,
+        T=15,
+        batch_size=5,
+        lr_schedule=((15, 0.05),),
+        r=4,
+        norm_kind=NormKind.LAYERWISE_FROBENIUS,
+        seed=17,
+        **overrides,
+    )
+    w0 = init_params(spec, np.random.default_rng(2))
+    rng = np.random.default_rng([cfg.seed, 4])
+    directions = [sample_sphere(w0, cfg.gamma, cfg.norm_kind, rng) for _ in range(cfg.r)]
+
+    evaluated = []  # direction sets scored on the full train set
+
+    def spy(model_, w, dirs, S):
+        if S is train:
+            evaluated.append(list(dirs))
+        return neighborhood_risks(model_, w, dirs, S)
+
+    monkeypatch.setattr("diamrisk.optimizer.neighborhood_risks", spy)
+    _, trace = run(model, train, test, cfg, w0=w0)
+    assert [e.iter for e in trace.epochs] == [3, 7, 11, 14]
+    assert evaluated == [directions] * len(trace.epochs)
+    monkeypatch.undo()
+    for e in trace.epochs:
+        w_e, _ = run(model, train, test, DrmConfig(**{**cfg.__dict__, "T": e.iter + 1}), w0=w0)
+        assert e.diam_risk_est == float(neighborhood_risks(model, w_e, directions, train).max())
 
 
 @pytest.mark.parametrize("run", [sgd_erm_run, sgd_drm_run])
