@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossModel, label_mean, rho_m
 from .params import NormKind, ParamVector, axpy, sample_sphere
-from .risk import neighborhood_risks, window_grid
+from .risk import neighborhood_chunks, window_grid
 
 
 def g17(x: float) -> str:
@@ -401,10 +401,6 @@ class Histogram:
     direction_digest: str
 
 
-# Directions drawn and evaluated at a time by landscape_histogram.
-_CHUNK = 64
-
-
 def sample_directions(
     template: ParamVector,
     gamma: float,
@@ -412,7 +408,9 @@ def sample_directions(
     n: int,
     rng: Union[np.random.Generator, int],
 ) -> list[ParamVector]:
-    """n independent norm-gamma directions shaped like template."""
+    """n independent norm-gamma directions shaped like template, one
+    sample_sphere vector each (the thread-pool path and the benchmark's
+    accounting tests use it; the serial path draws rows)."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     return [sample_sphere(template, gamma, kind, rng) for _ in range(n)]
@@ -440,13 +438,16 @@ def landscape_histogram(
 
     w_center is one vector, or a sequence of centers that are all evaluated
     on the same directions (one Histogram each, so histograms around
-    different centers are directly comparable). Directions are drawn and
-    evaluated _CHUNK at a time through risk.neighborhood_risks on the calling
-    thread, so memory does not grow with n_samples. max_workers > 1 draws all
-    directions at once and fans the evaluations out to a thread pool instead
-    (measured slower; only the benchmark's span tests use it); results are
-    written by draw index, so the histogram does not depend on scheduling.
-    A non-finite neighborhood risk raises ValueError.
+    different centers are directly comparable). Directions are drawn as rows
+    and evaluated risk._CHUNK at a time on the calling thread
+    (risk.neighborhood_chunks, one reused chunk buffer), so memory does not
+    grow with n_samples. max_workers > 1 draws all directions at once as
+    vectors (sample_directions) and fans the evaluations out to a thread pool
+    instead (measured slower; only the benchmark's span tests use it);
+    results are written by draw index, so the histogram does not depend on
+    scheduling. Both paths draw the same values in the same order, and the
+    digest is the sha256 of those row bytes. A non-finite neighborhood risk
+    raises ValueError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -457,25 +458,27 @@ def landscape_histogram(
         rng = np.random.default_rng(rng)
     rows = np.empty((len(centers), n_samples))
     digest = hashlib.sha256()
-    chunk = n_samples if max_workers > 1 else _CHUNK
-    # Overflow shows as a non-finite value, checked below; numpy's error
-    # state is per thread, so each pool worker sets it too.
-    for start in range(0, n_samples, chunk):
-        directions = sample_directions(centers[0], gamma, kind, min(chunk, n_samples - start), rng)
-        for w, values in zip(centers, rows[:, start:]):
-            if max_workers > 1:
+    if max_workers > 1:
+        directions = sample_directions(centers[0], gamma, kind, n_samples, rng)
+        for w, values in zip(centers, rows):
 
-                def _evaluate(i: int) -> None:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        values[i] = model.batch_risk(axpy(w, 1.0, directions[i]), S)
-
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    list(pool.map(_evaluate, range(n_samples)))
-            else:
+            def _evaluate(i: int) -> None:
+                # numpy's error state is per thread, so each worker sets it.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    values[: len(directions)] = neighborhood_risks(model, w, directions, S)
+                    values[i] = model.batch_risk(axpy(w, 1.0, directions[i]), S)
+
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                list(pool.map(_evaluate, range(n_samples)))
         for u in directions:
             digest.update(u.flat().tobytes())
+    else:
+        start = 0
+        # Overflow shows as a non-finite value, checked below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for U, values in neighborhood_chunks(model, centers, gamma, kind, n_samples, S, rng):
+                rows[:, start : start + len(U)] = values
+                digest.update(U)  # contiguous rows: the bytes of each row in turn
+                start += len(U)
 
     if not np.isfinite(rows).all():
         raise ValueError(f"non-finite neighborhood risk at gamma={gamma:g}")

@@ -9,18 +9,24 @@ Two loops share one skeleton:
                       FIFO queue of capacity q; every iteration the gradient
                       is taken at the worst queued perturbation.
 
+Directions are flat rows (params.sphere_rows). A sampling event draws and
+scores its r candidates in chunks of at most risk._CHUNK rows and keeps only
+the running winner (draw_worst); the queue holds copies of winning rows.
+Vectors are built only for iterates, gradients and gradient points.
+
 simple_sgd_drm_run is sgd_drm_run with q = 1 and sampling every iteration.
-simple_sgd_drm_step, one such step on its own, is the reference it is
-checked against.
+simple_sgd_drm_step, one such step on its own with one vector per direction
+and one np.argmax over all r, is the reference it is checked against.
 
 Both loops start from the caller's w0. Their randomness is split into
 independent streams derived from the config seed: batching, perturbations,
 the sampling coin and the epoch-end evaluation directions. Stream tag 0 is
 left to the caller's draw of w0. The r evaluation directions are drawn once
-per run, so every epoch's sampled diametrical estimate, in both loops, is
-the max risk over one shared set. Runs that should coincide do so bitwise:
-gamma = 0 reduces DRM to the ERM baseline, and q = 1 with sampling every
-iteration reduces the queued loop to repeated simple steps.
+per run and kept as one (r, n) array, so every epoch's sampled diametrical
+estimate, in both loops, is the max risk over one shared set. Runs that
+should coincide do so bitwise: gamma = 0 reduces DRM to the ERM baseline,
+and q = 1 with sampling every iteration reduces the queued loop to repeated
+simple steps.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from .analysis import csv_text
 from .data import Dataset
 from .losses import LossModel
 from .params import FeasibleSet, NonFiniteError, NormKind, ParamVector, Unbounded
-from .params import axpy, sample_sphere
-from .risk import neighborhood_risks
+from .params import axpy, sample_sphere, sphere_rows
+from .risk import neighborhood_chunks, neighborhood_risks
 
 # Sub-stream tags for seed derivation; fixed so traces are reproducible.
 _STREAM_BATCH = 1
@@ -53,12 +59,13 @@ TRACE_CSV_HEADER = (
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite batch risk or parameter vector."""
+    """Training produced a non-finite batch risk, direction or parameter
+    vector. batch_risk is None when no batch risk was computed yet."""
 
-    def __init__(self, iteration: int, epoch: int, lr: float, batch_risk: float, reason):
+    def __init__(self, iteration: int, epoch: int, lr: float, batch_risk: Optional[float], reason):
+        risk = "" if batch_risk is None else f", batch risk {batch_risk!r}"
         super().__init__(
-            f"training diverged at iteration {iteration} (epoch {epoch}, lr {lr!r}, "
-            f"batch risk {batch_risk!r}): {reason}"
+            f"training diverged at iteration {iteration} (epoch {epoch}, lr {lr!r}{risk}): {reason}"
         )
         self.iteration, self.epoch, self.lr, self.batch_risk = iteration, epoch, lr, batch_risk
 
@@ -192,15 +199,42 @@ def make_batch_indices(m: int, batch_size: int, epoch_seed) -> list[np.ndarray]:
 
 
 def select_worst(
-    model: LossModel, w: ParamVector, batch: Dataset, candidates: Sequence[ParamVector]
-) -> tuple[int, ParamVector, float]:
-    """Candidate perturbation maximizing batch risk at w + u; ties go to the
-    lowest index."""
+    model: LossModel, w: ParamVector, batch: Dataset, candidates: Sequence[np.ndarray]
+) -> tuple[int, np.ndarray, float]:
+    """Candidate row maximizing batch risk at w + u, as np.argmax picks it:
+    ties go to the lowest index and the first NaN wins."""
     if len(candidates) == 0:
         raise ValueError("empty candidate set")
     values = neighborhood_risks(model, w, candidates, batch)
     best_index = int(np.argmax(values))
     return best_index, candidates[best_index], float(values[best_index])
+
+
+def draw_worst(
+    model: LossModel,
+    w: ParamVector,
+    batch: Dataset,
+    gamma: float,
+    kind: NormKind,
+    r: int,
+    rng: np.random.Generator,
+) -> tuple[int, np.ndarray, float]:
+    """The worst on batch of r fresh norm-gamma directions drawn from rng:
+    the (index, row, value) that np.argmax over all r risks picks. The
+    directions are drawn and scored in chunks (risk.neighborhood_chunks) and
+    only the running winner is kept, as a copy of its row."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    best = None
+    start = 0
+    for U, (values,) in neighborhood_chunks(model, [w], gamma, kind, r, batch, rng):
+        i = int(np.argmax(values))
+        value = float(values[i])
+        # np.argmax's rule across chunks: the first NaN wins, else the first maximum.
+        if best is None or (not math.isnan(best[2]) and (math.isnan(value) or value > best[2])):
+            best = (start + i, U[i].copy(), value)
+        start += len(U)
+    return best
 
 
 def simple_sgd_drm_step(
@@ -212,9 +246,13 @@ def simple_sgd_drm_step(
     t: int = 0,
 ) -> ParamVector:
     """One step of the simple algorithm: draw r directions of norm gamma,
-    pick the worst on this batch, step from the perturbed point, project."""
+    pick the worst on this batch, step from the perturbed point, project.
+    It builds one vector per direction (sample_sphere, axpy) and takes one
+    np.argmax over all r risks: an oracle independent of the loops' chunked
+    row path."""
     candidates = [sample_sphere(w, cfg.gamma, cfg.norm_kind, rng) for _ in range(cfg.r)]
-    _, u_star, _ = select_worst(model, w, batch, candidates)
+    values = [model.batch_risk(axpy(w, 1.0, u), batch) for u in candidates]
+    u_star = candidates[int(np.argmax(values))]
     _, grad = model.batch_grad(axpy(w, 1.0, u_star), batch)
     return cfg.feasible.project(axpy(w, -cfg.lr_at(t), grad))
 
@@ -249,8 +287,10 @@ def _run_loop(
     rng_coin = np.random.default_rng([cfg.seed, _STREAM_COIN])
     w = cfg.feasible.project(w0)
     rng_eval = np.random.default_rng([cfg.seed, _STREAM_EVAL])
-    with np.errstate(over="ignore"):  # an overflowing radius raises NonFiniteError, not a warning
-        eval_directions = [sample_sphere(w, cfg.gamma, cfg.norm_kind, rng_eval) for _ in range(cfg.r)]
+    try:
+        eval_directions = sphere_rows(w, cfg.gamma, cfg.norm_kind, cfg.r, rng_eval)
+    except NonFiniteError as exc:
+        raise DivergenceError(0, 0, cfg.lr_at(0), None, f"evaluation directions: {exc}") from exc
 
     measure_acc = getattr(model, "accuracy", None)
     queue = deque(maxlen=cfg.q)  # past worst directions, oldest evicted first
@@ -279,16 +319,14 @@ def _run_loop(
                         grad_point = w
                     else:
                         if event:
-                            candidates = [
-                                sample_sphere(w, cfg.gamma, cfg.norm_kind, rng_perturb)
-                                for _ in range(cfg.r)
-                            ]
-                            _, u_star, _ = select_worst(model, w, batch, candidates)
+                            _, u_star, _ = draw_worst(
+                                model, w, batch, cfg.gamma, cfg.norm_kind, cfg.r, rng_perturb
+                            )
                             queue.append(u_star)
                         _, v_star, perturbed_risk = select_worst(model, w, batch, queue)
                         if not math.isfinite(perturbed_risk):
                             raise NonFiniteError("non-finite perturbed batch risk")
-                        grad_point = axpy(w, 1.0, v_star)
+                        grad_point = ParamVector.from_flat(w, w.flat() + v_star)
                     if queue_probe is not None:
                         queue_probe(t, queue)
 

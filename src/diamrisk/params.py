@@ -4,15 +4,21 @@ A model's parameters are one flat float64 buffer with a read-only view per
 named layer. Construction from layers copies them into a fresh buffer, which
 is frozen and checked to be finite; every operation is one array operation
 on buffers and returns a new vector, so vectors can be shared freely.
+
+Perturbation directions are plain rows, not vectors: sphere_rows draws a
+(k, n) stack of norm-gamma rows in the flat coordinate order, and shifted
+walks w + u over such rows through one reused buffer, so evaluating a
+neighborhood builds no vector per direction.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -36,6 +42,14 @@ def _split_layers(flat: np.ndarray, shapes) -> list[np.ndarray]:
         views.append(flat[offset : offset + size].reshape(shape))
         offset += size
     return views
+
+
+def _check_finite(names, shapes, flat: np.ndarray) -> None:
+    """NonFiniteError naming the first layer of flat that holds a NaN or an
+    infinity."""
+    if not np.isfinite(flat).all():
+        bad = next(n for n, a in zip(names, _split_layers(flat, shapes)) if not np.isfinite(a).all())
+        raise NonFiniteError(f"non-finite values in layer {bad!r}")
 
 
 class ParamVector:
@@ -63,14 +77,11 @@ class ParamVector:
         """Take ownership of the fresh buffer flat: freeze it, check it is
         finite, and cut it into per-layer views."""
         flat.flags.writeable = False
-        arrays = _split_layers(flat, shapes)
-        if not np.isfinite(flat).all():
-            bad = next(n for n, a in zip(names, arrays) if not np.isfinite(a).all())
-            raise NonFiniteError(f"non-finite values in layer {bad!r}")
+        _check_finite(names, shapes, flat)
         self._names = names
         self._shapes = shapes
         self._flat = flat
-        self._arrays = tuple(arrays)
+        self._arrays = tuple(_split_layers(flat, shapes))
 
     def _like(self, flat: np.ndarray) -> "ParamVector":
         """A vector with this one's layers, adopting the fresh buffer flat."""
@@ -198,35 +209,73 @@ def norm(v: ParamVector, kind: NormKind):
     return _array_norm(v.flat(), kind)
 
 
-def sample_sphere(
-    template: ParamVector, gamma: float, kind: NormKind, rng: np.random.Generator
-) -> ParamVector:
-    """Uniform random direction with norm exactly gamma, shaped like template.
+def shifted(w: ParamVector, U) -> Iterator[ParamVector]:
+    """w + u for each row u of U (a (k, n) array or a sequence of rows), in
+    order. Every sum is written into one buffer behind one vector with w's
+    layers, so each yielded vector is the same object and holds only until
+    the next step. The sums are bitwise those of axpy(w, 1.0, u), and a
+    non-finite sum raises NonFiniteError as axpy does."""
+    buf = np.zeros(w.size)
+    point = w._like(buf[:])  # the vector freezes its view; buf stays writable
+    for u in U:
+        np.add(w.flat(), u, out=buf)
+        _check_finite(w.names, w.shapes, buf)
+        yield point
 
-    One standard-normal draw fills the whole buffer, which is then rescaled
-    in place to have norm gamma: each non-empty layer under
-    LAYERWISE_FROBENIUS, the flattened vector under EUCLIDEAN/SUP. gamma = 0
-    returns the zero vector without consuming any randomness. A segment
-    whose draw is all zeros (probability ~2^-53 per value) raises
-    RuntimeError.
+
+def sphere_rows(
+    template: ParamVector,
+    gamma: float,
+    kind: NormKind,
+    k: int,
+    rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """k uniform random directions of norm exactly gamma, as the rows of a
+    (k, template.size) float64 array: the first k rows of out when it is
+    given (a reusable buffer), else a new array.
+
+    Each row is one standard-normal fill of template.size values, rescaled
+    in place while it is in cache: each non-empty layer segment under
+    LAYERWISE_FROBENIUS, the whole row under EUCLIDEAN/SUP, by
+    gamma / norm(segment). Row i thus holds exactly the values of the i-th
+    of k successive sample_sphere calls on rng. gamma = 0 gives zero rows
+    without consuming any randomness. A segment whose draw is all zeros
+    (probability ~2^-53 per value) raises RuntimeError; a gamma so large
+    that a row overflows raises NonFiniteError naming its layer.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
+    out = np.empty((k, template.size)) if out is None else out[:k]
     if gamma == 0.0:
-        return ParamVector.zeros_like(template)
-
-    out = rng.standard_normal(template.size)
+        out.fill(0.0)
+        return out
     if kind is NormKind.LAYERWISE_FROBENIUS:
-        segments = [a for a in _split_layers(out, template.shapes) if a.size]
+        ends = list(itertools.accumulate(math.prod(shape) for shape in template.shapes))
+        bounds = [(lo, hi) for lo, hi in zip([0, *ends], ends) if hi > lo]
         kind = NormKind.EUCLIDEAN
     else:
-        segments = [out]
-    for segment in segments:
-        denom = _array_norm(segment, kind)
-        if denom == 0.0:
-            raise RuntimeError("degenerate Gaussian draw: a zero-norm segment")
-        segment *= gamma / denom
-    return template._like(out)
+        bounds = [(0, template.size)]
+    # An overflowing radius shows as a non-finite row, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in out:
+            rng.standard_normal(out=row)
+            for lo, hi in bounds:
+                segment = row[lo:hi]
+                denom = _array_norm(segment, kind)
+                if denom == 0.0:
+                    raise RuntimeError("degenerate Gaussian draw: a zero-norm segment")
+                segment *= gamma / denom
+            _check_finite(template.names, template.shapes, row)
+    return out
+
+
+def sample_sphere(
+    template: ParamVector, gamma: float, kind: NormKind, rng: np.random.Generator
+) -> ParamVector:
+    """One direction of norm exactly gamma, shaped like template: the
+    one-row case of sphere_rows, as a vector."""
+    return template._like(sphere_rows(template, gamma, kind, 1, rng)[0])
 
 
 class FeasibleSet:

@@ -10,17 +10,24 @@ losses, so piecewise-linear suprema are exact), and a sampled outer
 approximation that maximizes over random directions of norm exactly gamma,
 matching what the training algorithms do. The sampled estimate never exceeds
 the true supremum.
+
+Directions are rows of the flat coordinate order. neighborhood_risks scores
+a stack of them; neighborhood_chunks draws and scores r of them at most
+_CHUNK rows at a time, so memory does not grow with r.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .data import Dataset
 from .losses import LossModel
-from .params import NormKind, ParamVector, axpy, sample_sphere
+from .params import NormKind, ParamVector, axpy, sample_sphere, shifted, sphere_rows
+
+# Directions drawn and scored at a time by neighborhood_chunks.
+_CHUNK = 16
 
 
 def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> np.ndarray:
@@ -39,13 +46,31 @@ def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> 
     return np.unique(np.concatenate(pts))
 
 
-def neighborhood_risks(
-    model: LossModel, w: ParamVector, directions: Sequence[ParamVector], S: Dataset
-) -> np.ndarray:
-    """Empirical risk at w + u for each direction u, in order. Callers take
-    np.argmax, which breaks ties to the lowest index."""
-    values = [model.batch_risk(axpy(w, 1.0, u), S) for u in directions]
+def neighborhood_risks(model: LossModel, w: ParamVector, U, S: Dataset) -> np.ndarray:
+    """Empirical risk at w + u for each row u of U (a (k, n) array or a
+    sequence of rows), in order, through one reused buffer (params.shifted).
+    Callers take np.argmax, which breaks ties to the lowest index."""
+    values = [model.batch_risk(point, S) for point in shifted(w, U)]
     return np.array(values, dtype=np.float64)
+
+
+def neighborhood_chunks(
+    model: LossModel,
+    centers: Sequence[ParamVector],
+    gamma: float,
+    kind: NormKind,
+    r: int,
+    S: Dataset,
+    rng: np.random.Generator,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Draw r norm-gamma directions (sphere_rows, in draw order) at most
+    _CHUNK rows at a time and yield each chunk U with the risks at w + u, a
+    (len(centers), len(U)) array with one row per center. All chunks share
+    one buffer: U holds only until the next step."""
+    buf = np.empty((min(_CHUNK, r), centers[0].size))
+    for start in range(0, r, _CHUNK):
+        U = sphere_rows(centers[0], gamma, kind, min(_CHUNK, r - start), rng, out=buf)
+        yield U, np.array([neighborhood_risks(model, w, U, S) for w in centers])
 
 
 def diametrical_risk_grid_1d(
@@ -77,10 +102,12 @@ def diametrical_risk_sampled(
     rng: Union[np.random.Generator, int],
 ) -> float:
     """Max empirical risk over r random directions of norm exactly gamma.
-    Deterministic given the seed."""
+    Deterministic given the seed. It builds one vector per direction with
+    sample_sphere and axpy, the per-direction path the benchmark's
+    accounting tests count."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     directions = [sample_sphere(w, gamma, kind, rng) for _ in range(r)]
-    return float(neighborhood_risks(model, w, directions, S).max())
+    return float(np.max([model.batch_risk(axpy(w, 1.0, u), S) for u in directions]))

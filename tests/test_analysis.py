@@ -430,7 +430,8 @@ def test_flatness_report_flags_flatter_center():
 def _oracle_histograms(model, centers, gamma, kind, n, S, rng):
     """All n directions drawn as one list, then each center evaluated on it."""
     dirs = sample_directions(centers[0], gamma, kind, n, rng)
-    out = [(neighborhood_risks(model, w, dirs, S), model.batch_risk(w, S)) for w in centers]
+    rows = [u.flat() for u in dirs]
+    out = [(neighborhood_risks(model, w, rows, S), model.batch_risk(w, S)) for w in centers]
     return out, directions_digest(dirs)
 
 
@@ -459,6 +460,8 @@ def _problem(which, dim, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(which="mlp", dim=3, n=1, n_centers=2, kind=NormKind.LAYERWISE_FROBENIUS, gamma=0.3, seed=0)
+@example(which="mlp", dim=3, n=16, n_centers=2, kind=NormKind.SUP, gamma=2.0, seed=5)
+@example(which="quadratic", dim=3, n=17, n_centers=2, kind=NormKind.LAYERWISE_FROBENIUS, gamma=0.3, seed=6)
 @example(which="mlp", dim=3, n=63, n_centers=2, kind=NormKind.LAYERWISE_FROBENIUS, gamma=0.3, seed=1)
 @example(which="mlp", dim=3, n=64, n_centers=2, kind=NormKind.EUCLIDEAN, gamma=2.0, seed=2)
 @example(which="quadratic", dim=2, n=65, n_centers=2, kind=NormKind.SUP, gamma=0.3, seed=3)

@@ -505,6 +505,20 @@ def test_overflow_exits_1_with_only_the_error_line(tmp_path, command):
         assert "(epoch 0," in lines[0] and "non-finite diametrical risk estimate" in lines[0]
 
 
+def test_overflowing_gamma_draw_exits_1_with_one_divergence_line(tmp_path):
+    # drm.gamma 1e308: gamma / |segment| overflows while the evaluation
+    # directions are drawn, before iteration 0 of ERM.
+    argv = ["run", "--config", str(diverging_config(tmp_path, gamma=1e308)), "--out", str(tmp_path / "X")]
+    src = str(Path(diamrisk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "diamrisk.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: training diverged at iteration 0 (epoch 0,"), done.stderr
+    assert "evaluation directions" in lines[0]
+    assert not (tmp_path / "X").exists()
+
+
 def test_divergence_on_the_last_step_is_reported_before_the_histograms(tmp_path, capsys):
     # Only iteration 1, the last of epoch 1, uses lr 1e250: the parameters stay
     # finite and the epoch-end train risk overflows.

@@ -42,7 +42,7 @@ def test_neighborhood_risks_match_per_direction_evaluation(seed, n, gamma, kind)
     rows = [(rng.standard_normal(3), int(rng.integers(0, 3))) for _ in range(5)]
     batch = Dataset(X=[x for x, _ in rows], y=[y for _, y in rows], num_classes=3)
     directions = [sample_sphere(w, gamma, kind, rng) for _ in range(n)]
-    values = neighborhood_risks(model, w, directions, batch)
+    values = neighborhood_risks(model, w, [u.flat() for u in directions], batch)
     expected = [model.batch_risk(axpy(w, 1.0, u), batch) for u in directions]
     assert values.dtype == np.float64 and values.shape == (n,)
     assert values.tolist() == expected
@@ -55,9 +55,9 @@ def test_select_worst_breaks_ties_to_the_lowest_index(seed, picks):
     w = ParamVector.zeros_like(model.param_template)
     rng = np.random.default_rng(seed)
     pool = [sample_sphere(w, 1.0, NormKind.EUCLIDEAN, rng) for _ in range(6)]
-    candidates = [pool[i] for i in picks]  # repeats force exact ties
+    candidates = [pool[i].flat() for i in picks]  # repeats force exact ties
     idx, chosen, value = select_worst(model, w, ONE_ROW, candidates)
-    values = [model.batch_risk(axpy(w, 1.0, u), ONE_ROW) for u in candidates]
+    values = [model.batch_risk(axpy(w, 1.0, pool[i]), ONE_ROW) for i in picks]
     assert idx == _first_max(values)
     assert chosen is candidates[idx] and value == values[idx]
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamrisk.data import Dataset, flip_labels, gen_gaussian_blobs
 from diamrisk.losses import LossModel, QuadraticLoss, TentLoss
@@ -9,6 +11,7 @@ from diamrisk.optimizer import (
     DrmConfig,
     EveryK,
     constant_then_drop_schedule,
+    draw_worst,
     make_batch_indices,
     select_worst,
     sgd_drm_run,
@@ -16,7 +19,7 @@ from diamrisk.optimizer import (
     simple_sgd_drm_run,
     simple_sgd_drm_step,
 )
-from diamrisk.params import Box, NonFiniteError, NormKind, ParamVector, Unbounded, sample_sphere
+from diamrisk.params import Box, NonFiniteError, NormKind, ParamVector, Unbounded, sample_sphere, sphere_rows
 from diamrisk.risk import neighborhood_risks
 
 
@@ -100,10 +103,10 @@ def test_select_worst_singleton_and_ties():
     model = ConstantLoss()
     w = ParamVector([("w", np.zeros(2))])
     batch = Dataset.from_labels([0])
-    u = ParamVector([("w", np.array([1.0, 0.0]))])
+    u = np.array([1.0, 0.0])
     idx, chosen, _ = select_worst(model, w, batch, [u])
     assert idx == 0 and chosen is u
-    candidates = [ParamVector([("w", np.array([float(i), 0.0]))]) for i in range(5)]
+    candidates = [np.array([float(i), 0.0]) for i in range(5)]
     idx, _, _ = select_worst(model, w, batch, candidates)
     assert idx == 0  # constant loss: tie broken by lowest index
     with pytest.raises(ValueError):
@@ -116,7 +119,7 @@ def test_select_worst_quadratic_hand_values():
     w = quad.wrap(0.0)
     minus_one = quad.wrap(-1.0)
     plus_half = quad.wrap(0.5)
-    idx, _, value = select_worst(quad, w, batch, [minus_one, plus_half])
+    idx, _, value = select_worst(quad, w, batch, [minus_one.flat(), plus_half.flat()])
     assert idx == 0
     assert value == pytest.approx(0.5)  # 0.5 * (-1)^2 beats 0.5 * 0.5^2 = 0.125
 
@@ -260,7 +263,7 @@ def test_queue_law_capacity_and_fifo_during_run():
         None,
         cfg,
         w0=quad.wrap(0.0),
-        queue_probe=lambda t, queue: snapshots.append((t, list(queue))),
+        queue_probe=lambda t, queue: snapshots.append((t, [u.tobytes() for u in queue])),
     )
     assert len(snapshots) == 200
     assert max(len(entries) for _, entries in snapshots) == 3
@@ -373,19 +376,19 @@ def test_epoch_estimate_is_max_over_one_direction_set_per_run(run, overrides, mo
     )
     w0 = init_params(spec, np.random.default_rng(2))
     rng = np.random.default_rng([cfg.seed, 4])
-    directions = [sample_sphere(w0, cfg.gamma, cfg.norm_kind, rng) for _ in range(cfg.r)]
+    directions = np.array([sample_sphere(w0, cfg.gamma, cfg.norm_kind, rng).flat() for _ in range(cfg.r)])
 
-    evaluated = []  # direction sets scored on the full train set
+    evaluated = []  # direction sets scored on the full train set, as bytes
 
     def spy(model_, w, dirs, S):
         if S is train:
-            evaluated.append(list(dirs))
+            evaluated.append(np.asarray(dirs).tobytes())
         return neighborhood_risks(model_, w, dirs, S)
 
     monkeypatch.setattr("diamrisk.optimizer.neighborhood_risks", spy)
     _, trace = run(model, train, test, cfg, w0=w0)
     assert [e.iter for e in trace.epochs] == [3, 7, 11, 14]
-    assert evaluated == [directions] * len(trace.epochs)
+    assert evaluated == [directions.tobytes()] * len(trace.epochs)
     monkeypatch.undo()
     for e in trace.epochs:
         w_e, _ = run(model, train, test, DrmConfig(**{**cfg.__dict__, "T": e.iter + 1}), w0=w0)
@@ -434,4 +437,103 @@ def test_divergence_raises_typed_error_naming_the_iteration(run):
     err = info.value
     assert (err.iteration, err.epoch, err.lr, err.batch_risk) == (1, 0, 1e200, float("inf"))
     assert "iteration 1 (epoch 0" in str(err)
+    assert isinstance(err.__cause__, NonFiniteError)
+
+
+ONE_ROW = Dataset.from_labels([0])
+NAN = float("nan")
+
+
+class TableLoss(LossModel):
+    """Risk of the i-th evaluation is table[i]: any pattern of values, ties
+    and NaNs, whatever the directions are."""
+
+    def __init__(self, table):
+        self.param_template = ParamVector([("w", np.zeros(3)), ("b", np.zeros(2))])
+        self.table = list(table)
+        self.calls = 0
+
+    def batch_risk(self, w, S):
+        self.calls += 1
+        return self.table[self.calls - 1]
+
+
+def assert_draw_worst_is_argmax(table, seed=0):
+    model = TableLoss(table)
+    w = ParamVector.from_flat(model.param_template, np.arange(5.0))
+    r = len(table)
+    idx, row, value = draw_worst(model, w, ONE_ROW, 0.5, NormKind.LAYERWISE_FROBENIUS, r, np.random.default_rng(seed))
+    best = int(np.argmax(np.array(table)))
+    all_rows = sphere_rows(w, 0.5, NormKind.LAYERWISE_FROBENIUS, r, np.random.default_rng(seed))
+    assert model.calls == r
+    assert idx == best
+    assert row.tobytes() == all_rows[best].tobytes()
+    assert np.array_equal(value, table[best], equal_nan=True)
+
+
+def test_draw_worst_tie_across_a_chunk_boundary_goes_to_the_earlier_row():
+    table = [0.0] * 40
+    table[15] = table[16] = table[39] = 2.0  # rows 15 and 16 sit in chunks 0 and 1
+    assert_draw_worst_is_argmax(table)
+
+
+def test_draw_worst_nan_in_a_later_chunk_beats_an_earlier_finite_max():
+    table = [0.0] * 40
+    table[3] = 9.0
+    table[33] = NAN
+    table[35] = NAN
+    assert_draw_worst_is_argmax(table)
+
+
+def test_draw_worst_first_nan_is_kept_over_later_larger_values():
+    table = [1.0] * 17
+    table[2] = NAN
+    table[16] = 5.0
+    assert_draw_worst_is_argmax(table)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    table=st.lists(st.sampled_from([0.0, 1.0, 2.0, NAN]), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_worst_matches_argmax_over_the_whole_set(table, seed):
+    assert_draw_worst_is_argmax(table, seed)
+
+
+def test_simple_run_matches_simple_steps_across_chunks():
+    # r = 40 spans three draw chunks; the oracle scores all 40 vectors at
+    # once (criterion 5's reduction law, with chunked selection).
+    spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
+    model = MlpLossModel(spec)
+    train = gen_gaussian_blobs(3, 10, 3, 4.0, seed=40)
+    cfg = DrmConfig(gamma=1.5, T=7, batch_size=6, lr_schedule=((7, 0.05),), r=40, seed=41)
+    w0 = init_params(spec, np.random.default_rng(42))
+    final, _ = simple_sgd_drm_run(model, train, None, cfg, w0=w0)
+    w = w0
+    rng_perturb = np.random.default_rng([cfg.seed, 2])
+    t = epoch = 0
+    while t < cfg.T:
+        for idx in make_batch_indices(len(train), cfg.batch_size, [cfg.seed, 1, epoch]):
+            if t == cfg.T:
+                break
+            w = simple_sgd_drm_step(model, w, train[idx], cfg, rng_perturb, t=t)
+            t += 1
+        epoch += 1
+    assert w == final
+
+
+@pytest.mark.parametrize("run", [sgd_erm_run, sgd_drm_run])
+def test_overflowing_radius_in_the_evaluation_draw_raises_divergence(run):
+    # gamma / |z| overflows for a bias segment drawn below 1 in norm, so
+    # the evaluation directions are not finite; the run stops before
+    # iteration 0 with the typed error, not a bare NonFiniteError.
+    spec = MlpSpec(input_dim=2, hidden_dims=(4,), num_classes=2)
+    train = gen_gaussian_blobs(2, 15, 2, 4.0, seed=0)
+    cfg = DrmConfig(gamma=1e308, T=3, batch_size=30, lr_schedule=((3, 0.1),), r=20, seed=0)
+    with pytest.raises(DivergenceError, match="evaluation directions: non-finite values in layer") as info:
+        run(MlpLossModel(spec), train, None, cfg, w0=init_params(spec, np.random.default_rng(0)))
+    err = info.value
+    assert (err.iteration, err.epoch, err.lr, err.batch_risk) == (0, 0, 0.1, None)
+    assert "batch risk" not in str(err)
     assert isinstance(err.__cause__, NonFiniteError)

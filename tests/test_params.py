@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from diamrisk.mlp import MlpSpec
 from diamrisk.params import (
     Box,
+    NonFiniteError,
     NormKind,
     ParamVector,
     Unbounded,
@@ -16,6 +17,7 @@ from diamrisk.params import (
     axpy,
     norm,
     sample_sphere,
+    sphere_rows,
 )
 
 
@@ -190,13 +192,77 @@ def test_sample_sphere_matches_per_layer_oracle_on_default_net(kind):
 
 def test_sample_sphere_zero_norm_draw_raises():
     class ZeroRng:
-        def standard_normal(self, size):
-            return np.zeros(size)
+        def standard_normal(self, size=None, out=None):
+            if out is None:
+                return np.zeros(size)
+            out.fill(0.0)
+            return out
 
     template = pv(np.zeros(3), np.zeros((2, 2)))
     for kind in NormKind:
         with pytest.raises(RuntimeError):
             sample_sphere(template, 1.0, kind, ZeroRng())
+
+
+def assert_rows_match_oracle(template, gamma, kind, seed, k):
+    """k rows of one sphere_rows stack equal k successive oracle draws bit
+    for bit, and the two generators are left in the same state."""
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = [oracle_sample_sphere(template, gamma, kind, rng_old).flat() for _ in range(k)]
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            sphere_rows(template, gamma, kind, k, rng_new)
+        return
+    got = sphere_rows(template, gamma, kind, k, rng_new)
+    assert got.dtype == np.float64 and got.shape == (k, template.size)
+    assert got.tobytes() == np.array(expected).reshape(k, template.size).tobytes()
+    assert rng_new.standard_normal(4).tobytes() == rng_old.standard_normal(4).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    shapes=st.lists(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5), max_size=5),
+    kind=st.sampled_from(list(NormKind)),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_nan=False)),
+    k=st.sampled_from([1, 16, 17, 40]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sphere_rows_match_successive_oracle_draws(shapes, kind, gamma, k, seed):
+    template = pv(*(np.zeros(shape) for shape in shapes))
+    assert_rows_match_oracle(template, gamma, kind, seed, k)
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_sphere_rows_match_successive_sample_sphere_calls_on_default_net(kind):
+    template = MlpSpec(20, (96, 96, 48), 3).param_template()
+    rng_rows, rng_calls = np.random.default_rng(3), np.random.default_rng(3)
+    out = np.full((20, template.size), np.nan)  # a reused buffer: its first 17 rows are filled
+    rows = sphere_rows(template, 2.0, kind, 17, rng_rows, out=out)
+    calls = [sample_sphere(template, 2.0, kind, rng_calls).flat() for _ in range(17)]
+    assert rows.shape == (17, template.size) and np.shares_memory(rows, out)
+    assert rows.tobytes() == np.array(calls).tobytes() and np.isnan(out[17:]).all()
+    assert rng_rows.standard_normal(4).tobytes() == rng_calls.standard_normal(4).tobytes()
+
+
+def test_sphere_rows_zero_norm_draw_raises():
+    class ZeroRng:
+        def standard_normal(self, size=None, out=None):
+            out.fill(0.0)
+            return out
+
+    template = pv(np.zeros(3), np.zeros((2, 2)))
+    for kind in NormKind:
+        with pytest.raises(RuntimeError, match="zero-norm segment"):
+            sphere_rows(template, 1.0, kind, 3, ZeroRng())
+
+
+def test_sphere_rows_overflowing_radius_raises_non_finite_error():
+    # A one-value layer drawn below 1 in magnitude scales by 1e308 / |z|,
+    # which overflows; the row must not come back holding an infinity.
+    template = pv(np.zeros(1), np.zeros(3))
+    with pytest.raises(NonFiniteError, match="layer 'l0'"):
+        sphere_rows(template, 1e308, NormKind.LAYERWISE_FROBENIUS, 8, np.random.default_rng(0))
 
 
 def test_project_identity_inside_box():
