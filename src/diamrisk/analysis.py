@@ -416,13 +416,6 @@ def sample_directions(
     return [sample_sphere(template, gamma, kind, rng) for _ in range(n)]
 
 
-def directions_digest(directions: Sequence[ParamVector]) -> str:
-    h = hashlib.sha256()
-    for u in directions:
-        h.update(u.flat().tobytes())
-    return h.hexdigest()
-
-
 def landscape_histogram(
     model: LossModel,
     w_center: Union[ParamVector, Sequence[ParamVector]],

@@ -1,8 +1,7 @@
 """Data sets as arrays, and synthetic classification data with label noise.
 
-A Dataset holds one row per record: features X of shape (m, d), integer
-labels y, and real regression targets t (read only by the quadratic
-fixture). The 1-D analytic losses use d = 0, where the label alone carries
+A Dataset holds one row per record: features X of shape (m, d) and integer
+labels y. The 1-D analytic losses use d = 0, where the label alone carries
 the randomness. Class-conditional Gaussian blobs stand in for image
 benchmarks at desk scale; flip_labels corrupts a chosen fraction of training
 labels to a uniformly random incorrect class.
@@ -18,13 +17,11 @@ import numpy as np
 
 @dataclass(eq=False)
 class Dataset:
-    """m rows: features X (m, d), labels y in [0, num_classes), and targets t
-    (zeros unless given)."""
+    """m rows: features X (m, d) and labels y in [0, num_classes)."""
 
     X: np.ndarray
     y: np.ndarray
     num_classes: int = 2
-    t: np.ndarray = None
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.int64)
@@ -34,9 +31,6 @@ class Dataset:
             raise ValueError(
                 f"need X of shape (m, d) and y of shape (m,), got {self.X.shape} and {self.y.shape}"
             )
-        self.t = np.zeros(m) if self.t is None else np.asarray(self.t, dtype=np.float64)
-        if self.t.shape != (m,):
-            raise ValueError("targets must have one entry per row")
         bad = (self.y < 0) | (self.y >= self.num_classes)
         if bad.any():
             raise ValueError(f"label {self.y[bad][0]} outside [0, {self.num_classes})")
@@ -48,7 +42,7 @@ class Dataset:
         """The rows idx (an index array, slice or single index) as a Dataset."""
         if isinstance(idx, (int, np.integer)):
             idx = [idx]
-        return Dataset(X=self.X[idx], y=self.y[idx], num_classes=self.num_classes, t=self.t[idx])
+        return Dataset(X=self.X[idx], y=self.y[idx], num_classes=self.num_classes)
 
     @staticmethod
     def from_labels(labels: Sequence[int], num_classes: int = 2) -> "Dataset":
@@ -85,8 +79,8 @@ def gen_gaussian_blobs(num_classes: int, n: int, d: int, separation: float, seed
 
 def flip_labels(data: Dataset, frac: float, rng: np.random.Generator) -> Dataset:
     """Flip exactly round(frac * m) uniformly chosen labels to a uniformly
-    random incorrect class. Features and targets are shared with the input
-    dataset; only the labels change, so the flipped rows are y != data.y."""
+    random incorrect class. Features are shared with the input dataset;
+    only the labels change, so the flipped rows are y != data.y."""
     if not 0.0 <= frac <= 1.0:
         raise ValueError("frac must be in [0, 1]")
     if data.num_classes < 2:
@@ -100,4 +94,4 @@ def flip_labels(data: Dataset, frac: float, rng: np.random.Generator) -> Dataset
     for i in np.sort(chosen):
         offset = int(rng.integers(0, data.num_classes - 1))
         y[i] = offset if offset < y[i] else offset + 1
-    return Dataset(X=data.X, y=y, num_classes=data.num_classes, t=data.t)
+    return Dataset(X=data.X, y=y, num_classes=data.num_classes)

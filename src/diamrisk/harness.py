@@ -23,6 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import streams
 from .analysis import (
     FlatnessReport,
     flatness_report,
@@ -242,14 +243,17 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    """The config in the JSON file path; ConfigError if it cannot be read
+    (missing, a directory, not UTF-8) or is not a valid config."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     return experiment_config_from_dict(obj)
 
 
@@ -264,10 +268,6 @@ def default_experiment_dict(seed: int = 0, out_dir: Optional[str] = None) -> dic
     if out_dir is not None:
         obj["out_dir"] = str(out_dir)
     return obj
-
-
-def default_experiment_config(seed: int = 0, out_dir: Optional[str] = None) -> ExperimentConfig:
-    return experiment_config_from_dict(default_experiment_dict(seed, out_dir))
 
 
 def check_out_path(out) -> Path:
@@ -306,12 +306,12 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """(noisy train, clean test), both deterministic in the seeds."""
     ds = cfg.dataset
     train_clean = gen_gaussian_blobs(
-        ds.num_classes, ds.n_train, ds.input_dim, ds.separation, seed=[ds.seed, 0]
+        ds.num_classes, ds.n_train, ds.input_dim, ds.separation, seed=[ds.seed, streams.TRAIN]
     )
     test = gen_gaussian_blobs(
-        ds.num_classes, ds.n_test, ds.input_dim, ds.separation, seed=[ds.seed, 1]
+        ds.num_classes, ds.n_test, ds.input_dim, ds.separation, seed=[ds.seed, streams.TEST]
     )
-    train = flip_labels(train_clean, ds.noise_frac, np.random.default_rng([ds.seed, 2]))
+    train = flip_labels(train_clean, ds.noise_frac, np.random.default_rng([ds.seed, streams.FLIP]))
     return train, test
 
 
@@ -363,7 +363,7 @@ def run_label_noise_experiment(
     train, test = build_datasets(cfg)
     spec = cfg.mlp_spec()
     model = MlpLossModel(spec)
-    w0 = init_params(spec, np.random.default_rng([cfg.drm.seed, 0]))
+    w0 = init_params(spec, np.random.default_rng([cfg.drm.seed, streams.INIT]))
     w0_hash = hashlib.sha256(w0.to_json().encode()).hexdigest()
 
     erm_final, erm_trace = sgd_erm_run(model, train, test, cfg.drm, w0=w0)
@@ -373,7 +373,7 @@ def run_label_noise_experiment(
 
     hist_erm, hist_drm = landscape_histogram(
         model, [erm_final, drm_final], cfg.drm.gamma, cfg.drm.norm_kind, cfg.landscape_n,
-        train, np.random.default_rng([cfg.drm.seed, 5]),
+        train, np.random.default_rng([cfg.drm.seed, streams.HIST]),
     )
     report = flatness_report(hist_erm, hist_drm)
 

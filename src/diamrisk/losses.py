@@ -3,10 +3,10 @@ trains the model.
 
 Includes two 1-D analytic losses whose true risk is identically zero (a
 piecewise-linear "tent" with a steep slope, and a reciprocal loss that is not
-even Lipschitz), plus a convex quadratic fixture. Both analytic losses make
-plain empirical-risk minimization misbehave while the worst-case-neighborhood
-risk stays well behaved, which is what the 1-D studies measure; nothing
-trains them, so they have no gradient. A single record is a one-row Dataset.
+even Lipschitz). Both make plain empirical-risk minimization misbehave while
+the worst-case-neighborhood risk stays well behaved, which is what the 1-D
+studies measure; nothing trains them, so they have no gradient. The MLP loss
+lives in mlp. A single record is a one-row Dataset.
 """
 
 from __future__ import annotations
@@ -26,18 +26,6 @@ def rho_m(labels: Sequence[int]) -> int:
     if bad.size:
         raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
     return int(np.sum(labels == 0) - np.sum(labels == 1))
-
-
-def _index_order_mean(rows: np.ndarray) -> np.ndarray:
-    """Mean over axis 0, accumulated row by row in ascending index order.
-
-    np.cumsum adds strictly left to right, so the result equals a Python
-    loop of += bit for bit (np.mean sums pairwise and does not).
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape[0] == 0:
-        raise ValueError("empty batch")
-    return np.cumsum(rows, axis=0)[-1] / rows.shape[0]
 
 
 def label_mean(per_label, values, counts) -> np.ndarray:
@@ -142,13 +130,6 @@ class TentLoss(ScalarLossModel):
         )
 
 
-def reciprocal_eval(w: float, z: int) -> float:
-    """Reciprocal loss: 1/w (z=0) or -1/w (z=1) for w > 0, zero otherwise."""
-    if w <= 0:
-        return 0.0
-    return (1.0 - 2.0 * z) / w
-
-
 class ReciprocalLoss(ScalarLossModel):
     """Non-Lipschitz loss whose empirical risk is unbounded below near 0.
 
@@ -165,82 +146,3 @@ class ReciprocalLoss(ScalarLossModel):
         mask = w > 0
         np.divide(1.0 - 2.0 * label, w, out=out, where=mask)
         return out
-
-
-def quadratic_eval(w: ParamVector, S: Dataset) -> np.ndarray:
-    """Per-row half squared residual 0.5 * (<x, w> - t)^2 over the rows of S."""
-    flat = w.flat()
-    if S.X.shape[1] != flat.shape[0]:
-        raise ValueError(
-            f"feature dimension {S.X.shape[1]} does not match parameters {flat.shape}"
-        )
-    residual = S.X @ flat - S.t
-    return 0.5 * residual * residual
-
-
-class QuadraticLoss(LossModel):
-    """Convex quadratic loss over a dim-vector parameter (convexity fixture)."""
-
-    def __init__(self, dim: int = 1):
-        self.param_template = ParamVector([("w", np.zeros(dim))])
-
-    def batch_risk(self, w: ParamVector, S: Dataset) -> float:
-        return float(_index_order_mean(quadratic_eval(w, S)))
-
-    def batch_grad(self, w: ParamVector, S: Dataset) -> tuple[float, ParamVector]:
-        risk = self.batch_risk(w, S)
-        residual = S.X @ w.flat() - S.t
-        return risk, ParamVector.from_flat(w, _index_order_mean(residual[:, None] * S.X))
-
-    # 1-D curve support for the grid-based neighborhood-sup oracle.
-    def risk_curve(self, w_points: np.ndarray, S: Dataset) -> np.ndarray:
-        """Empirical risk at every point of w_points (1-D quadratic only)."""
-        if self.param_template.size != 1:
-            raise ValueError("risk_curve only applies to the 1-D quadratic")
-        w_points = np.asarray(w_points, dtype=np.float64)
-        rows = 0.5 * np.square(S.X[:, :1] * w_points.ravel() - S.t[:, None])
-        return _index_order_mean(rows).reshape(w_points.shape)
-
-    def wrap(self, x: float) -> ParamVector:
-        if self.param_template.size != 1:
-            raise ValueError("wrap only applies to the 1-D quadratic")
-        return ParamVector.from_flat(self.param_template, np.array([float(x)]))
-
-
-def finite_diff_grad(
-    model: LossModel, w: ParamVector, S: Dataset, step: float = 1e-5
-) -> ParamVector:
-    """Central-difference gradient of model.batch_risk at (w, S), coordinate
-    by coordinate."""
-    flat = w.flat()
-    out = np.zeros_like(flat)
-    for i in range(flat.size):
-        bump = np.zeros_like(flat)
-        bump[i] = step
-        hi = model.batch_risk(ParamVector.from_flat(w, flat + bump), S)
-        lo = model.batch_risk(ParamVector.from_flat(w, flat - bump), S)
-        out[i] = (hi - lo) / (2.0 * step)
-    return ParamVector.from_flat(w, out)
-
-
-def gradient_check(
-    model: LossModel,
-    pairs: Sequence[tuple[ParamVector, Dataset]],
-    step: float = 1e-5,
-) -> float:
-    """Worst scaled error between analytic and finite-difference gradients.
-
-    Each pair is a parameter vector and a Dataset (one row probes a single
-    record). The error is ||g - g_fd||_inf / max(1, ||g||_inf), so tiny
-    gradients are compared absolutely and large ones relatively. Callers
-    should keep the probe points away from declared non-differentiable
-    parameters.
-    """
-    worst = 0.0
-    for w, S in pairs:
-        g = model.batch_grad(w, S)[1].flat()
-        g_fd = finite_diff_grad(model, w, S, step).flat()
-        denom = max(1.0, float(np.max(np.abs(g))) if g.size else 0.0)
-        err = float(np.max(np.abs(g - g_fd))) / denom if g.size else 0.0
-        worst = max(worst, err)
-    return worst

@@ -90,14 +90,6 @@ def _nll_rows(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return lse - logits[np.arange(len(y)), y], e / total[:, None]
 
 
-def nll_softmax(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label] for one row of logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[-1]:
-        raise ValueError(f"label {label} out of range for {logits.shape[-1]} classes")
-    return float(_nll_rows(logits.reshape(1, -1), np.array([label]))[0][0])
-
-
 def loss_and_grad(spec: MlpSpec, w: ParamVector, batch: Dataset) -> tuple[float, ParamVector]:
     """Mean NLL over the batch (equal to batch_nll) and its exact
     reverse-mode gradient, one matrix product per layer.

@@ -20,14 +20,13 @@ simple_sgd_drm_step, one such step on its own with one vector per direction
 and one np.argmax over all r, is the reference it is checked against.
 
 Both loops start from the caller's w0. Their randomness is split into
-independent streams derived from the config seed: batching, perturbations,
-the sampling coin and the epoch-end evaluation directions. Stream tag 0 is
-left to the caller's draw of w0. The r evaluation directions are drawn once
-per run and kept as one (r, n) array, so every epoch's sampled diametrical
-estimate, in both loops, is the max risk over one shared set. Runs that
-should coincide do so bitwise: gamma = 0 reduces DRM to the ERM baseline,
-and q = 1 with sampling every iteration reduces the queued loop to repeated
-simple steps.
+streams of the config seed, tagged in the streams module: batching,
+perturbations, the sampling coin and the epoch-end evaluation directions.
+The r evaluation directions are drawn once per run and kept as one (r, n)
+array, so every epoch's sampled diametrical estimate, in both loops, is the
+max risk over one shared set. Runs that should coincide do so bitwise:
+gamma = 0 reduces DRM to the ERM baseline, and q = 1 with sampling every
+iteration reduces the queued loop to repeated simple steps.
 """
 
 from __future__ import annotations
@@ -37,22 +36,17 @@ import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import streams
 from .analysis import csv_text
 from .data import Dataset
 from .losses import LossModel
 from .params import FeasibleSet, NonFiniteError, NormKind, ParamVector, Unbounded
 from .params import axpy, sample_sphere, shifted, sphere_rows
 from .risk import neighborhood_chunks, neighborhood_risks
-
-# Sub-stream tags for seed derivation; fixed so traces are reproducible.
-_STREAM_BATCH = 1
-_STREAM_PERTURB = 2
-_STREAM_COIN = 3
-_STREAM_EVAL = 4  # the r epoch-end evaluation directions, drawn once per run
 
 TRACE_CSV_HEADER = (
     "iter,epoch,event,lr,batch_risk,perturbed_batch_risk,train_risk,test_acc,diam_risk_est"
@@ -276,7 +270,6 @@ def _run_loop(
     cfg: DrmConfig,
     algorithm: str,
     w0: ParamVector,
-    queue_probe: Optional[Callable[[int, deque], None]] = None,
 ) -> tuple[ParamVector, RunTrace]:
     cfg.validate()
     if algorithm not in ("erm", "drm"):
@@ -284,10 +277,10 @@ def _run_loop(
     if len(data) == 0:
         raise ValueError("empty training data")
 
-    rng_perturb = np.random.default_rng([cfg.seed, _STREAM_PERTURB])
-    rng_coin = np.random.default_rng([cfg.seed, _STREAM_COIN])
+    rng_perturb = np.random.default_rng([cfg.seed, streams.PERTURB])
+    rng_coin = np.random.default_rng([cfg.seed, streams.COIN])
     w = cfg.feasible.project(w0)
-    rng_eval = np.random.default_rng([cfg.seed, _STREAM_EVAL])
+    rng_eval = np.random.default_rng([cfg.seed, streams.EVAL])
     try:
         eval_directions = sphere_rows(w, cfg.gamma, cfg.norm_kind, cfg.r, rng_eval)
     except NonFiniteError as exc:
@@ -301,7 +294,7 @@ def _run_loop(
     t = 0
     epoch = 0
     while t < cfg.T:
-        batch_index_lists = make_batch_indices(m, cfg.batch_size, [cfg.seed, _STREAM_BATCH, epoch])
+        batch_index_lists = make_batch_indices(m, cfg.batch_size, [cfg.seed, streams.BATCH, epoch])
         # Overflow shows as a non-finite risk or parameter, which raises DivergenceError.
         with np.errstate(over="ignore", invalid="ignore"):
             for idx in batch_index_lists:
@@ -328,8 +321,6 @@ def _run_loop(
                         if not math.isfinite(perturbed_risk):
                             raise NonFiniteError("non-finite perturbed batch risk")
                         grad_point = next(shifted(w, (v_star,)))
-                    if queue_probe is not None:
-                        queue_probe(t, queue)
 
                     _, grad = model.batch_grad(grad_point, batch)
                     w = cfg.feasible.project(axpy(w, -lr, grad))
@@ -364,8 +355,6 @@ def simple_sgd_drm_run(model, data, test, cfg: DrmConfig, w0: ParamVector) -> tu
     return _run_loop(model, data, test, dataclasses.replace(cfg, q=1, p=EveryK(1)), "drm", w0)
 
 
-def sgd_drm_run(
-    model, data, test, cfg: DrmConfig, w0: ParamVector, queue_probe=None
-) -> tuple[ParamVector, RunTrace]:
+def sgd_drm_run(model, data, test, cfg: DrmConfig, w0: ParamVector) -> tuple[ParamVector, RunTrace]:
     """Queued DRM loop: sampling events per cfg.p, reuse queue of capacity q."""
-    return _run_loop(model, data, test, cfg, "drm", w0, queue_probe)
+    return _run_loop(model, data, test, cfg, "drm", w0)

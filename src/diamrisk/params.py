@@ -145,10 +145,6 @@ class ParamVector:
 
     __hash__ = None  # mutable-by-convention container semantics
 
-    def allclose(self, other: "ParamVector", rtol: float = 1e-12, atol: float = 0.0) -> bool:
-        _check_same_structure(self, other)
-        return bool(np.allclose(self._flat, other._flat, rtol=rtol, atol=atol))
-
     def __repr__(self) -> str:
         desc = ", ".join(f"{n}{a.shape}" for n, a in self)
         return f"ParamVector({desc})"
@@ -202,13 +198,6 @@ def _array_norm(a: np.ndarray, kind: NormKind) -> float:
     raise ValueError(f"unknown norm kind: {kind}")
 
 
-def norm(v: ParamVector, kind: NormKind):
-    """Norm of v; a per-layer list of Frobenius norms for LAYERWISE_FROBENIUS."""
-    if kind is NormKind.LAYERWISE_FROBENIUS:
-        return [_array_norm(a, NormKind.EUCLIDEAN) for a in v.arrays]
-    return _array_norm(v.flat(), kind)
-
-
 def shifted(w: ParamVector, U) -> Iterator[ParamVector]:
     """w + u for each row u of U (a (k, n) array or a sequence of rows), in
     order. Every sum is written into one buffer behind one vector with w's
@@ -238,11 +227,11 @@ def sphere_rows(
     Each row is one standard-normal fill of template.size values, rescaled
     in place while it is in cache: each non-empty layer segment under
     LAYERWISE_FROBENIUS, the whole row under EUCLIDEAN/SUP, by
-    gamma / norm(segment). Row i thus holds exactly the values of the i-th
-    of k successive sample_sphere calls on rng. gamma = 0 gives zero rows
-    without consuming any randomness. A segment whose draw is all zeros
-    (probability ~2^-53 per value) raises RuntimeError; a gamma so large
-    that a row overflows raises NonFiniteError naming its layer.
+    gamma over the segment's norm. Row i thus holds exactly the values of
+    the i-th of k successive sample_sphere calls on rng. gamma = 0 gives
+    zero rows without consuming any randomness. A segment whose draw is all
+    zeros (probability ~2^-53 per value) raises RuntimeError; a gamma so
+    large that a row overflows raises NonFiniteError naming its layer.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")

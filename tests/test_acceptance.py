@@ -18,14 +18,13 @@ from diamrisk.analysis import (
     rate_study,
 )
 from diamrisk.data import Dataset
-from diamrisk.harness import default_experiment_config, run_label_noise_experiment
-from diamrisk.losses import (
-    QuadraticLoss,
-    ReciprocalLoss,
-    TentLoss,
-    gradient_check,
+from diamrisk.harness import (
+    default_experiment_dict,
+    experiment_config_from_dict,
+    run_label_noise_experiment,
 )
-from diamrisk.mlp import MlpLossModel, MlpSpec, init_params, nll_softmax
+from diamrisk.losses import ReciprocalLoss, TentLoss
+from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.optimizer import (
     DrmConfig,
     EveryK,
@@ -37,6 +36,7 @@ from diamrisk.optimizer import (
 )
 from diamrisk.params import NormKind
 from diamrisk.risk import diametrical_risk_grid_1d, diametrical_risk_sampled
+from oracles import QuadraticLoss, gradient_check, nll_softmax, quadratic_data
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -45,7 +45,7 @@ GAMMA_LOSS = 0.5
 def quad_rows(rng, m):
     """m one-feature regression rows, each feature drawn before its target."""
     rows = [(rng.uniform(0.5, 2.0), float(rng.standard_normal())) for _ in range(m)]
-    return Dataset(X=[[a] for a, _ in rows], y=[0] * m, t=[b for _, b in rows])
+    return quadratic_data([[a] for a, _ in rows], [b for _, b in rows])
 
 
 @contextmanager
@@ -273,7 +273,7 @@ def test_criterion_7_label_noise_experiment():
         budget_s=900.0,
     ):
         for seed in (0, 1, 2):
-            cfg = default_experiment_config(seed=seed)
+            cfg = experiment_config_from_dict(default_experiment_dict(seed=seed))
             result = run_label_noise_experiment(cfg, out_dir=f"/tmp/diamrisk_acceptance/seed{seed}")
             erm, drm = result.erm, result.drm
             assert erm.min_train_risk < 0.1, (

@@ -12,7 +12,6 @@ from diamrisk.analysis import (
     confidence_csv,
     confidence_region_check,
     csv_text,
-    directions_digest,
     erm_drm_gap_table,
     excess,
     flatness_report,
@@ -23,11 +22,12 @@ from diamrisk.analysis import (
     sample_directions,
 )
 from diamrisk.data import Dataset, gen_gaussian_blobs
-from diamrisk.losses import LossModel, QuadraticLoss, ReciprocalLoss, TentLoss
-from diamrisk.harness import build_datasets, default_experiment_config
+from diamrisk.losses import LossModel, ReciprocalLoss, TentLoss
+from diamrisk.harness import build_datasets, default_experiment_dict, experiment_config_from_dict
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.params import NormKind, ParamVector
 from diamrisk.risk import diametrical_risk_grid_1d, neighborhood_risks
+from oracles import QuadraticLoss, directions_digest, quadratic_data
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -360,14 +360,14 @@ def test_landscape_histogram_1d_quadratic_sphere_is_two_points():
     # In one dimension the norm-1 sphere is {-1, +1}, so every neighborhood
     # value equals 0.5.
     quad = QuadraticLoss(dim=1)
-    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
+    S = quadratic_data([[1.0]], [0.0])
     hist = landscape_histogram(quad, quad.wrap(0.0), 1.0, NormKind.EUCLIDEAN, 500, S, rng=11)
     assert np.allclose(hist.values, 0.5, rtol=1e-12)
 
 
 def test_landscape_histogram_shared_directions_reuse():
     quad = QuadraticLoss(dim=1)
-    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
+    S = quadratic_data([[1.0]], [0.0])
     dirs = sample_directions(quad.param_template, 0.7, NormKind.EUCLIDEAN, 50, rng=12)
     h1, h2 = landscape_histogram(
         quad, [quad.wrap(0.0), quad.wrap(1.0)], 0.7, NormKind.EUCLIDEAN, 50, S, rng=12
@@ -379,7 +379,7 @@ def test_landscape_histogram_shared_directions_reuse():
 
 def test_landscape_histogram_threaded_matches_serial():
     quad = QuadraticLoss(dim=1)
-    S = Dataset(X=[[1.3]], y=[0], t=[0.2])
+    S = quadratic_data([[1.3]], [0.2])
     serial = landscape_histogram(quad, quad.wrap(0.2), 0.4, NormKind.EUCLIDEAN, 64, S, rng=13)
     threaded = landscape_histogram(
         quad, quad.wrap(0.2), 0.4, NormKind.EUCLIDEAN, 64, S, rng=13, max_workers=4
@@ -391,7 +391,7 @@ def test_sup_dominance_with_zero_direction_appended():
     # At radius 0 every drawn direction is the zero direction, so each
     # center's neighborhood sup is at least its own risk.
     quad = QuadraticLoss(dim=1)
-    S = Dataset(X=[[1.0]], y=[0], t=[0.4])
+    S = quadratic_data([[1.0]], [0.4])
     for hist in landscape_histogram(
         quad, [quad.wrap(0.9), quad.wrap(-0.3)], 0.0, NormKind.EUCLIDEAN, 21, S, rng=14
     ):
@@ -400,7 +400,7 @@ def test_sup_dominance_with_zero_direction_appended():
 
 def test_flatness_report_identical_inputs_tie():
     quad = QuadraticLoss(dim=1)
-    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
+    S = quadratic_data([[1.0]], [0.0])
     h1, h2 = landscape_histogram(
         quad, [quad.wrap(0.5), quad.wrap(0.5)], 0.3, NormKind.EUCLIDEAN, 30, S, rng=15
     )
@@ -419,7 +419,7 @@ def test_flatness_report_constant_loss_zero_gap():
 
 def test_flatness_report_flags_flatter_center():
     quad = QuadraticLoss(dim=1)
-    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
+    S = quadratic_data([[1.0]], [0.0])
     sharp, flat = landscape_histogram(
         quad, [quad.wrap(2.0), quad.wrap(0.0)], 0.5, NormKind.EUCLIDEAN, 40, S, rng=17
     )
@@ -440,7 +440,7 @@ def _problem(which, dim, seed):
     if which == "quadratic":
         model = QuadraticLoss(dim=dim)
         template = model.param_template
-        S = Dataset(X=rng.standard_normal((5, dim)), y=[0] * 5, t=rng.standard_normal(5))
+        S = quadratic_data(rng.standard_normal((5, dim)), rng.standard_normal(5))
     else:
         spec = MlpSpec(input_dim=dim + 1, hidden_dims=(4,), num_classes=2)
         model, template = MlpLossModel(spec), spec.param_template()
@@ -492,7 +492,7 @@ def test_one_center_returns_a_histogram_equal_to_the_list_call():
 def test_landscape_histogram_memory_does_not_grow_with_n():
     # 500 directions of the default 96-96-48 net held at once would take
     # 500 x 129 KB = 63 MiB; streamed, the peak is about one chunk of them.
-    cfg = default_experiment_config(0)
+    cfg = experiment_config_from_dict(default_experiment_dict(0))
     train, _ = build_datasets(cfg)
     model = MlpLossModel(cfg.mlp_spec())
     w = init_params(cfg.mlp_spec(), np.random.default_rng(0))
@@ -507,7 +507,7 @@ def test_landscape_histogram_memory_does_not_grow_with_n():
 
 def test_flatness_report_rejects_mismatched_directions():
     quad = QuadraticLoss(dim=1)
-    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
+    S = quadratic_data([[1.0]], [0.0])
     h1 = landscape_histogram(quad, quad.wrap(0.0), 0.5, NormKind.EUCLIDEAN, 10, S, rng=18)
     h2 = landscape_histogram(quad, quad.wrap(0.0), 0.5, NormKind.EUCLIDEAN, 10, S, rng=19)
     with pytest.raises(ValueError):
@@ -544,7 +544,7 @@ def test_csv_writers_roundtrip_shapes():
     assert rows == list(zip(conf.epsilons, conf.pass_rates))
 
     quad = QuadraticLoss(dim=1)
-    S = Dataset(X=[[1.0]], y=[0], t=[0.0])
+    S = quadratic_data([[1.0]], [0.0])
     hist = landscape_histogram(quad, quad.wrap(0.0), 1.0, NormKind.EUCLIDEAN, 25, S, rng=22)
     lines = hist_csv(hist, solution="erm").splitlines()
     assert lines[0] == "# n=25" and lines[5] == "# solution=erm"

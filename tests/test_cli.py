@@ -565,6 +565,22 @@ def test_out_path_under_a_file_exits_2_before_training(tmp_path, capsys, monkeyp
     assert (tmp_path / blocker).read_text() == "keep"
 
 
+@pytest.mark.parametrize("content", [None, b'{"schema_version": 1, "out_dir": "caf\xe9"}'],
+                         ids=["directory", "not_utf8"])
+@pytest.mark.parametrize("command", ["run", "landscape"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, content):
+    argv = _small_argv(tmp_path, command)
+    config = Path(argv[argv.index("--config") + 1])
+    config.unlink()
+    if content is None:
+        config.mkdir()
+    else:
+        config.write_bytes(content)
+    assert cli_main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_write_leaves_an_earlier_rate_csv_unchanged(tmp_path, capsys, monkeypatch):
     out = tmp_path / "rate"
     argv = [*_small_argv(tmp_path, "rate"), "--out", str(out)]

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diamrisk import streams
 from diamrisk.cli import cli_main
 from diamrisk.harness import (
     SCHEMA,
     SCHEMA_VERSION,
     ConfigError,
     build_datasets,
-    default_experiment_config,
     default_experiment_dict,
     experiment_config_from_dict,
     load_experiment_config,
@@ -267,11 +267,22 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_default_config_is_valid():
-    cfg = default_experiment_config(seed=3)
+    cfg = experiment_config_from_dict(default_experiment_dict(seed=3))
     assert cfg.dataset.noise_frac == 0.5
     assert cfg.dataset.num_classes == 3
     assert cfg.mlp_spec().param_template().size >= 10_000
     assert cfg.drm.seed == 3
+
+
+def test_drm_stream_keys_differ_after_zero_padding():
+    def state(key):
+        return tuple(np.random.SeedSequence(key).generate_state(4))
+
+    # SeedSequence pads its entropy with zeros: these two keys are one stream.
+    assert state([7, streams.BATCH]) == state([7, streams.BATCH, 0])
+    keys = [[7, tag] for tag in (streams.INIT, streams.PERTURB, streams.COIN, streams.EVAL, streams.HIST)]
+    keys += [[7, streams.BATCH, epoch] for epoch in range(10)]
+    assert len({state(key) for key in keys}) == len(keys)
 
 
 def test_build_datasets_deterministic_and_noisy():

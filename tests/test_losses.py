@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from diamrisk.data import Dataset
-from diamrisk.losses import (
-    QuadraticLoss,
-    TentLoss,
-    gradient_check,
-    quadratic_eval,
-    reciprocal_eval,
-    rho_m,
-)
+from diamrisk.losses import TentLoss, rho_m
 from diamrisk.params import ParamVector
+from oracles import QuadraticLoss, gradient_check, quadratic_data, quadratic_eval, reciprocal_eval
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -122,21 +115,21 @@ def test_reciprocal_empirical_risk_closed_form():
 
 def test_quadratic_eval_examples():
     w = ParamVector([("w", np.array([1.0, 1.0]))])
-    perfect = Dataset(X=[[2.0, 3.0]], y=[0], t=[5.0])
+    perfect = quadratic_data([[2.0, 3.0]], [5.0])
     assert quadratic_eval(w, perfect).tolist() == [0.0]
 
     w0 = ParamVector([("w", np.array([0.0, 0.0]))])
-    assert quadratic_eval(w0, Dataset(X=[[1.0, 1.0]], y=[0], t=[2.0])).tolist() == [2.0]
+    assert quadratic_eval(w0, quadratic_data([[1.0, 1.0]], [2.0])).tolist() == [2.0]
 
     # 0.5 * (1*1 + 2*1 - 0)^2 = 4.5, one value per row.
-    both = Dataset(X=[[1.0, 2.0], [2.0, 3.0]], y=[0, 0], t=[0.0, 5.0])
+    both = quadratic_data([[1.0, 2.0], [2.0, 3.0]], [0.0, 5.0])
     assert quadratic_eval(w, both).tolist() == [4.5, 0.0]
 
 
 def test_quadratic_eval_dimension_mismatch():
     w = ParamVector([("w", np.array([1.0, 1.0]))])
     with pytest.raises(ValueError):
-        quadratic_eval(w, Dataset(X=[[1.0]], y=[0]))
+        quadratic_eval(w, quadratic_data([[1.0]], [0.0]))
 
 
 def test_quadratic_is_nonnegative_and_convex_in_w():
@@ -145,7 +138,7 @@ def test_quadratic_is_nonnegative_and_convex_in_w():
     for _ in range(200):
         a = rng.standard_normal(3)
         b = float(rng.standard_normal())
-        z = Dataset(X=[a], y=[0], t=[b])
+        z = quadratic_data([a], [b])
         w1 = ParamVector([("w", rng.standard_normal(3))])
         w2 = ParamVector([("w", rng.standard_normal(3))])
         mid = ParamVector([("w", (w1.flat() + w2.flat()) / 2)])
@@ -163,7 +156,7 @@ def test_gradients_match_finite_differences():
     pairs = [
         (
             ParamVector([("w", rng.standard_normal(4))]),
-            Dataset(X=[rng.standard_normal(4)], y=[0], t=[float(rng.standard_normal())]),
+            quadratic_data([rng.standard_normal(4)], [float(rng.standard_normal())]),
         )
         for _ in range(20)
     ]
@@ -180,7 +173,7 @@ def test_scalar_model_sampling_is_balanced_bernoulli():
 def test_batch_grad_duplication_invariance():
     quad = QuadraticLoss(dim=2)
     w = ParamVector([("w", np.array([0.3, -0.7]))])
-    z = Dataset(X=[[1.0, 2.0]], y=[0], t=[0.5])
+    z = quadratic_data([[1.0, 2.0]], [0.5])
     loss1, grad1 = quad.batch_grad(w, z)
     loss4, grad4 = quad.batch_grad(w, z[[0, 0, 0, 0]])
     assert loss4 == loss1

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diamrisk.data import Dataset
-from diamrisk.losses import gradient_check
 from diamrisk.mlp import (
     MlpLossModel,
     MlpSpec,
@@ -16,9 +15,9 @@ from diamrisk.mlp import (
     forward_batch,
     init_params,
     loss_and_grad,
-    nll_softmax,
 )
 from diamrisk.params import ParamVector, _split_layers
+from oracles import gradient_check, nll_softmax
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -269,7 +268,8 @@ def test_loss_and_grad_duplication_invariance():
     assert grad4 == grad1
     loss3, grad3 = loss_and_grad(spec, w, z[[0] * 3])
     assert loss3 == pytest.approx(loss1, abs=1e-15)
-    assert grad3.allclose(grad1, rtol=1e-13, atol=1e-15)
+    assert grad3.shapes == grad1.shapes
+    assert np.allclose(grad3.flat(), grad1.flat(), rtol=1e-13, atol=1e-15)
 
 
 def test_loss_and_grad_empty_batch_errors():

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamrisk import optimizer
 from diamrisk.data import Dataset, flip_labels, gen_gaussian_blobs
-from diamrisk.losses import LossModel, QuadraticLoss, TentLoss
+from diamrisk.losses import LossModel, TentLoss
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.optimizer import (
     DivergenceError,
@@ -21,6 +22,7 @@ from diamrisk.optimizer import (
 )
 from diamrisk.params import Box, NonFiniteError, NormKind, ParamVector, Unbounded, sample_sphere, sphere_rows
 from diamrisk.risk import neighborhood_risks
+from oracles import QuadraticLoss, quadratic_data
 
 
 class ConstantLoss(LossModel):
@@ -52,7 +54,7 @@ def quad_config(**overrides):
 
 def quad_data(rng, m=12):
     rows = [(rng.uniform(0.5, 1.5), float(rng.standard_normal())) for _ in range(m)]
-    return Dataset(X=[[a] for a, _ in rows], y=[0] * m, num_classes=1, t=[b for _, b in rows])
+    return quadratic_data([[a] for a, _ in rows], [b for _, b in rows], num_classes=1)
 
 
 def test_config_validation():
@@ -115,7 +117,7 @@ def test_select_worst_singleton_and_ties():
 
 def test_select_worst_quadratic_hand_values():
     quad = QuadraticLoss(dim=1)
-    batch = Dataset(X=[[1.0]], y=[0])
+    batch = quadratic_data([[1.0]], [0.0])
     w = quad.wrap(0.0)
     minus_one = quad.wrap(-1.0)
     plus_half = quad.wrap(0.5)
@@ -126,7 +128,7 @@ def test_select_worst_quadratic_hand_values():
 
 def test_simple_step_gamma_zero_matches_plain_sgd():
     quad = QuadraticLoss(dim=1)
-    batch = Dataset(X=[[1.0]], y=[0])
+    batch = quadratic_data([[1.0]], [0.0])
     cfg = quad_config(gamma=0.0, T=1, lr_schedule=((1, 0.1),))
     w = quad.wrap(1.0)
     stepped = simple_sgd_drm_step(quad, w, batch, cfg, np.random.default_rng(0), t=0)
@@ -147,7 +149,7 @@ def test_simple_step_one_step_hand_computation():
     # perturbation is +gamma (risk 1.125 vs 0.125), so the gradient is taken
     # at 1.5 and w' = 1 - 0.1 * 1.5 = 0.85.
     quad = QuadraticLoss(dim=1)
-    batch = Dataset(X=[[1.0]], y=[0])
+    batch = quadratic_data([[1.0]], [0.0])
     cfg = quad_config(gamma=0.5, T=1, lr_schedule=((1, 0.1),), r=16)
     w = quad.wrap(1.0)
     stepped = simple_sgd_drm_step(quad, w, batch, cfg, np.random.default_rng(5))
@@ -190,8 +192,7 @@ def test_erm_full_batch_contraction_matches_recursion():
     cfg = quad_config(gamma=0.0, T=T, batch_size=8, lr_schedule=((T, lr),), seed=1)
     w0 = quad.wrap(2.0)
     final, _ = sgd_erm_run(quad, data, None, cfg, w0=w0)
-    a = data.X[:, 0]
-    b = data.t
+    a, b = data.X[:, 0], data.X[:, -1]
     w = 2.0
     for _ in range(T):
         w = w - lr * (np.mean(a * a) * w - np.mean(a * b))
@@ -251,24 +252,24 @@ def test_queue_one_sampling_every_iteration_reduces_to_simple_bitwise():
     assert final_simple == final_drm
 
 
-def test_queue_law_capacity_and_fifo_during_run():
+def test_queue_law_capacity_and_fifo_during_run(monkeypatch):
     rng = np.random.default_rng(5)
     quad = QuadraticLoss(dim=1)
     data = quad_data(rng, m=16)
     cfg = quad_config(T=200, q=3, p=EveryK(2), batch_size=8, lr_schedule=((200, 0.01),))
     snapshots = []
-    sgd_drm_run(
-        quad,
-        data,
-        None,
-        cfg,
-        w0=quad.wrap(0.0),
-        queue_probe=lambda t, queue: snapshots.append((t, [u.tobytes() for u in queue])),
-    )
+
+    def recording_select_worst(model, w, batch, candidates):
+        # Every DRM iteration selects from the queue itself, once.
+        snapshots.append([u.tobytes() for u in candidates])
+        return select_worst(model, w, batch, candidates)
+
+    monkeypatch.setattr(optimizer, "select_worst", recording_select_worst)
+    sgd_drm_run(quad, data, None, cfg, w0=quad.wrap(0.0))
     assert len(snapshots) == 200
-    assert max(len(entries) for _, entries in snapshots) == 3
+    assert max(len(entries) for entries in snapshots) == 3
     evictions = 0
-    for (_, prev), (_, cur) in zip(snapshots, snapshots[1:]):
+    for prev, cur in zip(snapshots, snapshots[1:]):
         if len(cur) > len(prev):  # grew: old entries keep their positions
             assert cur[: len(prev)] == prev
         elif cur != prev:  # evicted: oldest dropped, newcomer appended

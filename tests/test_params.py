@@ -15,10 +15,10 @@ from diamrisk.params import (
     Unbounded,
     _array_norm,
     axpy,
-    norm,
     sample_sphere,
     sphere_rows,
 )
+from oracles import norm
 
 
 def pv(*layers):

@@ -16,9 +16,9 @@ from diamrisk.params import (
     NormKind,
     ParamVector,
     axpy,
-    norm,
     sample_sphere,
 )
+from oracles import norm
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -125,7 +125,6 @@ def datasets(draw):
         X=draw(hnp.arrays(np.float64, (m, d), elements=FINITE)),
         y=draw(hnp.arrays(np.int64, (m,), elements=st.integers(0, k - 1))),
         num_classes=k,
-        t=draw(hnp.arrays(np.float64, (m,), elements=FINITE)),
     )
 
 
@@ -136,8 +135,7 @@ def test_row_selection_returns_exactly_those_rows(data, S):
     sub = S[np.array(idx, dtype=np.int64)]
     assert len(sub) == len(idx) and sub.num_classes == S.num_classes
     assert np.array_equal(sub.X, S.X[idx])
-    for name in ("y", "t"):
-        assert np.array_equal(getattr(sub, name), getattr(S, name)[idx])
+    assert np.array_equal(sub.y, S.y[idx])
     if len(S):
         one = S[len(S) - 1]
         assert len(one) == 1 and np.array_equal(one.X[0], S.X[-1])
@@ -155,8 +153,6 @@ def test_dataset_rejects_out_of_range_labels(S, below):
 
 
 def test_dataset_rejects_inconsistent_shapes():
-    X, y = np.zeros((3, 2)), np.array([0, 1, 1])
-    with pytest.raises(ValueError, match="one entry per row"):
-        Dataset(X=X, y=y, t=np.zeros(4))
+    y = np.array([0, 1, 1])
     with pytest.raises(ValueError, match="shape"):
         Dataset(X=np.zeros((2, 2)), y=y)

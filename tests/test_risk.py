@@ -4,14 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamrisk.data import Dataset
-from diamrisk.losses import (
-    LossModel,
-    QuadraticLoss,
-    ReciprocalLoss,
-    TentLoss,
-)
+from diamrisk.losses import LossModel, ReciprocalLoss, TentLoss
 from diamrisk.params import NormKind, ParamVector
 from diamrisk.risk import diametrical_risk_grid_1d, diametrical_risk_sampled
+from oracles import QuadraticLoss, quadratic_data
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -20,7 +16,7 @@ GAMMA_LOSS = 0.5
 def quad_rows(rng, m, draw=lambda rng: rng.uniform(0.5, 2.0)):
     """m one-feature regression rows, each feature drawn before its target."""
     rows = [(draw(rng), float(rng.standard_normal())) for _ in range(m)]
-    return Dataset(X=[[a] for a, _ in rows], y=[0] * m, t=[b for _, b in rows])
+    return quadratic_data([[a] for a, _ in rows], [b for _, b in rows])
 
 
 class ConstantLoss(LossModel):
@@ -170,7 +166,7 @@ def test_sampled_quadratic_converges_to_exact_sup():
     # 1-D sphere sampling lands on +-1 so a single draw already achieves the
     # exact supremum 0.5 * gamma^2 of the single-sample quadratic at w = 0.
     quad = QuadraticLoss(dim=1)
-    S = Dataset(X=[[1.0]], y=[0])
+    S = quadratic_data([[1.0]], [0.0])
     w = quad.wrap(0.0)
     exact = diametrical_risk_grid_1d(quad, 0.0, 1.0, S, grid_points=4097)
     assert exact == pytest.approx(0.5, abs=1e-12)
