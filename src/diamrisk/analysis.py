@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data import Dataset
-from .losses import LossModel, label_mean, rho_m
+from .losses import LossModel, rho_m
 from .params import NormKind, ParamVector, axpy, sample_sphere
 from .risk import neighborhood_chunks, window_grid
 
@@ -92,9 +92,12 @@ def _neighborhood_matrix(model, w_grid: np.ndarray, gamma: float, inner_points: 
 
 class _Window:
     """The parameter window of a 1-D study: its grid, the true risk on it, and
-    each label's loss on the grid and on the neighbourhood matrix, evaluated
-    once. The analytic losses depend on a sample only through its labels,
-    so every trial is built from its label counts."""
+    label 0's loss on the grid and on the neighbourhood matrix, evaluated
+    once and kept as the grid column and each row's max and min. A sample
+    scales label 0's loss by a = rho_m/m (ScalarLossModel's closed form),
+    and multiplying by one scalar is monotone under rounding, so the
+    neighbourhood sup of a trial is a times the row max (a >= 0) or the row
+    min (a < 0), bit for bit the max over the scaled row."""
 
     def __init__(self, model, interval, gamma: float, grid_points: int, inner_points: int):
         lo, hi = float(interval[0]), float(interval[1])
@@ -109,33 +112,29 @@ class _Window:
         )
         # A window reaching a pole overflows; curves() raises on the non-finite risk.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.loss = {lab: model.eval_scalar(points, lab) for lab in (0, 1)}
+            loss = model.eval_scalar(points, 0)
+        self.center = loss[:, 0]
+        self.row_max, self.row_min = loss[:, 1:].max(axis=1), loss[:, 1:].min(axis=1)
 
     def curves(self, labels, trial: int) -> tuple[np.ndarray, np.ndarray]:
         """(empirical risk, its neighbourhood sup) on the grid for one sample."""
-        values, counts = np.unique(labels, return_counts=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            risk = label_mean(self.loss, values, counts)
-        r_emp, sup_curve = risk[:, 0], risk[:, 1:].max(axis=1)
+        a = rho_m(labels) / len(labels)
+        with np.errstate(invalid="ignore"):  # 0 * inf when rho_m = 0 at a pole
+            r_emp = a * self.center
+            sup_curve = a * (self.row_max if a >= 0 else self.row_min)
         if not (np.isfinite(r_emp).all() and np.isfinite(sup_curve).all()):
             raise ValueError(
-                f"trial {trial} (m={counts.sum()}): the empirical risk is not finite on the window "
+                f"trial {trial} (m={len(labels)}): the empirical risk is not finite on the window "
                 f"[{g17(self.w_grid[0])}, {g17(self.w_grid[-1])}]"
             )
         return r_emp, sup_curve
 
     def trials(self, m: int, trials: int, seed: Sequence[int]):
-        """(labels, empirical risk, its neighbourhood sup) for each trial, the
+        """(rho_m, empirical risk, its neighbourhood sup) for each trial, the
         m labels of trial t drawn from stream [*seed, t]."""
         for trial in range(trials):
             labels = self.model.sample_labels(np.random.default_rng([*seed, trial]), m)
-            yield (labels, *self.curves(labels, trial))
-
-
-def _spawn_seed(rng: Union[np.random.Generator, int]) -> int:
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    return int(rng.integers(2**63))
+            yield (rho_m(labels), *self.curves(labels, trial))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,7 @@ def rate_study(
     trials: int,
     alpha: float,
     grid_points: int,
-    rng: Union[np.random.Generator, int],
+    rng: int,
     *,
     inner_points: int = 257,
     gamma_mode: str = "fixed",
@@ -197,13 +196,12 @@ def rate_study(
         raise ValueError("m_list must be nonempty and strictly increasing")
     if gamma_mode not in ("fixed", "inverse_m"):
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
-    base_seed = _spawn_seed(rng)
 
     records = []
     for mi, m in enumerate(m_list):
         gamma_m = gamma if gamma_mode == "fixed" else gamma * m_list[0] / m
         window = _Window(model, interval, gamma_m, grid_points, inner_points)
-        trial_curves = window.trials(m, trials, [base_seed, mi])
+        trial_curves = window.trials(m, trials, [rng, mi])
         gaps = np.array([np.max(window.r_true - sup_curve) for _, _, sup_curve in trial_curves])
         gaps.sort()
         q05, q50, q95 = np.quantile(gaps, [0.05, 0.5, 0.95])
@@ -278,7 +276,7 @@ def confidence_region_check(
     m: int,
     trials: int,
     grid_points: int,
-    rng: Union[np.random.Generator, int],
+    rng: int,
     epsilons: Sequence[float],
     *,
     inner_points: int = 257,
@@ -298,7 +296,6 @@ def confidence_region_check(
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise ValueError("need at least one epsilon")
-    base_seed = _spawn_seed(rng)
     window = _Window(model, interval, gamma, grid_points, inner_points)
     w_grid, r_true = window.w_grid, window.r_true
     cell = float(np.max(np.diff(w_grid)))
@@ -308,7 +305,7 @@ def confidence_region_check(
     both = np.zeros(len(epsilons), dtype=int)
     empty_events = 0
     tol = gamma + cell
-    for _, r_emp, sup_curve in window.trials(m, trials, [base_seed]):
+    for _, r_emp, sup_curve in window.trials(m, trials, [rng]):
         inf_sup = float(sup_curve.min())
         for j, eps in enumerate(epsilons):
             b1 = w_grid[r_emp <= delta_level + eps]
@@ -363,23 +360,22 @@ def erm_drm_gap_table(
     m: int,
     trials: int,
     grid_points: int,
-    rng: Union[np.random.Generator, int],
+    rng: int,
     *,
     inner_points: int = 257,
 ) -> list[GapRecord]:
     """Per-trial generalization gaps of the grid minimizers of the empirical
     risk and of its neighborhood sup (argmin ties go to the lowest index)."""
-    base_seed = _spawn_seed(rng)
     window = _Window(model, interval, gamma, grid_points, inner_points)
     r_true = window.r_true
     out = []
-    for trial, (labels, r_emp, sup_curve) in enumerate(window.trials(m, trials, [base_seed])):
+    for trial, (rho, r_emp, sup_curve) in enumerate(window.trials(m, trials, [rng])):
         i = int(np.argmin(r_emp))
         j = int(np.argmin(sup_curve))
         out.append(
             GapRecord(
                 trial=trial,
-                rho=rho_m(labels),
+                rho=rho,
                 erm_gap=float(r_true[i] - r_emp[i]),
                 drm_gap=float(r_true[j] - sup_curve[j]),
             )

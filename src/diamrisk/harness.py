@@ -272,9 +272,10 @@ def default_experiment_dict(seed: int = 0, out_dir: Optional[str] = None) -> dic
 
 def check_out_path(out) -> Path:
     """The output directory out as a Path, checked before any work: neither
-    it nor a parent may exist as a non-directory."""
+    it nor a parent may exist as a non-directory. A symlink counts as
+    existing even when it dangles or loops, and then is not a directory."""
     out = Path(out)
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not existing.is_dir():
         raise ConfigError(f"output path {out}: {existing} exists and is not a directory")
     return out
@@ -285,14 +286,16 @@ def write_artifacts(out: Path, files: dict[str, str]) -> None:
     are staged beside out and moved into place after the last one is written,
     so a failure or Ctrl-C leaves no partial set and earlier files unchanged.
     The stage sits inside mkdtemp's private (0o700) directory so that it gets
-    the mode mkdir gives."""
+    the mode mkdir gives. Text is written as UTF-8 whatever the locale; a
+    command-line path the locale could not decode (surrogate escapes) is
+    written back as the bytes given."""
     out.parent.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
     stage = scratch / "out"
     try:
         stage.mkdir()
         for name, text in files.items():
-            (stage / name).write_text(text)
+            (stage / name).write_text(text, encoding="utf-8", errors="surrogateescape")
         if out.exists():
             for path in sorted(stage.iterdir()):
                 os.replace(path, out / path.name)

@@ -3,10 +3,12 @@ trains the model.
 
 Includes two 1-D analytic losses whose true risk is identically zero (a
 piecewise-linear "tent" with a steep slope, and a reciprocal loss that is not
-even Lipschitz). Both make plain empirical-risk minimization misbehave while
-the worst-case-neighborhood risk stays well behaved, which is what the 1-D
-studies measure; nothing trains them, so they have no gradient. The MLP loss
-lives in mlp. A single record is a one-row Dataset.
+even Lipschitz). Both satisfy loss(w, 1) = -loss(w, 0), so the empirical risk
+of m labels is the closed form rho_m/m * loss(w, 0). Both make plain
+empirical-risk minimization misbehave while the worst-case-neighborhood risk
+stays well behaved, which is what the 1-D studies measure; nothing trains
+them, so they have no gradient. The MLP loss lives in mlp. A single record is
+a one-row Dataset.
 """
 
 from __future__ import annotations
@@ -28,19 +30,6 @@ def rho_m(labels: Sequence[int]) -> int:
     return int(np.sum(labels == 0) - np.sum(labels == 1))
 
 
-def label_mean(per_label, values, counts) -> np.ndarray:
-    """Empirical risk of a sample with the given label counts, for a loss
-    that depends on a row only through its label: per_label[lab] holds that
-    label's loss values, and the count-weighted sum runs over the labels in
-    the order given (np.unique's ascending order). It is the same sum as
-    over the m rows up to floating-point rounding.
-    """
-    acc = 0.0
-    for lab, count in zip(values, counts):
-        acc = acc + count * per_label[int(lab)]
-    return acc / counts.sum()
-
-
 class LossModel:
     """Empirical risk, consumed by the risk and optimizer layers.
 
@@ -58,10 +47,11 @@ class LossModel:
 class ScalarLossModel(LossModel):
     """1-D loss over a scalar parameter, stored as one shape-(1,) layer.
 
-    The loss depends on a row only through its label, so every risk is a
-    label-count sum (label_mean) of eval_scalar, which is vectorized over w.
-    breakpoints lists the parameter values where the loss is not
-    differentiable.
+    The loss depends on a row only through its label, and subclasses keep
+    the contract eval_scalar(w, 1) == -eval_scalar(w, 0) bit for bit, so the
+    empirical risk of a sample is rho_m/m * eval_scalar(w, 0); eval_scalar is
+    vectorized over w. breakpoints lists the parameter values where the loss
+    is not differentiable.
     """
 
     breakpoints: tuple[float, ...] = ()
@@ -73,13 +63,11 @@ class ScalarLossModel(LossModel):
         return ParamVector([("w", np.array([float(x)]))])
 
     def risk_curve(self, w_points: np.ndarray, S: Dataset) -> np.ndarray:
-        """Empirical risk at every point of w_points, one eval_scalar call per
-        distinct label."""
+        """Empirical risk at every point of w_points: rho_m/m times label 0's
+        loss."""
         if len(S) == 0:
             raise ValueError("empty sample")
-        values, counts = np.unique(S.y, return_counts=True)
-        w_points = np.asarray(w_points, dtype=np.float64)
-        return label_mean({int(lab): self.eval_scalar(w_points, int(lab)) for lab in values}, values, counts)
+        return rho_m(S.y) / len(S) * self.eval_scalar(np.asarray(w_points, dtype=np.float64), 0)
 
     def batch_risk(self, w: ParamVector, S: Dataset) -> float:
         return float(self.risk_curve(w.flat()[:1], S)[0])
@@ -143,6 +131,5 @@ class ReciprocalLoss(ScalarLossModel):
     def eval_scalar(self, w, label: int):
         w = np.asarray(w, dtype=float)
         out = np.zeros_like(w)
-        mask = w > 0
-        np.divide(1.0 - 2.0 * label, w, out=out, where=mask)
-        return out
+        np.divide(1.0, w, out=out, where=w > 0)
+        return out * (1 - 2 * label)

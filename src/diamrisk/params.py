@@ -155,13 +155,13 @@ class ParamVector:
         return json.dumps({n: {"shape": list(a.shape), "data": a.ravel().tolist()} for n, a in self})
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
 
     @classmethod
     def load(cls, path) -> "ParamVector":
         """Inverse of save; ValueError on any malformed entry."""
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError("expected an object mapping layer names to layers")

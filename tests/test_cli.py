@@ -148,17 +148,21 @@ def _non_finite_window_stderr(capsys, w_lo: str, m: int) -> list[str]:
 @pytest.mark.filterwarnings("error")
 def test_examples_non_finite_window_exits_1(capsys):
     # 1/w overflows at the window's lower end, so the empirical risk there is
-    # inf - inf; the command names the trial instead of printing nan, and
-    # prints nothing else to stderr.
+    # +-inf (nan when rho_m = 0); the command names the trial instead of
+    # printing it, and prints nothing else to stderr.
     err = _non_finite_window_stderr(capsys, "1e-320", 20)
     assert len(err) == 1 and err[0].startswith("error: trial 0 (m=20): the empirical risk is not finite")
 
 
 @pytest.mark.filterwarnings("error")
-def test_examples_window_overflowing_in_the_label_mean_exits_1(capsys):
-    # The losses are finite at w = 1e-306, but count * 1e306 overflows.
-    err = _non_finite_window_stderr(capsys, "1e-306", 2000)
-    assert len(err) == 1 and err[0].startswith("error: trial 0 (m=2000): the empirical risk is not finite")
+def test_examples_window_with_a_finite_risk_near_the_pole_exits_0(capsys):
+    # The loss is 1e306 at w = 1e-306 and the risk rho_m/m * 1e306 is finite,
+    # so the window runs: no count * loss sum overflows on the way.
+    argv = ["examples", "--loss", "reciprocal", "--w-lo", "1e-306", "--m", "2000", "--trials", "3"]
+    assert cli_main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "inf" not in captured.out and "nan" not in captured.out
 
 
 def test_examples_window_below_zero_prints_no_log_grid_line(capsys):
@@ -563,6 +567,42 @@ def test_out_path_under_a_file_exits_2_before_training(tmp_path, capsys, monkeyp
     assert cli_main([*argv, "--out", str(out)]) == 2
     assert "not a directory" in capsys.readouterr().err
     assert (tmp_path / blocker).read_text() == "keep"
+
+
+LINKED = [(c, k) for c in ("run", "rate", "confidence", "landscape", "examples") for k in ("dangling", "loop", "parent")]
+
+
+@pytest.mark.parametrize("command,link", LINKED, ids=[f"{c}-{k}" for c, k in LINKED])
+def test_out_path_at_a_broken_symlink_exits_2_before_work(tmp_path, capsys, monkeypatch, command, link):
+    # A dangling or looping link does not exist for Path.exists(), but no
+    # directory can be made there: --out at it, or under it, is refused.
+    argv = _small_argv(tmp_path, command)
+    target = tmp_path / "link" if link == "loop" else tmp_path / "missing"
+    (tmp_path / "link").symlink_to(target)
+    out = tmp_path / "link" / "exp" if link == "parent" else tmp_path / "link"
+    for module, name in WORK:
+        monkeypatch.setattr(module, name, None)
+    assert cli_main([*argv, "--out", str(out)]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert os.readlink(tmp_path / "link") == str(target) and not target.exists()
+
+
+def test_landscape_artifact_bytes_do_not_depend_on_the_locale(tmp_path, capsys):
+    # Under the C locale without UTF-8 mode the checkpoint path reaches the
+    # child as surrogate escapes, and the hist.csv meta line names it.
+    argv = _small_argv(tmp_path, "landscape")
+    checkpoint = Path(argv[argv.index("--checkpoint") + 1])
+    argv[argv.index("--checkpoint") + 1] = str(checkpoint.rename(tmp_path / "ck_\u00e9\u2713.json"))
+    assert cli_main([*argv, "--out", str(tmp_path / "utf8")]) == 0
+    src = str(Path(diamrisk.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "diamrisk.cli", *argv, "--out", str(tmp_path / "c")],
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    written = (tmp_path / "c" / "hist.csv").read_bytes()
+    assert written == (tmp_path / "utf8" / "hist.csv").read_bytes()
+    assert f"# checkpoint={argv[argv.index('--checkpoint') + 1]}\n".encode() in written
 
 
 @pytest.mark.parametrize("content", [None, b'{"schema_version": 1, "out_dir": "caf\xe9"}'],

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from diamrisk.losses import TentLoss, rho_m
+from diamrisk.losses import ReciprocalLoss, TentLoss, rho_m
 from diamrisk.params import ParamVector
 from oracles import QuadraticLoss, gradient_check, quadratic_data, quadratic_eval, reciprocal_eval
 
@@ -74,6 +76,25 @@ def test_reciprocal_eval_branches():
     assert reciprocal_eval(-2.0, 1) == 0.0
     assert reciprocal_eval(2.0, 1) == -0.5
     assert reciprocal_eval(0.0, 0) == 0.0
+
+
+EDGE_W = [0.0, -0.0, 5e-324, 1e-320, 1e-306, 1e-300, 1e300, 1.7976931348623157e308, math.inf, -math.inf]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kappa=st.floats(1.0, 1e6, exclude_min=True),
+    gamma_loss=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    w=st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_W)), min_size=1, max_size=8),
+)
+def test_label_one_loss_is_bitwise_minus_label_zero_loss(kappa, gamma_loss, w):
+    # The contract the closed form rho_m/m * loss(w, 0) rests on, for any w
+    # (nonpositive, tiny, huge, infinite or nan) and at every breakpoint.
+    assume(math.isfinite(kappa / gamma_loss))  # an infinite slope makes the tent nan at 0
+    for model in (TentLoss(kappa, gamma_loss), ReciprocalLoss()):
+        points = np.array([*w, *model.breakpoints])
+        with np.errstate(over="ignore"):  # slope * w and 1/w may overflow to inf
+            assert model.eval_scalar(points, 1).tobytes() == (-model.eval_scalar(points, 0)).tobytes()
 
 
 def test_rho_m_counts():
