@@ -31,7 +31,10 @@ from .analysis import (
 )
 from .harness import (
     MAX_COUNT,
+    SCHEMA,
     ConfigError,
+    _check,
+    _Key,
     build_datasets,
     check_out_path,
     experiment_config_from_dict,
@@ -44,46 +47,50 @@ from .mlp import MlpLossModel
 from .params import ParamVector
 
 
-def _checked(convert, ok, requirement: str):
-    """argparse type= converter: convert the text, then require ok(value)."""
+def _flag(row: _Key, increasing: bool = False):
+    """argparse type= converter: the text read with int() or float(), each
+    comma-separated item of it for a list row, then checked against row's
+    kind and bounds by the config schema's own harness._check. increasing
+    also requires the items to be strictly increasing."""
+    kind = row.kind[0] if isinstance(row.kind, list) else row.kind
 
     def parse(text: str):
         try:
-            value = convert(text)
-            if ok(value):
-                return value
+            value = [kind(x) for x in text.split(",")] if isinstance(row.kind, list) else kind(text)
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+            value = text  # not a number: _check rejects it, naming the kind
+        try:
+            value = _check(value, row.kind, row, "value")
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if increasing and any(b <= a for a, b in zip(value, value[1:])):
+            raise argparse.ArgumentTypeError(f"values must be strictly increasing, got {text!r}")
+        return value
 
     return parse
 
 
-def _count(low: int):
-    """A size flag, bounded like the config schema's counts."""
-    return _checked(int, lambda v: low <= v <= MAX_COUNT, f"an integer in [{low}, {MAX_COUNT}]")
-
-
-def _comma_list(kind):
-    return lambda text: [kind(x) for x in text.split(",")]
-
-
-_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_finite = _checked(float, math.isfinite, "a finite number")
-_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-_fraction = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
-_kappa = _checked(float, lambda v: 1 < v < math.inf, "a finite number > 1")
-_sizes = _checked(
-    _comma_list(int), lambda v: 0 < v[0] and v[-1] <= MAX_COUNT and v == sorted(set(v)),
-    f"increasing sizes in [1, {MAX_COUNT}]",
-)
-_slacks = _checked(_comma_list(float), lambda v: all(0 <= e < math.inf for e in v), "finite values >= 0")
+# Numeric flags as config schema rows. Open intervals are closed ones over
+# the floats, as for dataset.separation's > 0.
+_SEED = _Key(int, None, 0)
+_COUNT = _Key(int, None, 1, MAX_COUNT)  # sizes, bounded like the config schema's counts
+_GRID = _Key(int, None, 3, MAX_COUNT)
+_RATE_TRIALS = _Key(int, None, 30, MAX_COUNT)
+_NUMBER = _Key(float)
+_FRACTION = _Key(float, None, math.ulp(0.0), math.nextafter(1.0, 0.0))  # (0, 1)
+_KAPPA = _Key(float, None, math.nextafter(1.0, math.inf))  # > 1
+_GAMMA = SCHEMA["drm"]["gamma"]
+_SIZES = _Key([int], None, 1, MAX_COUNT)
+_SLACKS = _Key([float], None, 0.0)
 
 
 def _loss_from_args(args):
-    if args.loss == "tent":
+    if args.loss == "reciprocal":
+        return ReciprocalLoss()
+    try:
         return TentLoss(kappa=args.kappa, gamma_loss=args.gamma_loss)
-    return ReciprocalLoss()
+    except ValueError as exc:
+        raise ConfigError(f"--kappa, --gamma-loss: {exc}") from None
 
 
 def _default_interval(args) -> tuple[float, float]:
@@ -255,47 +262,48 @@ def build_parser() -> argparse.ArgumentParser:
     # run's --seed is its own: parents share Action objects, so a default
     # set on one subcommand would change every other's.
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=_seed, default=0, help="random seed")
+    seeded.add_argument("--seed", type=_flag(_SEED), default=0, help="random seed")
 
     scalar = argparse.ArgumentParser(add_help=False)
     scalar.add_argument("--loss", choices=("tent", "reciprocal"), default="tent")
-    scalar.add_argument("--kappa", type=_kappa, default=2.0)
-    scalar.add_argument("--gamma-loss", dest="gamma_loss", type=_fraction, default=0.5)
-    scalar.add_argument("--gamma", type=_nonnegative, default=0.5, help="neighborhood radius")
-    scalar.add_argument("--grid", type=_count(3), default=257, help="points on the parameter window")
-    scalar.add_argument("--inner", type=_count(3), default=257, help="points per neighborhood interval")
-    scalar.add_argument("--w-lo", dest="w_lo", type=_finite, default=None)
-    scalar.add_argument("--w-hi", dest="w_hi", type=_finite, default=None)
+    scalar.add_argument("--kappa", type=_flag(_KAPPA), default=2.0)
+    scalar.add_argument("--gamma-loss", dest="gamma_loss", type=_flag(_FRACTION), default=0.5)
+    scalar.add_argument("--gamma", type=_flag(_GAMMA), default=0.5, help="neighborhood radius")
+    scalar.add_argument("--grid", type=_flag(_GRID), default=257, help="points on the parameter window")
+    scalar.add_argument("--inner", type=_flag(_GRID), default=257, help="points per neighborhood interval")
+    scalar.add_argument("--w-lo", dest="w_lo", type=_flag(_NUMBER), default=None)
+    scalar.add_argument("--w-hi", dest="w_hi", type=_flag(_NUMBER), default=None)
 
     p = sub.add_parser("run", parents=[common], help="run the label-noise experiment")
     p.add_argument("--config", required=True, help="experiment JSON config")
-    p.add_argument("--seed", type=_seed, default=None, help="override the config's seeds")
+    p.add_argument("--seed", type=_flag(_SEED), default=None, help="override the config's seeds")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("rate", parents=[seeded, scalar], help="sup-gap rate study")
-    p.add_argument("--m", type=_sizes, default="250,1000,4000,16000", help="comma-separated sample sizes")
-    p.add_argument("--trials", type=_count(30), default=200)
-    p.add_argument("--alpha", type=_fraction, default=0.05)
+    p.add_argument("--m", type=_flag(_SIZES, increasing=True), default="250,1000,4000,16000",
+                   help="comma-separated sample sizes")
+    p.add_argument("--trials", type=_flag(_RATE_TRIALS), default=200)
+    p.add_argument("--alpha", type=_flag(_FRACTION), default=0.05)
     p.add_argument("--gamma-mode", dest="gamma_mode", choices=("fixed", "inverse_m"), default="fixed")
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("confidence", parents=[seeded, scalar], help="confidence-region check")
-    p.add_argument("--m", type=_count(1), default=1000)
-    p.add_argument("--trials", type=_count(1), default=200)
-    p.add_argument("--delta", type=_finite, default=0.0, help="risk level of the target set")
-    p.add_argument("--eps", type=_slacks, default="0.0,0.01,0.1", help="comma-separated slack values")
+    p.add_argument("--m", type=_flag(_COUNT), default=1000)
+    p.add_argument("--trials", type=_flag(_COUNT), default=200)
+    p.add_argument("--delta", type=_flag(_NUMBER), default=0.0, help="risk level of the target set")
+    p.add_argument("--eps", type=_flag(_SLACKS), default="0.0,0.01,0.1", help="comma-separated slack values")
     p.set_defaults(func=_cmd_confidence)
 
     p = sub.add_parser("landscape", parents=[seeded], help="neighborhood risk histogram")
     p.add_argument("--config", required=True, help="experiment JSON config (dataset + model)")
     p.add_argument("--checkpoint", required=True, help="ParamVector JSON checkpoint")
-    p.add_argument("--gamma", type=_nonnegative, required=True)
-    p.add_argument("--n", type=_count(1), default=10000)
+    p.add_argument("--gamma", type=_flag(_GAMMA), required=True)
+    p.add_argument("--n", type=_flag(_COUNT), default=10000)
     p.set_defaults(func=_cmd_landscape)
 
     p = sub.add_parser("examples", parents=[seeded, scalar], help="ERM vs DRM gap tables")
-    p.add_argument("--m", type=_count(1), default=1000)
-    p.add_argument("--trials", type=_count(1), default=200)
+    p.add_argument("--m", type=_flag(_COUNT), default=1000)
+    p.add_argument("--trials", type=_flag(_COUNT), default=200)
     p.set_defaults(func=_cmd_examples)
 
     return parser

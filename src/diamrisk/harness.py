@@ -34,7 +34,6 @@ from .data import Dataset, flip_labels, gen_gaussian_blobs
 from .mlp import MlpLossModel, MlpSpec, init_params
 from .optimizer import (
     DrmConfig,
-    EveryK,
     RunTrace,
     constant_then_drop_schedule,
     sgd_drm_run,
@@ -226,13 +225,12 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
             raise ConfigError(f"drm.feasible: a box needs lo <= hi, got lo={feas['lo']!r}, hi={feas['hi']!r}")
         feasible = Box(feas["lo"], feas["hi"])
 
-    drm_cfg = DrmConfig(
-        gamma=drm["gamma"], T=T, batch_size=drm["batch_size"], lr_schedule=lr_schedule, r=drm["r"],
-        q=drm["q"], p=EveryK(drm["sample_every"]) if drm["p"] is None else drm["p"],
-        norm_kind=NormKind(drm["norm_kind"]), feasible=feasible, seed=drm["seed"],
-    )
     try:
-        drm_cfg.validate()
+        drm_cfg = DrmConfig(
+            gamma=drm["gamma"], T=T, batch_size=drm["batch_size"], lr_schedule=lr_schedule, r=drm["r"],
+            q=drm["q"], sample_every=drm["sample_every"], p=drm["p"],
+            norm_kind=NormKind(drm["norm_kind"]), feasible=feasible, seed=drm["seed"],
+        )
     except ValueError as exc:
         raise ConfigError(f"drm: {exc}") from None
     mlp, land = cfg["mlp"], cfg["landscape"]

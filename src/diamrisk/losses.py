@@ -13,6 +13,7 @@ a one-row Dataset.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -100,7 +101,8 @@ class TentLoss(ScalarLossModel):
         0                            otherwise
 
     The slope magnitude kappa/gamma_loss is the Lipschitz modulus in w; large
-    values make the empirical risk landscape arbitrarily sharp around 0.
+    values make the empirical risk landscape arbitrarily sharp around 0. It
+    must be finite: an infinite slope makes the loss nan at 0.
     """
 
     def __init__(self, kappa: float = 2.0, gamma_loss: float = 0.5):
@@ -108,6 +110,8 @@ class TentLoss(ScalarLossModel):
             raise ValueError(f"kappa must be > 1, got {kappa}")
         if not 0 < gamma_loss < 1:
             raise ValueError(f"gamma_loss must be in (0, 1), got {gamma_loss}")
+        if not math.isfinite(kappa / gamma_loss):
+            raise ValueError(f"the slope kappa / gamma_loss = {kappa} / {gamma_loss} is not finite")
         self.kappa = float(kappa)
         self.gamma_loss = float(gamma_loss)
         self.breakpoints = (-self.gamma_loss, 0.0, self.gamma_loss)

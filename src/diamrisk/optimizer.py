@@ -4,10 +4,11 @@ Two loops share one skeleton:
 
   sgd_erm_run         plain SGD on the empirical risk (baseline).
   sgd_drm_run         fresh directions of norm gamma are drawn only on
-                      sampling events (every k-th iteration or with
-                      probability p) and the worst of each draw is kept in a
-                      FIFO queue of capacity q; every iteration the gradient
-                      is taken at the worst queued perturbation.
+                      sampling events (every sample_every-th iteration, or
+                      with probability p) and the worst of each draw is
+                      kept in a FIFO queue of capacity q; every iteration
+                      the gradient is taken at the worst queued
+                      perturbation.
 
 Directions are flat rows (params.sphere_rows). A sampling event draws and
 scores its r candidates in chunks of at most risk._CHUNK rows and keeps
@@ -31,12 +32,11 @@ iteration reduces the queued loop to repeated simple steps.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,25 +66,14 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EveryK:
-    """Deterministic sampling schedule: draw fresh perturbations when t % k == 0."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
-@dataclass
 class DrmConfig:
-    """Hyperparameters for the DRM/ERM training loops.
+    """Hyperparameters for the DRM/ERM training loops, checked once when the
+    config is built: a bad value raises ValueError.
 
-    p is either a probability in [0, 1] (a coin decides whether the next
-    iteration draws fresh perturbations) or EveryK(k) for the deterministic
-    every-k-th-iteration schedule. lr_schedule is piecewise constant: a list
-    of (until_iteration, rate) pairs, each rate applying to iterations below
-    its bound; the schedule must cover [0, T].
+    Sampling events come every sample_every-th iteration, or, when p is set,
+    a coin of probability p decides for each iteration. lr_schedule is
+    piecewise constant: a list of (until_iteration, rate) pairs, each rate
+    applying to iterations below its bound; the schedule must cover [0, T].
     """
 
     gamma: float
@@ -93,33 +82,24 @@ class DrmConfig:
     lr_schedule: tuple[tuple[int, float], ...]
     r: int = 20
     q: int = 1
-    p: Union[float, EveryK] = EveryK(5)
+    sample_every: int = 5
+    p: Optional[float] = None
     norm_kind: NormKind = NormKind.LAYERWISE_FROBENIUS
     feasible: FeasibleSet = field(default_factory=Unbounded)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        if isinstance(self.p, EveryK):
-            pass
-        elif isinstance(self.p, (int, float)) and 0.0 <= float(self.p) <= 1.0:
-            pass
-        else:
-            raise ValueError(f"p must be a probability in [0, 1] or EveryK, got {self.p!r}")
-        schedule = tuple(self.lr_schedule)
-        if not schedule:
+        for name in ("T", "batch_size", "r", "q", "sample_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p must be a probability in [0, 1] or None, got {self.p!r}")
+        if not self.lr_schedule:
             raise ValueError("lr_schedule must be nonempty")
         prev = 0
-        for until, rate in schedule:
+        for until, rate in self.lr_schedule:
             if until <= prev:
                 raise ValueError("lr_schedule bounds must be strictly increasing")
             if not 0 < rate < math.inf:
@@ -252,14 +232,14 @@ def simple_sgd_drm_step(
     return cfg.feasible.project(axpy(w, -cfg.lr_at(t), grad))
 
 
-def _next_event(p: Union[float, EveryK], t: int, rng_coin: np.random.Generator) -> bool:
+def _next_event(cfg: DrmConfig, t: int, rng_coin: np.random.Generator) -> bool:
     """Whether iteration t is a sampling event. t = 0 always is (the queue
     starts empty). The probabilistic coin is flipped at every t, t = 0
     included, so the coin stream advances identically across algorithm
     variants."""
-    if isinstance(p, EveryK):
-        return t % p.k == 0
-    flip = rng_coin.random() < float(p)
+    if cfg.p is None:
+        return t % cfg.sample_every == 0
+    flip = rng_coin.random() < cfg.p
     return True if t == 0 else flip
 
 
@@ -271,7 +251,6 @@ def _run_loop(
     algorithm: str,
     w0: ParamVector,
 ) -> tuple[ParamVector, RunTrace]:
-    cfg.validate()
     if algorithm not in ("erm", "drm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if len(data) == 0:
@@ -303,7 +282,7 @@ def _run_loop(
                 digest.update(idx.astype(np.int64).tobytes())
                 batch = data[idx]
                 lr = cfg.lr_at(t)
-                event = _next_event(cfg.p, t, rng_coin)
+                event = _next_event(cfg, t, rng_coin)
                 batch_risk = model.batch_risk(w, batch)
                 try:
                     if not math.isfinite(batch_risk):
@@ -350,11 +329,11 @@ def sgd_erm_run(model, data, test, cfg: DrmConfig, w0: ParamVector) -> tuple[Par
 
 def simple_sgd_drm_run(model, data, test, cfg: DrmConfig, w0: ParamVector) -> tuple[ParamVector, RunTrace]:
     """Simple DRM loop: the queued loop with q = 1 and fresh perturbations
-    every iteration, whatever cfg.q and cfg.p say."""
-    cfg.validate()
-    return _run_loop(model, data, test, dataclasses.replace(cfg, q=1, p=EveryK(1)), "drm", w0)
+    every iteration, whatever cfg.q, cfg.sample_every and cfg.p say."""
+    return _run_loop(model, data, test, replace(cfg, q=1, sample_every=1, p=None), "drm", w0)
 
 
 def sgd_drm_run(model, data, test, cfg: DrmConfig, w0: ParamVector) -> tuple[ParamVector, RunTrace]:
-    """Queued DRM loop: sampling events per cfg.p, reuse queue of capacity q."""
+    """Queued DRM loop: sampling events per cfg.sample_every or cfg.p, reuse
+    queue of capacity q."""
     return _run_loop(model, data, test, cfg, "drm", w0)

@@ -2,18 +2,24 @@
 
 The package holds what the command line runs; these are the independent
 oracles the tests check it against (a finite-difference gradient checker,
-scalar reference losses, a direction digest) and a convex quadratic fixture.
-A quadratic dataset carries its regression targets as the last column of X.
+scalar reference losses, a direction digest, the hand-written flag
+converters that the config schema's checker replaced), a convex quadratic
+fixture, and the table of bad config values that both the config parser and
+the command line must refuse. A quadratic dataset carries its regression
+targets as the last column of X.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import math
 from typing import Sequence
 
 import numpy as np
 
 from diamrisk.data import Dataset
+from diamrisk.harness import MAX_COUNT
 from diamrisk.losses import LossModel
 from diamrisk.mlp import _nll_rows
 from diamrisk.params import NormKind, ParamVector, _array_norm
@@ -147,3 +153,130 @@ def directions_digest(directions: Sequence[ParamVector]) -> str:
     for u in directions:
         h.update(u.flat().tobytes())
     return h.hexdigest()
+
+
+# The command line's flag converters before flags were checked by the config
+# schema's harness._check, kept verbatim as the reference for what each flag
+# accepts and the value it yields.
+def _checked(convert, ok, requirement: str):
+    """argparse type= converter: convert the text, then require ok(value)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+
+    return parse
+
+
+def _count(low: int):
+    """A size flag, bounded like the config schema's counts."""
+    return _checked(int, lambda v: low <= v <= MAX_COUNT, f"an integer in [{low}, {MAX_COUNT}]")
+
+
+def _comma_list(kind):
+    return lambda text: [kind(x) for x in text.split(",")]
+
+
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_finite = _checked(float, math.isfinite, "a finite number")
+_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_fraction = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_kappa = _checked(float, lambda v: 1 < v < math.inf, "a finite number > 1")
+_sizes = _checked(
+    _comma_list(int), lambda v: 0 < v[0] and v[-1] <= MAX_COUNT and v == sorted(set(v)),
+    f"increasing sizes in [1, {MAX_COUNT}]",
+)
+_slacks = _checked(_comma_list(float), lambda v: all(0 <= e < math.inf for e in v), "finite values >= 0")
+
+# Every numeric flag, (command, flag, reference converter).
+FLAG_CONVERTERS = [
+    ("run", "--seed", _seed),
+    *[(c, "--seed", _seed) for c in ("rate", "confidence", "landscape", "examples")],
+    *[(c, f, conv) for c in ("rate", "confidence", "examples") for f, conv in (
+        ("--kappa", _kappa), ("--gamma-loss", _fraction), ("--gamma", _nonnegative), ("--grid", _count(3)),
+        ("--inner", _count(3)), ("--w-lo", _finite), ("--w-hi", _finite),
+    )],
+    ("rate", "--m", _sizes), ("rate", "--trials", _count(30)), ("rate", "--alpha", _fraction),
+    ("confidence", "--m", _count(1)), ("confidence", "--trials", _count(1)),
+    ("confidence", "--delta", _finite), ("confidence", "--eps", _slacks),
+    ("landscape", "--gamma", _nonnegative), ("landscape", "--n", _count(1)),
+    ("examples", "--m", _count(1)), ("examples", "--trials", _count(1)),
+]
+
+
+# (section, key, value) config values the parser must refuse, each naming
+# section.key (the section, for key None) in its error; key None replaces the
+# whole section and section "config" is the top level. Each of these used to
+# pass the parser and fail (or silently degrade) only during or after
+# training.
+BAD_VALUES = [
+    ("landscape", "n_samples", 2**31),
+    ("landscape", "n_samples", 0),
+    ("dataset", "n_test", 0),
+    ("dataset", "num_classes", 1),
+    ("dataset", "input_dim", 2),  # fewer dimensions than classes
+    ("dataset", "separation", 0.0),
+    ("mlp", "hidden_dims", ["abc"]),
+    ("mlp", "hidden_dims", [0]),
+    ("mlp", "hidden_dims", 8),
+    ("drm", "p", "x"),
+    # Non-finite numbers (JSON NaN / Infinity).
+    ("drm", "gamma", float("nan")),
+    ("drm", "final_fraction", float("nan")),
+    ("drm", "lr", float("inf")),
+    ("drm", "final_lr", float("-inf")),
+    ("dataset", "separation", float("inf")),
+    ("dataset", "n_train", float("inf")),
+    ("drm", "sample_every", 0),
+    ("drm", "batch_size", 0),
+    ("drm", "r", 0),
+    ("drm", "feasible", {"kind": "box", "lo": 1, "hi": 0}),
+    ("drm", "feasible", "box"),
+    ("drm", "epochs", 1.7),
+    ("drm", "gamma", True),
+    ("dataset", "n_train", True),
+    ("mlp", "hidden_dims", [True]),
+    ("mlp", "hidden_dims", [8.5]),
+    ("dataset", None, []),
+    ("mlp", None, "wide"),
+    ("drm", None, None),
+    ("landscape", None, 7),
+    ("config", "out_dir", 7),
+    ("drm", "lr_schedule", [[36, True]]),
+    ("drm", "lr_schedule", [[36.9, 0.1]]),
+    ("drm", "lr_schedule", [["36", "0.1"]]),
+    ("drm", "lr_schedule", [[float("inf"), 0.1]]),
+    # Numbers must be JSON numbers, not numeric strings.
+    ("dataset", "n_train", "60"),
+    ("drm", "gamma", " 1.5 "),
+    ("mlp", "hidden_dims", ["8", "8"]),
+    ("landscape", "n_samples", "16"),
+    ("drm", "final_fraction", -1e308),
+    # Sizes past MAX_COUNT: numpy's "Maximum allowed size exceeded" while
+    # building the data, and an epoch count whose iteration total overflows
+    # a float in the learning-rate schedule.
+    ("dataset", "n_train", 10**30),
+    ("drm", "epochs", 1e308),
+    ("drm", "lr_schedule", [[2**31, 0.1]]),
+    # Seeds must be >= 0.
+    ("dataset", "seed", -1),
+    ("mlp", "seed", -1),
+    ("drm", "seed", -3),
+]
+
+
+def set_bad_value(obj: dict, section: str, key, value) -> str:
+    """Put one BAD_VALUES case into the config dict obj; the name its error
+    must contain."""
+    if key is None:
+        obj[section] = value
+    else:
+        (obj if section == "config" else obj[section])[key] = value
+    if key == "p":
+        del obj["drm"]["sample_every"]
+    return section if key is None else f"{section}.{key}"

@@ -27,7 +27,6 @@ from diamrisk.losses import ReciprocalLoss, TentLoss
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.optimizer import (
     DrmConfig,
-    EveryK,
     make_batch_indices,
     sgd_drm_run,
     sgd_erm_run,
@@ -210,7 +209,7 @@ def test_criterion_5_reduction_laws_bitwise():
 
         cfg0 = DrmConfig(
             gamma=0.0, T=18, batch_size=6, lr_schedule=((18, 0.05),),
-            r=4, q=2, p=EveryK(5), seed=504,
+            r=4, q=2, sample_every=5, seed=504,
         )
         _, trace_erm = sgd_erm_run(model, train, test, cfg0, w0=w0)
         _, trace_drm0 = sgd_drm_run(model, train, test, cfg0, w0=w0)
@@ -218,7 +217,7 @@ def test_criterion_5_reduction_laws_bitwise():
 
         cfg1 = DrmConfig(
             gamma=1.5, T=18, batch_size=6, lr_schedule=((18, 0.05),),
-            r=4, q=1, p=EveryK(1), seed=505,
+            r=4, q=1, sample_every=1, seed=505,
         )
         _, trace_simple = simple_sgd_drm_run(model, train, test, cfg1, w0=w0)
         final_queued, trace_queued = sgd_drm_run(model, train, test, cfg1, w0=w0)

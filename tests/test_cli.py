@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from diamrisk.cli import cli_main
 from diamrisk.harness import experiment_config_from_dict
 from diamrisk.mlp import init_params
 from diamrisk.params import ParamVector
+from oracles import BAD_VALUES, FLAG_CONVERTERS, set_bad_value
 
 
 def tiny_config(tmp_path, out_name="exp", seed=2):
@@ -292,61 +295,14 @@ def test_landscape_malformed_checkpoint_exits_2(tmp_path, capsys, monkeypatch, t
     assert "not a parameter file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "section,key,value",
-    [
-        ("landscape", "n_samples", 2**31),
-        ("landscape", "n_samples", 0),
-        ("dataset", "n_test", 0),
-        ("mlp", "hidden_dims", ["abc"]),
-        ("mlp", "hidden_dims", [0]),
-        ("drm", "p", "x"),
-        # json.dumps writes these as the NaN / Infinity literals json.load reads.
-        ("drm", "gamma", float("nan")),
-        ("drm", "final_fraction", float("nan")),
-        ("drm", "lr", float("inf")),
-        ("dataset", "seed", -1),
-        ("mlp", "seed", -1),
-        ("drm", "seed", -3),
-        ("drm", "sample_every", 0),
-        ("drm", "batch_size", 0),
-        ("drm", "feasible", {"kind": "box", "lo": 1, "hi": 0}),
-        ("drm", "feasible", "box"),
-        ("drm", "epochs", 1.7),
-        ("dataset", "n_train", True),
-        ("mlp", "hidden_dims", [True]),
-        # key None replaces the whole section.
-        ("dataset", None, []),
-        ("landscape", None, 7),
-        # Section "config" is the top level.
-        ("config", "out_dir", 7),
-        ("drm", "lr_schedule", [[36, True]]),
-        ("drm", "lr_schedule", [[36.9, 0.1]]),
-        ("drm", "lr_schedule", [["36", "0.1"]]),
-        ("drm", "lr_schedule", [[float("inf"), 0.1]]),
-        ("dataset", "n_train", "60"),
-        ("drm", "gamma", " 1.5 "),
-        ("mlp", "hidden_dims", ["8", "8"]),
-        ("landscape", "n_samples", "16"),
-        ("drm", "final_fraction", -1e308),
-        # Sizes past harness.MAX_COUNT used to exit 1 after set-up or overflow
-        # a float in the parser.
-        ("dataset", "n_train", 10**30),
-        ("drm", "epochs", 1e308),
-    ],
-)
+@pytest.mark.parametrize("section,key,value", BAD_VALUES)
 def test_bad_config_values_exit_2_before_training(tmp_path, capsys, section, key, value):
     cfg_path = tiny_config(tmp_path)
     obj = json.loads(cfg_path.read_text())
-    if key is None:
-        obj[section] = value
-    else:
-        (obj if section == "config" else obj[section])[key] = value
-    if key == "p":
-        del obj["drm"]["sample_every"]
+    name = set_bad_value(obj, section, key, value)
     cfg_path.write_text(json.dumps(obj))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    assert (section if key is None else f"{section}.{key}") in capsys.readouterr().err
+    assert name in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()  # nothing was trained or written
 
 
@@ -437,6 +393,10 @@ BAD_FLAGS = [
     # size exceeded".
     ("examples", ["--m", "100000000000000000000"], "--m"),
     ("rate", ["--grid", "100000000000000000000"], "--grid"),
+    # A tent slope kappa / gamma_loss that overflows used to exit 1 with a
+    # non-finite empirical risk.
+    ("examples", ["--gamma-loss", "5e-324"], "--gamma-loss"),
+    ("examples", ["--kappa", "1e308", "--gamma-loss", "0.001"], "--kappa"),
 ]
 
 
@@ -471,6 +431,48 @@ def test_count_flags_are_bounded_at_parse_time(tmp_path, capsys, command, flag):
         parser.parse_args([*argv, flag, str(harness.MAX_COUNT + 1)])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+# Texts to parse every numeric flag from: spellings that int() or float()
+# take or refuse, non-finite values, the flags' bounds and their neighbours,
+# and comma lists, some with one bad item.
+FLAG_TEXTS = [
+    ".5", "5.", "1e3", " 7 ", "1_000", "0x10", "nan", "-inf", "inf", "true", "", "abc",
+    "0", "-0", "-0.0", "-1", "-5e-324", "5e-324", "1", "1.0", "0.9999999999999999", "1.0000000000000002",
+    "2", "3", "4", "29", "30", "31", "2147483646", "2147483647", "2147483648", "1e308", "1.8e308",
+    "0,5", "5,0", "1,2", "2,2", "250,1000,4000,16000", "1,x", "0.1,nan", "0.0,0.01,0.1", "0.1,-1",
+    "1,2147483648", ",", "1,",
+]
+# Arguments each command needs besides the flag under test.
+REQUIRED = {
+    "run": ["--config", "c.json"],
+    "landscape": ["--config", "c.json", "--checkpoint", "w.json", "--gamma", "1"],
+}
+
+
+def _bits(value):
+    """value's items as (type, exact bits) pairs; a scalar is one item."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in items]
+
+
+@pytest.mark.parametrize(
+    "command,flag,reference", FLAG_CONVERTERS, ids=[f"{c} {f}" for c, f, _ in FLAG_CONVERTERS]
+)
+def test_flags_accept_what_the_hand_written_converters_accepted(capsys, command, flag, reference):
+    parser = cli.build_parser()
+    for text in FLAG_TEXTS:
+        try:
+            expected = _bits(reference(text))
+        except argparse.ArgumentTypeError:
+            expected = None
+        try:
+            args = parser.parse_args([command, *REQUIRED.get(command, []), f"{flag}={text}"])
+            got = _bits(getattr(args, flag[2:].replace("-", "_")))
+        except SystemExit as exc:
+            assert exc.code == 2
+            got = None
+        assert got == expected, f"{flag}={text!r}"
 
 
 def diverging_config(tmp_path, **drm):

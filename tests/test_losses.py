@@ -68,6 +68,10 @@ def test_tent_parameter_validation():
         TentLoss(gamma_loss=1.0)
     with pytest.raises(ValueError):
         TentLoss(gamma_loss=0.0)
+    with pytest.raises(ValueError, match="slope"):
+        TentLoss(gamma_loss=5e-324)  # kappa / gamma_loss overflows
+    with pytest.raises(ValueError, match="slope"):
+        TentLoss(kappa=1e308, gamma_loss=0.001)
 
 
 def test_reciprocal_eval_branches():
@@ -90,7 +94,7 @@ EDGE_W = [0.0, -0.0, 5e-324, 1e-320, 1e-306, 1e-300, 1e300, 1.7976931348623157e3
 def test_label_one_loss_is_bitwise_minus_label_zero_loss(kappa, gamma_loss, w):
     # The contract the closed form rho_m/m * loss(w, 0) rests on, for any w
     # (nonpositive, tiny, huge, infinite or nan) and at every breakpoint.
-    assume(math.isfinite(kappa / gamma_loss))  # an infinite slope makes the tent nan at 0
+    assume(math.isfinite(kappa / gamma_loss))  # TentLoss refuses an infinite slope
     for model in (TentLoss(kappa, gamma_loss), ReciprocalLoss()):
         points = np.array([*w, *model.breakpoints])
         with np.errstate(over="ignore"):  # slope * w and 1/w may overflow to inf

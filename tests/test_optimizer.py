@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.optimizer import (
     DivergenceError,
     DrmConfig,
-    EveryK,
     constant_then_drop_schedule,
     draw_worst,
     make_batch_indices,
@@ -44,7 +45,7 @@ def quad_config(**overrides):
         lr_schedule=((20, 0.05),),
         r=4,
         q=1,
-        p=EveryK(1),
+        sample_every=1,
         norm_kind=NormKind.EUCLIDEAN,
         seed=3,
     )
@@ -58,19 +59,25 @@ def quad_data(rng, m=12):
 
 
 def test_config_validation():
+    # A config checks itself when it is built.
     with pytest.raises(ValueError):
-        quad_config(gamma=-1.0).validate()
+        quad_config(gamma=-1.0)
     with pytest.raises(ValueError):
-        quad_config(r=0).validate()
+        quad_config(r=0)
     with pytest.raises(ValueError):
-        quad_config(q=0).validate()
+        quad_config(q=0)
     with pytest.raises(ValueError):
-        quad_config(p=1.5).validate()
+        quad_config(sample_every=0)
     with pytest.raises(ValueError):
-        quad_config(lr_schedule=((10, 0.1),)).validate()  # does not cover T=20
+        quad_config(p=1.5)
     with pytest.raises(ValueError):
-        quad_config(lr_schedule=((20, -0.1),)).validate()
-    quad_config().validate()
+        quad_config(lr_schedule=((10, 0.1),))  # does not cover T=20
+    with pytest.raises(ValueError):
+        quad_config(lr_schedule=((20, -0.1),))
+    with pytest.raises(ValueError):
+        dataclasses.replace(quad_config(), T=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        quad_config().T = 40
 
 
 def test_lr_schedule_lookup():
@@ -81,7 +88,6 @@ def test_lr_schedule_lookup():
 def test_constant_then_drop_schedule_covers_T():
     sched = constant_then_drop_schedule(600, 0.01, 0.001, 1.0 / 3.0)
     cfg = quad_config(T=600, lr_schedule=sched)
-    cfg.validate()
     assert cfg.lr_at(0) == 0.01
     assert cfg.lr_at(599) == 0.001
 
@@ -211,7 +217,7 @@ def test_gamma_zero_reduces_drm_to_erm_bitwise():
         lr_schedule=((12, 0.05),),
         r=3,
         q=2,
-        p=EveryK(5),
+        sample_every=5,
         norm_kind=NormKind.LAYERWISE_FROBENIUS,
         seed=11,
     )
@@ -239,7 +245,7 @@ def test_queue_one_sampling_every_iteration_reduces_to_simple_bitwise():
         lr_schedule=((14, 0.05),),
         r=5,
         q=1,
-        p=EveryK(1),
+        sample_every=1,
         norm_kind=NormKind.LAYERWISE_FROBENIUS,
         seed=13,
     )
@@ -256,7 +262,7 @@ def test_queue_law_capacity_and_fifo_during_run(monkeypatch):
     rng = np.random.default_rng(5)
     quad = QuadraticLoss(dim=1)
     data = quad_data(rng, m=16)
-    cfg = quad_config(T=200, q=3, p=EveryK(2), batch_size=8, lr_schedule=((200, 0.01),))
+    cfg = quad_config(T=200, q=3, sample_every=2, batch_size=8, lr_schedule=((200, 0.01),))
     snapshots = []
 
     def recording_select_worst(model, w, batch, candidates):
@@ -282,7 +288,7 @@ def test_sampling_events_follow_every_k_schedule():
     rng = np.random.default_rng(6)
     quad = QuadraticLoss(dim=1)
     data = quad_data(rng, m=8)
-    cfg = quad_config(T=23, p=EveryK(5), batch_size=4, lr_schedule=((23, 0.01),))
+    cfg = quad_config(T=23, sample_every=5, batch_size=4, lr_schedule=((23, 0.01),))
     _, trace = sgd_drm_run(quad, data, None, cfg, w0=quad.wrap(0.1))
     events = [rec.iter for rec in trace.iterations if rec.event]
     assert events == [0, 5, 10, 15, 20]
@@ -332,9 +338,9 @@ def test_descent_sanity_on_convex_fixture():
 def test_invalid_config_raises_before_running():
     quad = QuadraticLoss(dim=1)
     data = quad_data(np.random.default_rng(8), m=4)
-    cfg = quad_config(T=10, lr_schedule=((5, 0.1),))  # schedule does not cover T
-    with pytest.raises(ValueError):
-        sgd_drm_run(quad, data, None, cfg, w0=quad.wrap(0.0))
+    # The schedule does not cover T: building the config raises, so no loop starts.
+    with pytest.raises(ValueError, match="covers"):
+        sgd_drm_run(quad, data, None, quad_config(T=10, lr_schedule=((5, 0.1),)), w0=quad.wrap(0.0))
 
 
 def test_deterministic_traces_given_seed():
