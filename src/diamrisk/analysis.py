@@ -203,7 +203,6 @@ def rate_study(
         window = _Window(model, interval, gamma_m, grid_points, inner_points)
         trial_curves = window.trials(m, trials, [rng, mi])
         gaps = np.array([np.max(window.r_true - sup_curve) for _, _, sup_curve in trial_curves])
-        gaps.sort()
         q05, q50, q95 = np.quantile(gaps, [0.05, 0.5, 0.95])
         q_alpha = float(np.quantile(gaps, 1.0 - alpha))
         records.append(
@@ -407,8 +406,7 @@ def sample_directions(
     """n independent norm-gamma directions shaped like template, one
     sample_sphere vector each (the thread-pool path and the benchmark's
     accounting tests use it; the serial path draws rows)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     return [sample_sphere(template, gamma, kind, rng) for _ in range(n)]
 
 
@@ -428,9 +426,9 @@ def landscape_histogram(
     w_center is one vector, or a sequence of centers that are all evaluated
     on the same directions (one Histogram each, so histograms around
     different centers are directly comparable). Directions are drawn as rows
-    and evaluated risk._CHUNK at a time on the calling thread
-    (risk.neighborhood_chunks, one reused chunk buffer), so memory does not
-    grow with n_samples. max_workers > 1 draws all directions at once as
+    and scored risk._CHUNK at a time into the risk array on the calling
+    thread (risk.neighborhood_chunks, one reused chunk buffer), so no other
+    memory grows with n_samples. max_workers > 1 draws all directions at once as
     vectors (sample_directions) and fans the evaluations out to a thread pool
     instead (measured slower; only the benchmark's span tests use it);
     results are written by draw index, so the histogram does not depend on
@@ -443,8 +441,7 @@ def landscape_histogram(
     centers = [w_center] if isinstance(w_center, ParamVector) else list(w_center)
     if not centers:
         raise ValueError("need at least one center")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     rows = np.empty((len(centers), n_samples))
     digest = hashlib.sha256()
     if max_workers > 1:
@@ -461,13 +458,10 @@ def landscape_histogram(
         for u in directions:
             digest.update(u.flat().tobytes())
     else:
-        start = 0
         # Overflow shows as a non-finite value, checked below.
         with np.errstate(over="ignore", invalid="ignore"):
-            for U, values in neighborhood_chunks(model, centers, gamma, kind, n_samples, S, rng):
-                rows[:, start : start + len(U)] = values
+            for _, U in neighborhood_chunks(model, centers, gamma, kind, S, rng, rows):
                 digest.update(U)  # contiguous rows: the bytes of each row in turn
-                start += len(U)
 
     if not np.isfinite(rows).all():
         raise ValueError(f"non-finite neighborhood risk at gamma={gamma:g}")

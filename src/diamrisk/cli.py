@@ -35,6 +35,7 @@ from .harness import (
     ConfigError,
     _check,
     _Key,
+    _shown,
     build_datasets,
     check_out_path,
     experiment_config_from_dict,
@@ -64,7 +65,7 @@ def _flag(row: _Key, increasing: bool = False):
         except ConfigError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         if increasing and any(b <= a for a, b in zip(value, value[1:])):
-            raise argparse.ArgumentTypeError(f"values must be strictly increasing, got {text!r}")
+            raise argparse.ArgumentTypeError(f"values must be strictly increasing, got {_shown(text)}")
         return value
 
     return parse

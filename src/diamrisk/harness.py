@@ -39,7 +39,7 @@ from .optimizer import (
     sgd_drm_run,
     sgd_erm_run,
 )
-from .params import Box, NormKind, Unbounded
+from .params import Box, NormKind
 
 SCHEMA_VERSION = 1
 # Upper bound of every size and count key, so that absurd sizes exit 2 in the
@@ -153,11 +153,21 @@ def _shape(kind) -> str:
     return kind.__name__ if isinstance(kind, type) else repr(kind)
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message; a long one is cut to its first 12
+    characters and its length, so a huge number does not flood the line."""
+    text = repr(value)
+    if len(text) <= 32:
+        return text
+    size = f"{len(text.lstrip('-'))} digits" if isinstance(value, int) else f"{len(text)} characters"
+    return f"{text[:12]}... ({size})"
+
+
 def _check(value, kind, row: _Key, where: str):
     """value checked to be a kind (row's kind or a part of it) within row's bounds."""
     if isinstance(kind, _Key):
         return _check(value, kind.kind, kind, where)
-    bad = ConfigError(f"{where} must be {_shape(row.kind)}, got {value!r}")
+    bad = ConfigError(f"{where} must be {_shape(row.kind)}, got {_shown(value)}")
     if isinstance(kind, list):
         if not isinstance(value, list) or (len(kind) > 1 and len(value) != len(kind)):
             raise bad
@@ -174,13 +184,14 @@ def _check(value, kind, row: _Key, where: str):
         finite = math.isfinite(number)
     except (OverflowError, ValueError):  # inf or nan as an int, or an int past the float range
         finite = False
-    if not finite:
-        raise ConfigError(f"{where} must be finite, got {value!r}")
+    if not finite:  # an int is never inf or nan: it lies past the float range
+        problem = "is out of range" if isinstance(value, int) else "must be finite"
+        raise ConfigError(f"{where} {problem}, got {_shown(value)}")
     if kind is int and number != value:  # a fraction
         raise bad
     if (row.lo is not None and number < row.lo) or (row.hi is not None and number > row.hi):
         bounds = f">= {row.lo}" if row.hi is None else f"in [{row.lo}, {row.hi}]"
-        raise ConfigError(f"{where} must be {bounds}, got {value!r}")
+        raise ConfigError(f"{where} must be {bounds}, got {_shown(value)}")
     return number
 
 
@@ -219,7 +230,7 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     lr_schedule = drm["lr_schedule"]
     if lr_schedule is None:
         lr_schedule = constant_then_drop_schedule(T, drm["lr"], drm["final_lr"], drm["final_fraction"])
-    feasible, feas = Unbounded(), drm["feasible"]
+    feasible, feas = Box(), drm["feasible"]  # "unbounded": the whole space
     if feas["kind"] == "box":
         if feas["lo"] is None or feas["hi"] is None or not feas["lo"] <= feas["hi"]:
             raise ConfigError(f"drm.feasible: a box needs lo <= hi, got lo={feas['lo']!r}, hi={feas['hi']!r}")
@@ -242,7 +253,8 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
 
 def load_experiment_config(path) -> ExperimentConfig:
     """The config in the JSON file path; ConfigError if it cannot be read
-    (missing, a directory, not UTF-8) or is not a valid config."""
+    (missing, a directory, not UTF-8, an integer of over 4,300 digits) or is
+    not a valid config."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -250,7 +262,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not UTF-8, or an integer past int()'s digit limit
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return experiment_config_from_dict(obj)
 

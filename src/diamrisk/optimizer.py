@@ -10,10 +10,9 @@ Two loops share one skeleton:
                       the gradient is taken at the worst queued
                       perturbation.
 
-Directions are flat rows (params.sphere_rows). A sampling event draws and
-scores its r candidates in chunks of at most risk._CHUNK rows and keeps
-their r risks but only the winning row (draw_worst); the queue holds copies
-of winning rows.
+Directions are flat rows (params.sphere_rows). A sampling event scores its
+r candidates into one risk array, at most risk._CHUNK at a time, and keeps
+only a copy of the winning row (draw_worst), which joins the queue.
 Vectors are built only for iterates, gradients and gradient points.
 
 simple_sgd_drm_run is sgd_drm_run with q = 1 and sampling every iteration.
@@ -44,7 +43,7 @@ from . import streams
 from .analysis import csv_text
 from .data import Dataset
 from .losses import LossModel
-from .params import FeasibleSet, NonFiniteError, NormKind, ParamVector, Unbounded
+from .params import Box, NonFiniteError, NormKind, ParamVector
 from .params import axpy, sample_sphere, shifted, sphere_rows
 from .risk import neighborhood_chunks, neighborhood_risks
 
@@ -85,7 +84,7 @@ class DrmConfig:
     sample_every: int = 5
     p: Optional[float] = None
     norm_kind: NormKind = NormKind.LAYERWISE_FROBENIUS
-    feasible: FeasibleSet = field(default_factory=Unbounded)
+    feasible: Box = Box()
     seed: int = 0
 
     def __post_init__(self):
@@ -200,16 +199,12 @@ def draw_worst(
     all r risks are kept, but of the rows only a copy of the winner so far."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    values = np.empty(r)
-    start = 0
-    for U, (chunk,) in neighborhood_chunks(model, [w], gamma, kind, r, batch, rng):
-        end = start + len(U)
-        values[start:end] = chunk
-        i = int(np.argmax(values[:end]))
+    values = np.empty((1, r))
+    for start, U in neighborhood_chunks(model, [w], gamma, kind, batch, rng, values):
+        i = int(np.argmax(values[0, : start + len(U)]))
         if i >= start:
             best = (i, U[i - start].copy())
-        start = end
-    return best[0], best[1], float(values[best[0]])
+    return best[0], best[1], float(values[0, best[0]])
 
 
 def simple_sgd_drm_step(

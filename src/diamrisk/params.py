@@ -267,32 +267,14 @@ def sample_sphere(
     return template._like(sphere_rows(template, gamma, kind, 1, rng)[0])
 
 
-class FeasibleSet:
-    """Set of permissible parameter vectors. project returns the
-    Euclidean-nearest member, and is the identity on members."""
-
-    def project(self, w: ParamVector) -> ParamVector:
-        raise NotImplementedError
-
-    def contains(self, w: ParamVector) -> bool:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Unbounded(FeasibleSet):
-    def project(self, w: ParamVector) -> ParamVector:
-        return w
+class Box:
+    """The feasible set lo <= x <= hi on every flattened coordinate. project
+    returns the Euclidean-nearest member, and w itself for a member. The
+    default box is the whole space."""
 
-    def contains(self, w: ParamVector) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class Box(FeasibleSet):
-    """Per-coordinate bounds lo <= x <= hi on every flattened coordinate."""
-
-    lo: float
-    hi: float
+    lo: float = -math.inf
+    hi: float = math.inf
 
     def __post_init__(self):
         if not self.lo <= self.hi:
@@ -304,5 +286,7 @@ class Box(FeasibleSet):
         return w._like(np.clip(w.flat(), self.lo, self.hi))
 
     def contains(self, w: ParamVector) -> bool:
+        if self.lo == -math.inf and self.hi == math.inf:
+            return True  # every vector is finite (ParamVector._adopt)
         flat = w.flat()
         return bool(np.all((flat >= self.lo) & (flat <= self.hi)))

@@ -13,7 +13,8 @@ the true supremum.
 
 Directions are rows of the flat coordinate order. neighborhood_risks scores
 a stack of them; neighborhood_chunks draws and scores r of them at most
-_CHUNK rows at a time, so memory does not grow with r.
+_CHUNK rows at a time into the caller's risk array. A seed is anything
+np.random.default_rng takes, a Generator included.
 """
 
 from __future__ import annotations
@@ -59,18 +60,21 @@ def neighborhood_chunks(
     centers: Sequence[ParamVector],
     gamma: float,
     kind: NormKind,
-    r: int,
     S: Dataset,
     rng: np.random.Generator,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Draw r norm-gamma directions (sphere_rows, in draw order) at most
-    _CHUNK rows at a time and yield each chunk U with the risks at w + u, a
-    (len(centers), len(U)) array with one row per center. All chunks share
-    one buffer: U holds only until the next step."""
+    out: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Draw r = out.shape[1] norm-gamma directions (sphere_rows, in draw
+    order) at most _CHUNK rows U at a time; write the risks at w + u into
+    out[:, start:start + len(U)], one row per center, then yield (start, U).
+    All chunks share one buffer: U holds only until the next step."""
+    r = out.shape[1]
     buf = np.empty((min(_CHUNK, r), centers[0].size))
     for start in range(0, r, _CHUNK):
         U = sphere_rows(centers[0], gamma, kind, min(_CHUNK, r - start), rng, out=buf)
-        yield U, np.array([neighborhood_risks(model, w, U, S) for w in centers])
+        for w, row in zip(centers, out):
+            row[start : start + len(U)] = neighborhood_risks(model, w, U, S)
+        yield start, U
 
 
 def diametrical_risk_grid_1d(
@@ -105,7 +109,6 @@ def diametrical_risk_sampled(
     Deterministic given the seed."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     directions = [sample_sphere(w, gamma, kind, rng) for _ in range(r)]
     return float(neighborhood_risks(model, w, [u.flat() for u in directions], S).max())

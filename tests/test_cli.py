@@ -50,6 +50,12 @@ def test_missing_config_exits_2(capsys):
     assert cli_main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+def test_seed_past_the_float_range_exits_2_as_out_of_range_with_a_short_echo(capsys):
+    assert cli_main(["rate", "--seed", "1" + "0" * 320]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith("argument --seed: value is out of range, got 100000000000... (321 digits)")
+
+
 def test_bad_config_schema_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema_version": 1, "drm": {"gamm": 1.0}}))
@@ -607,8 +613,9 @@ def test_landscape_artifact_bytes_do_not_depend_on_the_locale(tmp_path, capsys):
     assert f"# checkpoint={argv[argv.index('--checkpoint') + 1]}\n".encode() in written
 
 
-@pytest.mark.parametrize("content", [None, b'{"schema_version": 1, "out_dir": "caf\xe9"}'],
-                         ids=["directory", "not_utf8"])
+@pytest.mark.parametrize("content", [None, b'{"schema_version": 1, "out_dir": "caf\xe9"}',
+                                     b'{"schema_version": 1, "drm": {"seed": 1' + b"0" * 5000 + b"}}"],
+                         ids=["directory", "not_utf8", "int_past_digit_limit"])
 @pytest.mark.parametrize("command", ["run", "landscape"])
 def test_unreadable_config_exits_2(tmp_path, capsys, command, content):
     argv = _small_argv(tmp_path, command)

@@ -19,7 +19,7 @@ from diamrisk.harness import (
     load_experiment_config,
     run_label_noise_experiment,
 )
-from diamrisk.params import Box, Unbounded
+from diamrisk.params import Box
 from oracles import BAD_VALUES, set_bad_value
 
 
@@ -96,7 +96,7 @@ def test_feasible_set_parsing():
     with pytest.raises(ConfigError):
         experiment_config_from_dict(obj)
     cfg = experiment_config_from_dict(tiny_config_dict())
-    assert cfg.drm.feasible == Unbounded()
+    assert cfg.drm.feasible == Box()
 
 
 def test_bad_values_are_config_errors():
@@ -194,6 +194,23 @@ def test_non_finite_lr_schedule_fails_in_the_parser():
     obj["drm"]["lr_schedule"] = [[10, 0.1], [36, float("nan")]]
     with pytest.raises(ConfigError, match="finite"):
         experiment_config_from_dict(obj)
+
+
+@pytest.mark.parametrize("key", ["seed", "gamma"])
+def test_integer_past_the_float_range_is_out_of_range_with_a_short_echo(key):
+    obj = tiny_config_dict()
+    obj["drm"][key] = 10**320
+    with pytest.raises(ConfigError) as exc:
+        experiment_config_from_dict(obj)
+    assert str(exc.value) == f"drm.{key} is out of range, got 100000000000... (321 digits)"
+
+
+def test_config_integer_past_the_digit_limit_is_a_config_error(tmp_path):
+    # json.load raises a plain ValueError for an integer of over 4,300 digits.
+    path = tmp_path / "big.json"
+    path.write_text('{"schema_version": 1, "drm": {"seed": 1' + "0" * 5000 + "}}")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_experiment_config(path)
 
 
 def test_load_config_missing_file(tmp_path):

@@ -1,6 +1,7 @@
 """Property tests of the one neighborhood evaluator and the estimators on it."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,8 +9,13 @@ from diamrisk.data import Dataset
 from diamrisk.losses import LossModel, ReciprocalLoss, TentLoss
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.optimizer import select_worst
-from diamrisk.params import NormKind, ParamVector, axpy, sample_sphere
-from diamrisk.risk import diametrical_risk_grid_1d, diametrical_risk_sampled, neighborhood_risks
+from diamrisk.params import NormKind, ParamVector, axpy, sample_sphere, sphere_rows
+from diamrisk.risk import (
+    diametrical_risk_grid_1d,
+    diametrical_risk_sampled,
+    neighborhood_chunks,
+    neighborhood_risks,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 KINDS = st.sampled_from(list(NormKind))
@@ -46,6 +52,26 @@ def test_neighborhood_risks_match_per_direction_evaluation(seed, n, gamma, kind)
     expected = [model.batch_risk(axpy(w, 1.0, u), batch) for u in directions]
     assert values.dtype == np.float64 and values.shape == (n,)
     assert values.tolist() == expected
+
+
+@pytest.mark.parametrize("r", [1, 15, 16, 17, 40])
+def test_neighborhood_chunks_fill_out_as_one_stack_of_rows_would(r):
+    spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
+    model = MlpLossModel(spec)
+    rng = np.random.default_rng(5)
+    centers = [init_params(spec, rng) for _ in range(2)]
+    batch = Dataset(X=rng.standard_normal((5, 3)), y=[0, 1, 2, 1, 0], num_classes=3)
+    kind = NormKind.LAYERWISE_FROBENIUS
+    out = np.full((2, r), np.nan)
+    chunks_rng, stack_rng = np.random.default_rng(9), np.random.default_rng(9)
+    chunks = neighborhood_chunks(model, centers, 0.7, kind, batch, chunks_rng, out)
+    chunks = [(start, U.copy()) for start, U in chunks]
+    U = sphere_rows(centers[0], 0.7, kind, r, stack_rng)
+    expected = np.array([neighborhood_risks(model, w, U, batch) for w in centers])
+    assert out.tobytes() == expected.tobytes()
+    assert [start for start, _ in chunks] == list(range(0, r, 16))
+    assert np.concatenate([rows for _, rows in chunks]).tobytes() == U.tobytes()
+    assert chunks_rng.bit_generator.state == stack_rng.bit_generator.state
 
 
 @SETTINGS

@@ -21,7 +21,7 @@ from diamrisk.optimizer import (
     simple_sgd_drm_run,
     simple_sgd_drm_step,
 )
-from diamrisk.params import Box, NonFiniteError, NormKind, ParamVector, Unbounded, sample_sphere, sphere_rows
+from diamrisk.params import Box, NonFiniteError, NormKind, ParamVector, sample_sphere, sphere_rows
 from diamrisk.risk import neighborhood_risks
 from oracles import QuadraticLoss, quadratic_data
 
@@ -78,6 +78,10 @@ def test_config_validation():
         dataclasses.replace(quad_config(), T=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         quad_config().T = 40
+
+
+def test_config_feasible_set_defaults_to_the_whole_space():
+    assert quad_config().feasible == Box()
 
 
 def test_lr_schedule_lookup():

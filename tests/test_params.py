@@ -12,7 +12,6 @@ from diamrisk.params import (
     NonFiniteError,
     NormKind,
     ParamVector,
-    Unbounded,
     _array_norm,
     axpy,
     sample_sphere,
@@ -270,6 +269,12 @@ def test_project_identity_inside_box():
     assert Box(0.0, 1.0).project(w) == w
 
 
+def test_default_box_is_the_whole_space_and_projects_to_w_itself():
+    w = pv([-1e300, 0.0, 1e300])
+    assert Box() == Box(-math.inf, math.inf) and Box().contains(w)
+    assert Box().project(w) is w
+
+
 def test_project_box_clips():
     w = pv([5.0])
     assert Box(0.0, 1.0).project(w) == pv([1.0])
@@ -277,7 +282,7 @@ def test_project_box_clips():
 
 def test_project_idempotent_exactly():
     rng = np.random.default_rng(11)
-    for feasible in (Unbounded(), Box(-0.5, 0.25)):
+    for feasible in (Box(), Box(-0.5, 0.25)):
         for _ in range(50):
             w = pv(rng.standard_normal(6) * 3.0)
             once = feasible.project(w)
