@@ -94,7 +94,8 @@ class _Window:
     """The parameter window of a 1-D study: its grid, the true risk on it, and
     label 0's loss on the grid and on the neighbourhood matrix, evaluated
     once and kept as the grid column and each row's max and min. A sample
-    scales label 0's loss by a = rho_m/m (ScalarLossModel's closed form),
+    enters only through its count: curves(rho, m, trial) scales label 0's
+    loss by a = rho/m (ScalarLossModel's closed form, rho = rho_m(labels)),
     and multiplying by one scalar is monotone under rounding, so the
     neighbourhood sup of a trial is a times the row max (a >= 0) or the row
     min (a < 0), bit for bit the max over the scaled row."""
@@ -116,25 +117,26 @@ class _Window:
         self.center = loss[:, 0]
         self.row_max, self.row_min = loss[:, 1:].max(axis=1), loss[:, 1:].min(axis=1)
 
-    def curves(self, labels, trial: int) -> tuple[np.ndarray, np.ndarray]:
-        """(empirical risk, its neighbourhood sup) on the grid for one sample."""
-        a = rho_m(labels) / len(labels)
+    def curves(self, rho: int, m: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
+        """(empirical risk, its neighbourhood sup) on the grid for one sample
+        of m labels with rho = rho_m(labels); trial names it in the error."""
+        a = rho / m
         with np.errstate(invalid="ignore"):  # 0 * inf when rho_m = 0 at a pole
             r_emp = a * self.center
             sup_curve = a * (self.row_max if a >= 0 else self.row_min)
         if not (np.isfinite(r_emp).all() and np.isfinite(sup_curve).all()):
             raise ValueError(
-                f"trial {trial} (m={len(labels)}): the empirical risk is not finite on the window "
+                f"trial {trial} (m={m}): the empirical risk is not finite on the window "
                 f"[{g17(self.w_grid[0])}, {g17(self.w_grid[-1])}]"
             )
         return r_emp, sup_curve
 
     def trials(self, m: int, trials: int, seed: Sequence[int]):
         """(rho_m, empirical risk, its neighbourhood sup) for each trial, the
-        m labels of trial t drawn from stream [*seed, t]."""
+        m labels of trial t drawn from stream [*seed, t] and counted once."""
         for trial in range(trials):
-            labels = self.model.sample_labels(np.random.default_rng([*seed, trial]), m)
-            yield (rho_m(labels), *self.curves(labels, trial))
+            rho = rho_m(self.model.sample_labels(np.random.default_rng([*seed, trial]), m))
+            yield (rho, *self.curves(rho, m, trial))
 
 
 # ---------------------------------------------------------------------------

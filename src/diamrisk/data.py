@@ -17,20 +17,31 @@ import numpy as np
 
 @dataclass(eq=False)
 class Dataset:
-    """m rows: features X (m, d) and labels y in [0, num_classes)."""
+    """m rows: features X (m, d) and integer labels y in [0, num_classes).
+
+    y is stored as int64. Labels of another dtype must survive that cast
+    unchanged (1.0 and True do; 0.9 and nan raise ValueError), so a label
+    is never silently truncated.
+    """
 
     X: np.ndarray
     y: np.ndarray
     num_classes: int = 2
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
+        with np.errstate(invalid="ignore"):  # nan and inf cast to junk, refused below
+            self.y = y.astype(np.int64, copy=False)
         m = self.y.shape[0] if self.y.ndim == 1 else -1
         self.X = np.asarray(self.X, dtype=np.float64)
         if m < 0 or self.X.ndim != 2 or self.X.shape[0] != m:
             raise ValueError(
                 f"need X of shape (m, d) and y of shape (m,), got {self.X.shape} and {self.y.shape}"
             )
+        if y.dtype.kind not in "biu":
+            changed = self.y.astype(y.dtype) != y
+            if changed.any():
+                raise ValueError(f"label {y[changed][0]} is not an integer")
         bad = (self.y < 0) | (self.y >= self.num_classes)
         if bad.any():
             raise ValueError(f"label {self.y[bad][0]} outside [0, {self.num_classes})")
@@ -47,7 +58,7 @@ class Dataset:
     @staticmethod
     def from_labels(labels: Sequence[int], num_classes: int = 2) -> "Dataset":
         """Feature-free dataset for the 1-D analytic losses."""
-        y = np.asarray(labels, dtype=np.int64)
+        y = np.asarray(labels)
         return Dataset(X=np.empty((y.shape[0], 0)), y=y, num_classes=num_classes)
 
 

@@ -23,12 +23,17 @@ from .params import ParamVector
 
 
 def rho_m(labels: Sequence[int]) -> int:
-    """Number of zero labels minus number of one labels."""
+    """Number of zero labels minus number of one labels.
+
+    Every label must compare equal to 0 or 1, of any dtype (0.0 and True
+    count); otherwise ValueError names the first one that does not."""
     labels = np.asarray(labels)
-    bad = labels[~np.isin(labels, (0, 1))]
-    if bad.size:
+    zeros = np.count_nonzero(labels == 0)
+    ones = np.count_nonzero(labels == 1)
+    if zeros + ones != labels.size:
+        bad = labels[~((labels == 0) | (labels == 1))]
         raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
-    return int(np.sum(labels == 0) - np.sum(labels == 1))
+    return int(zeros - ones)
 
 
 class LossModel:

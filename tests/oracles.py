@@ -2,11 +2,11 @@
 
 The package holds what the command line runs; these are the independent
 oracles the tests check it against (a finite-difference gradient checker,
-scalar reference losses, a direction digest, the hand-written flag
-converters that the config schema's checker replaced), a convex quadratic
-fixture, and the table of bad config values that both the config parser and
-the command line must refuse. A quadratic dataset carries its regression
-targets as the last column of X.
+scalar reference losses, a label counter, a direction digest, the
+hand-written flag converters that the config schema's checker replaced), a
+convex quadratic fixture, and the table of bad config values that both the
+config parser and the command line must refuse. A quadratic dataset
+carries its regression targets as the last column of X.
 """
 
 from __future__ import annotations
@@ -129,6 +129,16 @@ def reciprocal_eval(w: float, z: int) -> float:
     if w <= 0:
         return 0.0
     return (1.0 - 2.0 * z) / w
+
+
+def rho_m_reference(labels: Sequence[int]) -> int:
+    """losses.rho_m by np.isin: the labels outside {0, 1} first, then the
+    two counts."""
+    labels = np.asarray(labels)
+    bad = labels[~np.isin(labels, (0, 1))]
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
+    return int(np.sum(labels == 0) - np.sum(labels == 1))
 
 
 def nll_softmax(logits: np.ndarray, label: int) -> float:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diamrisk import analysis
 from diamrisk.analysis import (
     FlatnessReport,
     Histogram,
@@ -22,7 +23,7 @@ from diamrisk.analysis import (
     sample_directions,
 )
 from diamrisk.data import Dataset, gen_gaussian_blobs
-from diamrisk.losses import LossModel, ReciprocalLoss, TentLoss
+from diamrisk.losses import LossModel, ReciprocalLoss, TentLoss, rho_m
 from diamrisk.harness import build_datasets, default_experiment_dict, experiment_config_from_dict
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.params import NormKind, ParamVector
@@ -125,7 +126,7 @@ def test_rate_study_tent_gap_never_positive():
         window = _Window(tent, (-2.0, 2.0), GAMMA_LOSS, 129, 129)
         for trial in range(60):
             labels = tent.sample_labels(np.random.default_rng([0, mi, trial]), m)
-            assert np.max(window.r_true - window.curves(labels, trial)[1]) <= 0.0
+            assert np.max(window.r_true - window.curves(rho_m(labels), len(labels), trial)[1]) <= 0.0
 
 
 def test_rate_study_reciprocal_quantiles_decrease_like_inverse_sqrt_m():
@@ -283,7 +284,7 @@ def test_level_set_nesting_frequency():
     trials = 60
     for trial in range(trials):
         labels = tent.sample_labels(np.random.default_rng([70, trial]), 200)
-        inside = window.curves(labels, trial)[1] <= delta
+        inside = window.curves(rho_m(labels), len(labels), trial)[1] <= delta
         if np.all(window.r_true[inside] <= delta + q):
             hits += 1
     assert hits / trials >= 1 - alpha
@@ -306,11 +307,37 @@ def test_neighborhood_sup_rows_match_the_grid_oracle(loss, lo, width, gamma, n, 
     if loss == "reciprocal":  # every neighbourhood off the pole: w - gamma > 0
         lo = gamma + abs(lo) + 0.01
     window = _Window(model, (lo, lo + width), gamma, 9, n)
-    r_emp, sup_curve = window.curves(labels, 0)
+    r_emp, sup_curve = window.curves(rho_m(labels), len(labels), 0)
     S = Dataset.from_labels(labels)
     assert r_emp.tobytes() == model.risk_curve(window.w_grid, S).tobytes()
     for w, value in zip(window.w_grid, sup_curve):
         assert value == diametrical_risk_grid_1d(model, w, gamma, S, grid_points=n)
+
+
+def test_each_trial_counts_its_labels_once(monkeypatch):
+    # The three 1-D studies call rho_m once per trial (per m for the rate
+    # study), and rho_m never calls np.isin.
+    counted = []
+
+    def counting_rho_m(labels):
+        counted.append(len(labels))
+        return rho_m(labels)
+
+    def no_isin(*args, **kwargs):
+        raise AssertionError("np.isin called")
+
+    monkeypatch.setattr(analysis, "rho_m", counting_rho_m)
+    monkeypatch.setattr(np, "isin", no_isin)
+    tent = TentLoss(KAPPA, GAMMA_LOSS)
+    window = dict(interval=(-2.0, 2.0), gamma=GAMMA_LOSS, grid_points=9, inner_points=5)
+    rate_study(tent, m_list=[20, 40], trials=30, alpha=0.05, rng=0, **window)
+    assert counted == [20] * 30 + [40] * 30
+    counted.clear()
+    confidence_region_check(tent, delta_level=0.1, m=25, trials=7, rng=1, epsilons=[0.1, 0.2], **window)
+    assert counted == [25] * 7
+    counted.clear()
+    erm_drm_gap_table(tent, m=15, trials=5, rng=2, **window)
+    assert counted == [15] * 5
 
 
 def test_gap_table_tent_matches_closed_form_bound():

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from diamrisk.losses import ReciprocalLoss, TentLoss, rho_m
 from diamrisk.params import ParamVector
-from oracles import QuadraticLoss, gradient_check, quadratic_data, quadratic_eval, reciprocal_eval
+from oracles import (
+    QuadraticLoss,
+    gradient_check,
+    quadratic_data,
+    quadratic_eval,
+    reciprocal_eval,
+    rho_m_reference,
+)
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -107,6 +114,49 @@ def test_rho_m_counts():
     assert rho_m([1, 1]) == -2
     with pytest.raises(ValueError):
         rho_m([0, 2])
+
+
+def _rho_outcome(count, labels):
+    """The value and its type, or the error text, of count(labels)."""
+    try:
+        value = count(labels)
+    except ValueError as err:
+        return ("ValueError", str(err))
+    return (type(value), value)
+
+
+# A label outside {0, 1} in an array whose dtype holds it exactly.
+BAD_LABELS = [
+    (np.int64, 2), (np.int64, -1), (np.uint8, 2),
+    (np.float64, 2.0), (np.float64, -1.0), (np.float64, 0.5), (np.float64, math.nan), (np.float64, math.inf),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    dtype=st.sampled_from([np.int64, np.uint8, np.bool_, np.float64]),
+    m=st.integers(0, 20_000),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.none() | st.sampled_from(BAD_LABELS),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_rho_m_matches_the_isin_oracle(dtype, m, seed, bad, where):
+    # The two-comparison count against np.isin: the same value of type int,
+    # or the same error naming the same first bad label.
+    labels = np.random.default_rng(seed).integers(0, 2, size=m).astype(dtype)
+    if bad is not None:
+        bad_dtype, value = bad
+        labels = np.insert(labels.astype(bad_dtype), int(where * (m + 1)), value)
+    assert _rho_outcome(rho_m, labels) == _rho_outcome(rho_m_reference, labels)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[], [[0, 1], [1, 1]], [[0, 1], [2, 1]], 2, -1, 0.5, math.nan, math.inf, 0, True, ["0", "1"]],
+    ids=repr,
+)
+def test_rho_m_matches_the_isin_oracle_on_odd_inputs(labels):
+    assert _rho_outcome(rho_m, labels) == _rho_outcome(rho_m_reference, labels)
 
 
 def test_tent_empirical_risk_closed_form():

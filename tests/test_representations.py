@@ -152,6 +152,24 @@ def test_dataset_rejects_out_of_range_labels(S, below):
         Dataset(X=S.X, y=y, num_classes=S.num_classes)
 
 
+def test_dataset_rejects_non_integral_labels():
+    # A label the int64 cast would change is refused, not truncated: from
+    # the constructor and from from_labels alike, and nan without a cast
+    # warning (warnings are errors here).
+    for y, first in (([0.9, 1.2], "0.9"), ([0.5, 1.7, 0.2], "0.5"), ([1.0, np.nan], "nan"), ([np.inf], "inf")):
+        with pytest.raises(ValueError, match=f"^label {first} is not an integer$"):
+            Dataset(X=np.zeros((len(y), 1)), y=y)
+        with pytest.raises(ValueError, match=f"^label {first} is not an integer$"):
+            Dataset.from_labels(y)
+    for y in ([0.0, 1.0, 1.0], np.array([False, True, True]), np.array([0, 1, 1], dtype=np.uint8)):
+        S = Dataset.from_labels(y)
+        assert S.y.dtype == np.int64 and S.y.tolist() == [0, 1, 1]
+    assert len(Dataset.from_labels([])) == 0
+    # int64 labels are kept as they are, with no copy and no check.
+    y = np.array([1, 0, 1], dtype=np.int64)
+    assert Dataset(X=np.zeros((3, 2)), y=y).y is y
+
+
 def test_dataset_rejects_inconsistent_shapes():
     y = np.array([0, 1, 1])
     with pytest.raises(ValueError, match="shape"):
