@@ -17,7 +17,6 @@ comparison is paired.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -447,6 +446,8 @@ def landscape_histogram(
     rows = np.empty((len(centers), n_samples))
     digest = hashlib.sha256()
     if max_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: no subcommand runs a pool
+
         directions = sample_directions(centers[0], gamma, kind, n_samples, rng)
         for w, values in zip(centers, rows):
 

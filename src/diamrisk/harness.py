@@ -338,14 +338,15 @@ class RunSummary:
 
 
 def _summarize(trace: RunTrace) -> RunSummary:
-    train = [e.train_risk for e in trace.epochs]
-    accs = [e.test_acc for e in trace.epochs if e.test_acc is not None]
+    epochs = trace.epochs
+    train = [e.train_risk for e in epochs]
+    accs = [e.test_acc for e in epochs if e.test_acc is not None]
     return RunSummary(
         final_train_risk=train[-1],
         min_train_risk=min(train),
         final_test_acc=accs[-1],
         peak_test_acc=max(accs),
-        final_diam_risk_est=trace.epochs[-1].diam_risk_est,
+        final_diam_risk_est=epochs[-1].diam_risk_est,
     )
 
 
@@ -398,11 +399,7 @@ def run_label_noise_experiment(
         "batch_digest": erm_trace.batch_digest,
         "erm": erm_summary.__dict__,
         "drm": drm_summary.__dict__,
-        "flatness": {
-            "erm_gap": report.erm_gap,
-            "drm_gap": report.drm_gap,
-            "flatter": report.flatter,
-        },
+        "flatness": report.__dict__,
     }
     write_artifacts(out, {
         "trace_erm.csv": erm_trace.to_csv_text(),

@@ -35,7 +35,7 @@ import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,11 +46,6 @@ from .losses import LossModel
 from .params import Box, NonFiniteError, NormKind, ParamVector
 from .params import axpy, sample_sphere, shifted, sphere_rows
 from .risk import neighborhood_chunks, neighborhood_risks
-
-TRACE_CSV_HEADER = (
-    "iter,epoch,event,lr,batch_risk,perturbed_batch_risk,train_risk,test_acc,diam_risk_est"
-)
-
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite batch risk, direction or parameter
@@ -123,44 +118,35 @@ def constant_then_drop_schedule(T: int, lr: float, final_lr: float,
     return ((drop_at, lr), (T, final_lr))
 
 
-@dataclass
-class IterationRecord:
+class TraceRow(NamedTuple):
+    """One row of trace_*.csv; the field names are its header. An iteration
+    row's event is "sample" on a sampling event and "" otherwise; an epoch
+    row's event is "epoch" and its iter the epoch's last iteration. A cell
+    that does not apply is None and is written blank."""
+
     iter: int
     epoch: int
-    event: bool  # sampling event under the configured schedule
-    lr: float
-    batch_risk: float
-    perturbed_batch_risk: float
-
-
-@dataclass
-class EpochRecord:
-    iter: int  # last iteration of the epoch
-    epoch: int
-    train_risk: float
-    test_acc: Optional[float]
-    diam_risk_est: float
+    event: str
+    lr: Optional[float] = None
+    batch_risk: Optional[float] = None
+    perturbed_batch_risk: Optional[float] = None
+    train_risk: Optional[float] = None
+    test_acc: Optional[float] = None
+    diam_risk_est: Optional[float] = None
 
 
 @dataclass
 class RunTrace:
-    iterations: list[IterationRecord] = field(default_factory=list)
-    epochs: list[EpochRecord] = field(default_factory=list)
+    rows: list[TraceRow] = field(default_factory=list)  # in the order the loop ran them
     batch_digest: str = ""
 
+    @property
+    def epochs(self) -> list[TraceRow]:
+        return [row for row in self.rows if row.event == "epoch"]
+
     def to_csv_text(self) -> str:
-        """Iteration and epoch rows in chronological order; a blank cell does not apply."""
-        epoch_by_end = {e.iter: e for e in self.epochs}
-        rows = []
-        for rec in self.iterations:
-            event = "sample" if rec.event else ""
-            rows.append((rec.iter, rec.epoch, event, rec.lr, rec.batch_risk, rec.perturbed_batch_risk,
-                         None, None, None))
-            e = epoch_by_end.get(rec.iter)
-            if e is not None:
-                rows.append((e.iter, e.epoch, "epoch", None, None, None,
-                             e.train_risk, e.test_acc, e.diam_risk_est))
-        return csv_text({}, TRACE_CSV_HEADER, (["" if v is None else str(v) for v in row] for row in rows))
+        return csv_text({}, ",".join(TraceRow._fields),
+                        (["" if v is None else str(v) for v in row] for row in self.rows))
 
 
 def make_batch_indices(m: int, batch_size: int, epoch_seed) -> list[np.ndarray]:
@@ -300,7 +286,9 @@ def _run_loop(
                     w = cfg.feasible.project(axpy(w, -lr, grad))
                 except NonFiniteError as exc:
                     raise DivergenceError(t, epoch, lr, batch_risk, exc) from exc
-                trace.iterations.append(IterationRecord(t, epoch, event, lr, batch_risk, perturbed_risk))
+                trace.rows.append(
+                    TraceRow(t, epoch, "sample" if event else "", lr, batch_risk, perturbed_risk)
+                )
                 t += 1
 
             train_risk = model.batch_risk(w, data)
@@ -310,7 +298,8 @@ def _run_loop(
             if not math.isfinite(value):
                 reason = f"non-finite {name} {value!r} at the end of the epoch"
                 raise DivergenceError(t - 1, epoch, lr, batch_risk, reason)
-        trace.epochs.append(EpochRecord(t - 1, epoch, train_risk, test_acc, diam))
+        trace.rows.append(TraceRow(t - 1, epoch, "epoch", train_risk=train_risk, test_acc=test_acc,
+                                   diam_risk_est=diam))
         epoch += 1
 
     trace.batch_digest = digest.hexdigest()

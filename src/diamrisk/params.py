@@ -168,7 +168,11 @@ class ParamVector:
         layers = []
         for name, entry in obj.items():
             try:
-                shape = tuple(int(s) for s in entry["shape"])
+                shape = entry["shape"]
+                # Only JSON integers >= 0: 96.9, true or -1 would load as some other shape.
+                bad = [s for s in shape if type(s) is not int or s < 0]
+                if bad:
+                    raise ValueError(f"shape entry {bad[0]!r} is not an integer >= 0")
                 data = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"layer {name!r}: {exc}") from None

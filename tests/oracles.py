@@ -1,12 +1,13 @@
 """Reference implementations and fixtures that only the tests use.
 
-The package holds what the command line runs; these are the independent
-oracles the tests check it against (a finite-difference gradient checker,
-scalar reference losses, a label counter, a direction digest, the
-hand-written flag converters that the config schema's checker replaced), a
-convex quadratic fixture, and the table of bad config values that both the
-config parser and the command line must refuse. A quadratic dataset
-carries its regression targets as the last column of X.
+Here are the independent oracles the tests check the package against: a
+finite-difference gradient checker, scalar reference losses, a label
+counter, a direction digest and the hand-written flag converters that the
+config schema's checker replaced. Here too are a convex quadratic fixture
+and the table of bad config values that both the config parser and the
+command line must refuse. A quadratic dataset carries its regression
+targets as the last column of X. The package keeps a few references of its
+own, which the benchmark or the acceptance criteria pin; README lists them.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import os
 import re
@@ -238,7 +239,7 @@ def test_run_and_landscape_start_no_thread_pool(tmp_path, capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a neighborhood evaluation left the calling thread")
 
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     cfg_path = tiny_config(tmp_path)
     assert cli_main(["run", "--config", str(cfg_path)]) == 0
     code = cli_main(
@@ -299,6 +300,29 @@ def test_landscape_malformed_checkpoint_exits_2(tmp_path, capsys, monkeypatch, t
     bad_path.write_text(text)
     assert _landscape_without_sampling(monkeypatch, cfg_path, bad_path) == 2
     assert "not a parameter file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "[{0}.9, {1}]",  # int() truncates it to the spec's own shape
+        "[{0}, {1}, true]",  # int(True) is 1
+        "[-1]",  # numpy's reshape wildcard
+        "[1e400]",  # float infinity: int() raises OverflowError
+    ],
+    ids=["fraction", "bool", "negative", "infinity"],
+)
+def test_checkpoint_shape_entries_must_be_integers(tmp_path, capsys, monkeypatch, shape):
+    cfg_path = tiny_config(tmp_path)
+    spec = experiment_config_from_dict(json.loads(cfg_path.read_text())).mlp_spec()
+    obj = json.loads(init_params(spec, np.random.default_rng(0)).to_json())
+    obj["W0"]["shape"] = "@"
+    bad_path = tmp_path / "bad_ckpt.json"
+    bad_path.write_text(json.dumps(obj).replace('"@"', shape.format(*spec.param_shapes()[0])))
+    with pytest.raises(ValueError, match="layer 'W0': shape entry"):
+        ParamVector.load(bad_path)
+    assert _landscape_without_sampling(monkeypatch, cfg_path, bad_path) == 2
+    assert "is not a parameter file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section,key,value", BAD_VALUES)

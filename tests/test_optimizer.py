@@ -12,6 +12,7 @@ from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.optimizer import (
     DivergenceError,
     DrmConfig,
+    TraceRow,
     constant_then_drop_schedule,
     draw_worst,
     make_batch_indices,
@@ -190,7 +191,7 @@ def test_erm_zero_gradient_keeps_w_constant():
     w0 = ParamVector([("w", np.array([0.3, 0.4]))])
     final, trace = sgd_erm_run(model, data, None, cfg, w0=w0)
     assert final == w0
-    assert len(trace.iterations) == 10
+    assert len([row for row in trace.rows if row.event != "epoch"]) == 10
 
 
 def test_erm_full_batch_contraction_matches_recursion():
@@ -294,7 +295,7 @@ def test_sampling_events_follow_every_k_schedule():
     data = quad_data(rng, m=8)
     cfg = quad_config(T=23, sample_every=5, batch_size=4, lr_schedule=((23, 0.01),))
     _, trace = sgd_drm_run(quad, data, None, cfg, w0=quad.wrap(0.1))
-    events = [rec.iter for rec in trace.iterations if rec.event]
+    events = [row.iter for row in trace.rows if row.event == "sample"]
     assert events == [0, 5, 10, 15, 20]
 
 
@@ -302,17 +303,29 @@ def test_trace_shape_and_monotonicity():
     rng = np.random.default_rng(7)
     quad = QuadraticLoss(dim=1)
     data = quad_data(rng, m=10)
-    cfg = quad_config(T=17, batch_size=4, lr_schedule=((17, 0.01),))
+    cfg = quad_config(T=17, batch_size=4, sample_every=3, lr_schedule=((17, 0.01),))
     _, trace = sgd_drm_run(quad, data, None, cfg, w0=quad.wrap(0.0))
-    iters = [rec.iter for rec in trace.iterations]
+    iters = [row.iter for row in trace.rows if row.event != "epoch"]
     assert iters == list(range(17))
     assert [e.epoch for e in trace.epochs] == list(range(len(trace.epochs)))
-    csv_text = trace.to_csv_text()
-    assert csv_text.splitlines()[0] == (
+    header, *lines = trace.to_csv_text().splitlines()
+    assert header == ",".join(TraceRow._fields) == (
         "iter,epoch,event,lr,batch_risk,perturbed_batch_risk,train_risk,test_acc,diam_risk_est"
     )
-    # 17 iteration rows plus one epoch row per completed pass (3 batches/epoch).
-    assert len(csv_text.splitlines()) == 1 + 17 + len(trace.epochs)
+    # 17 iteration rows plus one epoch row per pass (3 batches/epoch); the
+    # last pass stops mid-epoch at T.
+    rows = [line.split(",") for line in lines]
+    assert len(rows) == 17 + 6
+    assert {row[2] for row in rows} == {"sample", "", "epoch"}
+    assert [row[0] for row in rows if row[2] == "epoch"] == ["2", "5", "8", "11", "14", "16"]
+    for prev, row in zip(rows, rows[1:]):
+        if row[2] == "epoch":  # right after its epoch's last iteration row
+            assert prev[2] != "epoch" and prev[:2] == row[:2]
+    for row in rows:
+        if row[2] == "epoch":  # no test set: test_acc is blank too
+            assert row[3:6] == ["", "", ""] and row[6] and row[7] == "" and row[8]
+        else:
+            assert all(row[3:6]) and row[6:] == ["", "", ""]
 
 
 def test_descent_sanity_on_convex_fixture():

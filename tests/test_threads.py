@@ -74,6 +74,13 @@ def test_import_leaves_the_environment_as_it_was(extra):
     assert {k: v for k, v in child.items() if k in THREAD_VARS} == extra
 
 
+def test_importing_the_cli_loads_no_thread_pool_or_logging():
+    # Only landscape_histogram's max_workers > 1 branch, which no subcommand
+    # takes, imports the pool; its import also pulls in logging.
+    code = "import sys, diamrisk.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    assert _python(code, _env()).strip() == "[]"
+
+
 def test_landscape_histogram_is_the_same_under_any_thread_count(tmp_path):
     config = default_experiment_dict(0)
     (tmp_path / "config.json").write_text(json.dumps(config))
