@@ -7,10 +7,10 @@ its high quantile should scale like m^(-1/2). confidence_region_check tests
 the two excess inclusions that make level sets of the empirical risk valid
 confidence regions for good parameters. erm_drm_gap_table compares the
 generalization gaps of the ERM and DRM grid minimizers. These three 1-D
-studies share one trial loop, _Window.trials, which also checks the window
-(lo < hi). landscape_histogram and
-flatness_report compare how sharply the empirical risk rises around two
-trained solutions, using one shared set of random directions so the
+studies share one window, _Window, which checks that lo < hi and that its
+neighbourhoods fit in the floats, and its trial loop. landscape_histogram
+and flatness_report compare how sharply the empirical risk rises around
+two trained solutions, using one shared set of random directions so the
 comparison is paired.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,19 +28,19 @@ from .params import NormKind, ParamVector, axpy, sample_sphere
 from .risk import neighborhood_chunks, window_grid
 
 
-def g17(x: float) -> str:
-    """Floats formatted with 17 significant digits (lossless round trip)."""
-    return f"{float(x):.17g}"
-
-
 def csv_text(meta: dict, header: Optional[str], rows) -> str:
-    """The text of an artifact CSV: a '# key=value' line per meta item, then
-    the header line when there is one, then each row's cells (strings)
-    joined by commas."""
-    lines = [f"# {key}={value}" for key, value in meta.items()]
+    """The text of an artifact CSV, and the one place an artifact value
+    becomes text: '# key=value' meta lines, the header line if any, then the
+    rows' cells joined by commas. A value is written as str writes it (a
+    float, numpy or not, as its shortest round-trip repr); None is blank."""
+
+    def cell(value) -> str:
+        return "" if value is None else str(value)
+
+    lines = [f"# {key}={cell(value)}" for key, value in meta.items()]
     if header is not None:
         lines.append(header)
-    lines += [",".join(row) for row in rows]
+    lines += [",".join(map(cell, row)) for row in rows]
     return "".join(line + "\n" for line in lines)
 
 
@@ -103,6 +103,8 @@ class _Window:
         lo, hi = float(interval[0]), float(interval[1])
         if not lo < hi:
             raise ValueError("interval must satisfy lo < hi")
+        if not np.isfinite(2.0 * gamma):
+            raise ValueError(f"the neighbourhood width 2 * gamma overflows at gamma={gamma}")
         self.model = model
         self.w_grid = window_grid(model, lo, hi, gamma, grid_points)
         self.r_true = model.true_risk_curve(self.w_grid)
@@ -126,7 +128,7 @@ class _Window:
         if not (np.isfinite(r_emp).all() and np.isfinite(sup_curve).all()):
             raise ValueError(
                 f"trial {trial} (m={m}): the empirical risk is not finite on the window "
-                f"[{g17(self.w_grid[0])}, {g17(self.w_grid[-1])}]"
+                f"[{self.w_grid[0]}, {self.w_grid[-1]}]"
             )
         return r_emp, sup_curve
 
@@ -235,19 +237,15 @@ def rate_study(
 
 def rate_csv(result: RateStudyResult) -> str:
     meta = {
-        "alpha": g17(result.alpha),
-        "eps_floor": g17(EPS_FLOOR),
+        "alpha": result.alpha,
+        "eps_floor": EPS_FLOOR,
         "gamma_mode": result.gamma_mode,
         "all_nonpositive": int(result.all_nonpositive),
         "note": "the fitted quantile coefficient absorbs all variance and "
         "covering constants; confidence-level variants of the bound are "
         "empirically indistinguishable",
     }
-    slope_txt = "" if result.slope is None else g17(result.slope)
-    rows = [
-        (str(rec.m), str(rec.trials), g17(rec.q05), g17(rec.q50), g17(rec.q95), slope_txt)
-        for rec in result.records
-    ]
+    rows = [(rec.m, rec.trials, rec.q05, rec.q50, rec.q95, result.slope) for rec in result.records]
     return csv_text(meta, "m,trials,q05,q50,q95,slope", rows)
 
 
@@ -329,15 +327,14 @@ def confidence_region_check(
 
 def confidence_csv(result: ConfidenceResult) -> str:
     meta = {
-        "gamma": g17(result.gamma),
-        "delta": g17(result.delta),
+        "gamma": result.gamma,
+        "delta": result.delta,
         "m": result.m,
         "trials": result.trials,
-        "grid_cell": g17(result.cell),
+        "grid_cell": result.cell,
         "empty_level_sets": result.empty_level_sets,
     }
-    rows = [(g17(eps), g17(rate)) for eps, rate in zip(result.epsilons, result.pass_rates)]
-    return csv_text(meta, "epsilon,pass_rate", rows)
+    return csv_text(meta, "epsilon,pass_rate", zip(result.epsilons, result.pass_rates))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +342,9 @@ def confidence_csv(result: ConfidenceResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GapRecord:
+class GapRecord(NamedTuple):
+    """One row of examples.csv; the field names are its header."""
+
     trial: int
     rho: int
     erm_gap: float  # true risk minus empirical risk at the empirical minimizer
@@ -370,16 +368,8 @@ def erm_drm_gap_table(
     r_true = window.r_true
     out = []
     for trial, (rho, r_emp, sup_curve) in enumerate(window.trials(m, trials, [rng])):
-        i = int(np.argmin(r_emp))
-        j = int(np.argmin(sup_curve))
-        out.append(
-            GapRecord(
-                trial=trial,
-                rho=rho,
-                erm_gap=float(r_true[i] - r_emp[i]),
-                drm_gap=float(r_true[j] - sup_curve[j]),
-            )
-        )
+        i, j = int(np.argmin(r_emp)), int(np.argmin(sup_curve))
+        out.append(GapRecord(trial, rho, float(r_true[i] - r_emp[i]), float(r_true[j] - sup_curve[j])))
     return out
 
 
@@ -479,13 +469,13 @@ def hist_csv(hist: Histogram, **extra) -> str:
     """Metadata lines, extra's last, then one neighborhood risk value per line."""
     meta = {
         "n": len(hist.values),
-        "gamma": g17(hist.gamma),
+        "gamma": hist.gamma,
         "kind": hist.kind.value,
-        "reference": g17(hist.reference),
+        "reference": hist.reference,
         "direction_digest": hist.direction_digest,
         **extra,
     }
-    return csv_text(meta, None, [(g17(v),) for v in hist.values])
+    return csv_text(meta, None, ((v,) for v in hist.values.tolist()))
 
 
 @dataclass

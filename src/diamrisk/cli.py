@@ -19,11 +19,11 @@ import sys
 import numpy as np
 
 from .analysis import (
+    GapRecord,
     confidence_csv,
     confidence_region_check,
     csv_text,
     erm_drm_gap_table,
-    g17,
     hist_csv,
     landscape_histogram,
     rate_csv,
@@ -81,6 +81,7 @@ _NUMBER = _Key(float)
 _FRACTION = _Key(float, None, math.ulp(0.0), math.nextafter(1.0, 0.0))  # (0, 1)
 _KAPPA = _Key(float, None, math.nextafter(1.0, math.inf))  # > 1
 _GAMMA = SCHEMA["drm"]["gamma"]
+_RADIUS_1D = _Key(float, None, 0.0, sys.float_info.max / 2)  # so 2 * gamma, a neighbourhood's width, is finite
 _SIZES = _Key([int], None, 1, MAX_COUNT)
 _SLACKS = _Key([float], None, 0.0)
 
@@ -101,6 +102,8 @@ def _default_interval(args) -> tuple[float, float]:
     hi = args.w_hi if args.w_hi is not None else 2.0
     if not lo < hi:
         raise ConfigError(f"the parameter window [{lo}, {hi}] is empty")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"the parameter window [{lo}, {hi}] is wider than the largest float")
     return (lo, hi)
 
 
@@ -226,25 +229,22 @@ def _cmd_examples(args) -> int:
         rng=args.seed,
         inner_points=args.inner,
     )
-    rows = [(str(rec.trial), str(rec.rho), g17(rec.erm_gap), g17(rec.drm_gap)) for rec in table]
-    text = csv_text({}, "trial,rho,erm_gap,drm_gap", rows)
+    text = csv_text({}, ",".join(GapRecord._fields), table)
     if args.loss == "tent":
-        print("trial,rho,erm_gap,erm_bound,drm_gap")
-        for rec in table:
-            bound = max(0, -rec.rho) * args.kappa / args.m
-            print(f"{rec.trial},{rec.rho},{g17(rec.erm_gap)},{g17(bound)},{g17(rec.drm_gap)}")
+        rows = ((*rec[:3], max(0, -rec.rho) * args.kappa / args.m, rec.drm_gap) for rec in table)
+        print(csv_text({}, "trial,rho,erm_gap,erm_bound,drm_gap", rows), end="")
     else:
         print(text, end="")
     n_pos = sum(1 for rec in table if rec.erm_gap > 0)
     print(f"# erm gap positive in {n_pos}/{len(table)} trials")
-    print(f"# max drm gap: {g17(max(rec.drm_gap for rec in table))}")
+    print(f"# max drm gap: {max(rec.drm_gap for rec in table)}")
     if args.loss == "reciprocal" and interval[1] > 0:
         negative = [rec for rec in table if rec.rho < 0]
         if negative:
             rho = negative[0].rho
             w_grid = np.logspace(-8, np.log10(interval[1]), 200)
             curve = (rho / args.m) / w_grid
-            print(f"# empirical risk min over a log grid near 0 (rho={rho}): {g17(curve.min())}")
+            print(f"# empirical risk min over a log grid near 0 (rho={rho}): {curve.min()}")
     if out is not None:
         write_artifacts(out, {"examples.csv": text})
         print(f"# wrote {out / 'examples.csv'}")
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     scalar.add_argument("--loss", choices=("tent", "reciprocal"), default="tent")
     scalar.add_argument("--kappa", type=_flag(_KAPPA), default=2.0)
     scalar.add_argument("--gamma-loss", dest="gamma_loss", type=_flag(_FRACTION), default=0.5)
-    scalar.add_argument("--gamma", type=_flag(_GAMMA), default=0.5, help="neighborhood radius")
+    scalar.add_argument("--gamma", type=_flag(_RADIUS_1D), default=0.5, help="neighborhood radius")
     scalar.add_argument("--grid", type=_flag(_GRID), default=257, help="points on the parameter window")
     scalar.add_argument("--inner", type=_flag(_GRID), default=257, help="points per neighborhood interval")
     scalar.add_argument("--w-lo", dest="w_lo", type=_flag(_NUMBER), default=None)

@@ -145,8 +145,7 @@ class RunTrace:
         return [row for row in self.rows if row.event == "epoch"]
 
     def to_csv_text(self) -> str:
-        return csv_text({}, ",".join(TraceRow._fields),
-                        (["" if v is None else str(v) for v in row] for row in self.rows))
+        return csv_text({}, ",".join(TraceRow._fields), self.rows)
 
 
 def make_batch_indices(m: int, batch_size: int, epoch_seed) -> list[np.ndarray]:

@@ -123,10 +123,6 @@ class ParamVector:
         return self._flat
 
     @classmethod
-    def zeros_like(cls, template: "ParamVector") -> "ParamVector":
-        return template._like(np.zeros(template.size))
-
-    @classmethod
     def from_flat(cls, template: "ParamVector", flat: np.ndarray) -> "ParamVector":
         """Inverse of flat(): a copy of flat cut into template's layers."""
         flat = np.array(flat, dtype=np.float64)
@@ -224,18 +220,22 @@ def sphere_rows(
     rng: np.random.Generator,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """k uniform random directions of norm exactly gamma, as the rows of a
+    """k random directions of norm exactly gamma, as the rows of a
     (k, template.size) float64 array: the first k rows of out when it is
     given (a reusable buffer), else a new array.
 
     Each row is one standard-normal fill of template.size values, rescaled
     in place while it is in cache: each non-empty layer segment under
-    LAYERWISE_FROBENIUS, the whole row under EUCLIDEAN/SUP, by
-    gamma over the segment's norm. Row i thus holds exactly the values of
-    the i-th of k successive sample_sphere calls on rng. gamma = 0 gives
-    zero rows without consuming any randomness. A segment whose draw is all
-    zeros (probability ~2^-53 per value) raises RuntimeError; a gamma so
-    large that a row overflows raises NonFiniteError naming its layer.
+    LAYERWISE_FROBENIUS, the whole row under EUCLIDEAN/SUP, by gamma over
+    the segment's norm. So a row is uniform on the gamma-sphere under
+    EUCLIDEAN, each layer segment on its own under LAYERWISE_FROBENIUS; a
+    SUP row lies on the sup-sphere but is not uniform on it (in 2-D its
+    density along a face peaks at the face's centre). Row i holds exactly
+    the values of the i-th of k successive sample_sphere calls on rng.
+    gamma = 0 gives zero rows without consuming any randomness. A segment
+    whose draw is all zeros (probability ~2^-53 per value) raises
+    RuntimeError; a gamma so large that a row overflows raises
+    NonFiniteError naming its layer.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")

@@ -33,9 +33,12 @@ _CHUNK = 16
 
 def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> np.ndarray:
     """Uniform grid on [lo, hi] augmented with every loss breakpoint and every
-    breakpoint shifted by +-gamma that lands inside the window."""
+    breakpoint shifted by +-gamma that lands inside the window; ValueError
+    when the width hi - lo overflows."""
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"the window [{lo}, {hi}] is wider than the largest float")
     pts = [np.linspace(lo, hi, grid_points)]
     extra = []
     for b in getattr(model, "breakpoints", ()):

@@ -3,7 +3,8 @@
 Here are the independent oracles the tests check the package against: a
 finite-difference gradient checker, scalar reference losses, a label
 counter, a direction digest and the hand-written flag converters that the
-config schema's checker replaced. Here too are a convex quadratic fixture
+config schema's checker replaced. Here too are a convex quadratic fixture,
+the zero vector that the constant-loss fixtures return as their gradient,
 and the table of bad config values that both the config parser and the
 command line must refuse. A quadratic dataset carries its regression
 targets as the last column of X. The package keeps a few references of its
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +26,12 @@ from diamrisk.harness import MAX_COUNT
 from diamrisk.losses import LossModel
 from diamrisk.mlp import _nll_rows
 from diamrisk.params import NormKind, ParamVector, _array_norm
+
+
+def zeros_like(template: ParamVector) -> ParamVector:
+    """The zero vector shaped like template: the constant-loss fixtures'
+    gradient."""
+    return ParamVector.from_flat(template, np.zeros(template.size))
 
 
 def quadratic_data(X, t, num_classes: int = 2) -> Dataset:
@@ -196,6 +204,8 @@ def _comma_list(kind):
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _finite = _checked(float, math.isfinite, "a finite number")
 _nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+# A 1-D radius whose neighbourhood width 2 * gamma is a finite float.
+_radius_1d = _checked(float, lambda v: 0 <= v <= sys.float_info.max / 2, "a number in [0, max float / 2]")
 _fraction = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 _kappa = _checked(float, lambda v: 1 < v < math.inf, "a finite number > 1")
 _sizes = _checked(
@@ -209,7 +219,7 @@ FLAG_CONVERTERS = [
     ("run", "--seed", _seed),
     *[(c, "--seed", _seed) for c in ("rate", "confidence", "landscape", "examples")],
     *[(c, f, conv) for c in ("rate", "confidence", "examples") for f, conv in (
-        ("--kappa", _kappa), ("--gamma-loss", _fraction), ("--gamma", _nonnegative), ("--grid", _count(3)),
+        ("--kappa", _kappa), ("--gamma-loss", _fraction), ("--gamma", _radius_1d), ("--grid", _count(3)),
         ("--inner", _count(3)), ("--w-lo", _finite), ("--w-hi", _finite),
     )],
     ("rate", "--m", _sizes), ("rate", "--trials", _count(30)), ("rate", "--alpha", _fraction),

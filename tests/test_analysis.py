@@ -27,8 +27,8 @@ from diamrisk.losses import LossModel, ReciprocalLoss, TentLoss, rho_m
 from diamrisk.harness import build_datasets, default_experiment_dict, experiment_config_from_dict
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.params import NormKind, ParamVector
-from diamrisk.risk import diametrical_risk_grid_1d, neighborhood_risks
-from oracles import QuadraticLoss, directions_digest, quadratic_data
+from diamrisk.risk import diametrical_risk_grid_1d, neighborhood_risks, window_grid
+from oracles import QuadraticLoss, directions_digest, quadratic_data, zeros_like
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -44,7 +44,7 @@ class ConstantLoss(LossModel):
         return self.c
 
     def batch_grad(self, w, S):
-        return self.c, ParamVector.zeros_like(self.param_template)
+        return self.c, zeros_like(self.param_template)
 
 
 def test_excess_of_set_over_itself_is_zero():
@@ -369,7 +369,7 @@ def test_landscape_histogram_constant_loss():
 
 def test_landscape_histogram_one_bin_for_equal_large_values():
     model = ConstantLoss(c=1e20)
-    w = ParamVector.zeros_like(model.param_template)
+    w = zeros_like(model.param_template)
     hist = landscape_histogram(model, w, 1.0, NormKind.EUCLIDEAN, 30, ONE_ROW, rng=0)
     assert hist.values.tolist() == [1e20] * 30
     assert hist.reference == 1e20
@@ -378,7 +378,7 @@ def test_landscape_histogram_one_bin_for_equal_large_values():
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_landscape_histogram_rejects_non_finite_risk(bad):
     model = ConstantLoss(c=bad)
-    w = ParamVector.zeros_like(model.param_template)
+    w = zeros_like(model.param_template)
     with pytest.raises(ValueError, match="non-finite neighborhood risk"):
         landscape_histogram(model, w, 1.0, NormKind.EUCLIDEAN, 5, ONE_ROW, rng=0)
 
@@ -546,6 +546,19 @@ def test_csv_text_layout():
     assert text == "# a=1\n# b=x=y\nh1,h2\n1,2\n,3\n"
     assert csv_text({}, None, [("0.5",)]) == "0.5\n"
     assert csv_text({}, None, []) == ""
+    row = (3, np.int64(-2), 0.05, np.float64(0.1), -0.0, 1e-05, None)  # each value as str writes it
+    assert csv_text({"alpha": 0.05, "slope": None}, None, [row]) == "# alpha=0.05\n# slope=\n3,-2,0.05,0.1,-0.0,1e-05,\n"
+
+
+def test_windows_too_wide_for_floats_raise():
+    # 2 * gamma overflows: np.linspace(-gamma, gamma) would give nan and inf
+    # offsets, which both losses evaluate as 0.
+    with pytest.raises(ValueError, match="gamma"):
+        _Window(ReciprocalLoss(), (1.0, 2.0), 1e308, 9, 9)
+    with pytest.raises(ValueError, match="window"):
+        window_grid(TentLoss(KAPPA, GAMMA_LOSS), -1e308, 1e308, GAMMA_LOSS, 9)
+    with np.errstate(over="raise", invalid="raise"):  # the largest radius the command line takes
+        assert np.isfinite(_Window(ReciprocalLoss(), (1.0, 2.0), 8.988465674311579e307, 9, 9).row_max).all()
 
 
 def test_csv_writers_roundtrip_shapes():

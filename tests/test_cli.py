@@ -427,6 +427,11 @@ BAD_FLAGS = [
     # non-finite empirical risk.
     ("examples", ["--gamma-loss", "5e-324"], "--gamma-loss"),
     ("examples", ["--kappa", "1e308", "--gamma-loss", "0.001"], "--kappa"),
+    # A 1-D radius or window whose width overflows used to exit 0 with numpy
+    # RuntimeWarnings and a wrong table: nan and inf neighbourhood points,
+    # which both losses evaluate as 0.
+    ("examples", ["--loss", "reciprocal", "--gamma", "1e308", "--w-lo", "1", "--w-hi", "2"], "--gamma"),
+    ("rate", ["--w-lo=-1e308", "--w-hi", "1e308"], "window"),
 ]
 
 
@@ -469,7 +474,8 @@ def test_count_flags_are_bounded_at_parse_time(tmp_path, capsys, command, flag):
 FLAG_TEXTS = [
     ".5", "5.", "1e3", " 7 ", "1_000", "0x10", "nan", "-inf", "inf", "true", "", "abc",
     "0", "-0", "-0.0", "-1", "-5e-324", "5e-324", "1", "1.0", "0.9999999999999999", "1.0000000000000002",
-    "2", "3", "4", "29", "30", "31", "2147483646", "2147483647", "2147483648", "1e308", "1.8e308",
+    "2", "3", "4", "29", "30", "31", "2147483646", "2147483647", "2147483648", "8.988465674311579e+307",
+    "8.98846567431158e+307", "1e308", "1.8e308",
     "0,5", "5,0", "1,2", "2,2", "250,1000,4000,16000", "1,x", "0.1,nan", "0.0,0.01,0.1", "0.1,-1",
     "1,2147483648", ",", "1,",
 ]
@@ -677,3 +683,54 @@ def test_rate_without_out_writes_only_rate_csv_in_the_working_directory(tmp_path
     assert cli_main(_small_argv(tmp_path, "rate")) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["rate.csv"]
     assert capsys.readouterr().out.endswith("wrote rate.csv\n")
+
+
+# '# key=value' meta values that are text, not numbers.
+TEXT_META = {"kind", "note", "gamma_mode", "solution", "checkpoint", "direction_digest"}
+
+
+def _numeric_cells(path: Path) -> list[str]:
+    """Every numeric cell of a CSV artifact, meta values included: all but
+    the text meta values, the header (every CSV but a histogram has one) and
+    the trace's event column. A blank cell is a None and is left out."""
+    lines = path.read_text().splitlines()
+    meta = [line[2:].partition("=") for line in lines if line.startswith("# ")]
+    cells = [value for key, _, value in meta if key not in TEXT_META]
+    rows = [line.split(",") for line in lines if not line.startswith("# ")]
+    if not path.name.startswith("hist"):
+        header, *rows = rows
+        rows = [[c for name, c in zip(header, row) if name != "event"] for row in rows]
+    return cells + [c for row in rows for c in row if c]
+
+
+def _written_as_python_writes(cell: str) -> bool:
+    try:
+        return cell == str(int(cell))
+    except ValueError:
+        return cell == repr(float(cell))
+
+
+def test_every_csv_artifact_writes_each_number_as_python_writes_it(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path)
+    checkpoint = tmp_path / "exp" / "checkpoint_drm.json"
+    study = ["--trials", "30", "--grid", "65", "--inner", "65", "--out"]
+    for argv in (
+        ["run", "--config", str(cfg_path)],
+        ["landscape", "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+         "--gamma", "5", "--n", "50", "--out", str(tmp_path / "land")],
+        ["rate", "--loss", "reciprocal", "--m", "50,100", *study, str(tmp_path / "rate")],
+        ["confidence", "--m", "50", "--eps", "0.0,0.01,0.1", *study, str(tmp_path / "conf")],
+        ["examples", "--loss", "reciprocal", "--m", "50", *study, str(tmp_path / "ex")],
+    ):
+        assert cli_main(argv) == 0
+    paths = sorted(tmp_path.rglob("*.csv"), key=lambda p: p.name)
+    assert [p.name for p in paths] == [
+        "confidence.csv", "examples.csv", "hist.csv", "hist_drm.csv", "hist_erm.csv", "rate.csv",
+        "trace_drm.csv", "trace_erm.csv",
+    ]
+    for path in paths:
+        cells = _numeric_cells(path)
+        bad = [c for c in cells if not _written_as_python_writes(c)]
+        assert cells and not bad, f"{path.name}: {bad[:3]}"
+    header = (tmp_path / "ex" / "examples.csv").read_text().splitlines()[0]
+    assert header == ",".join(analysis.GapRecord._fields) == "trial,rho,erm_gap,drm_gap"

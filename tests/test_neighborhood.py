@@ -16,6 +16,7 @@ from diamrisk.risk import (
     neighborhood_chunks,
     neighborhood_risks,
 )
+from oracles import zeros_like
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 KINDS = st.sampled_from(list(NormKind))
@@ -78,7 +79,7 @@ def test_neighborhood_chunks_fill_out_as_one_stack_of_rows_would(r):
 @given(seed=SEEDS, picks=st.lists(st.integers(0, 5), min_size=1, max_size=12))
 def test_select_worst_breaks_ties_to_the_lowest_index(seed, picks):
     model = StepLoss()
-    w = ParamVector.zeros_like(model.param_template)
+    w = zeros_like(model.param_template)
     rng = np.random.default_rng(seed)
     pool = [sample_sphere(w, 1.0, NormKind.EUCLIDEAN, rng) for _ in range(6)]
     candidates = [pool[i].flat() for i in picks]  # repeats force exact ties
@@ -92,7 +93,7 @@ def test_select_worst_breaks_ties_to_the_lowest_index(seed, picks):
 @given(seed=SEEDS, r=st.integers(1, 12), gamma=st.floats(0.01, 2.0), kind=KINDS)
 def test_sampled_estimate_breaks_ties_to_the_lowest_draw(seed, r, gamma, kind):
     model = StepLoss()
-    w = ParamVector.zeros_like(model.param_template)
+    w = zeros_like(model.param_template)
     est = diametrical_risk_sampled(model, w, gamma, kind, r, ONE_ROW, rng=seed)
     rng = np.random.default_rng(seed)
     draws = [sample_sphere(w, gamma, kind, rng) for _ in range(r)]

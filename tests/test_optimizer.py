@@ -24,7 +24,7 @@ from diamrisk.optimizer import (
 )
 from diamrisk.params import Box, NonFiniteError, NormKind, ParamVector, sample_sphere, sphere_rows
 from diamrisk.risk import neighborhood_risks
-from oracles import QuadraticLoss, quadratic_data
+from oracles import QuadraticLoss, quadratic_data, zeros_like
 
 
 class ConstantLoss(LossModel):
@@ -35,7 +35,7 @@ class ConstantLoss(LossModel):
         return 1.5
 
     def batch_grad(self, w, S):
-        return 1.5, ParamVector.zeros_like(self.param_template)
+        return 1.5, zeros_like(self.param_template)
 
 
 def quad_config(**overrides):

@@ -17,7 +17,7 @@ from diamrisk.params import (
     sample_sphere,
     sphere_rows,
 )
-from oracles import norm
+from oracles import norm, zeros_like
 
 
 def pv(*layers):
@@ -74,7 +74,7 @@ def test_flat_order_is_layer_then_row_major():
 def test_sample_sphere_gamma_zero_is_zero_vector():
     template = pv(np.ones((2, 2)), np.ones(3))
     u = sample_sphere(template, 0.0, NormKind.EUCLIDEAN, np.random.default_rng(1))
-    assert u == ParamVector.zeros_like(template)
+    assert u == zeros_like(template)
 
 
 def test_sample_sphere_layerwise_each_layer_hits_gamma():
@@ -133,7 +133,7 @@ def oracle_sample_sphere(
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if gamma == 0.0:
-        return ParamVector.zeros_like(template)
+        return zeros_like(template)
 
     layerwise = kind is NormKind.LAYERWISE_FROBENIUS
     out = np.zeros(template.size)
@@ -313,7 +313,7 @@ def test_axpy_basics():
     w = pv([1.0, 2.0])
     d = pv([1.0, 2.0])
     assert axpy(w, 0.0, d) == w
-    assert axpy(ParamVector.zeros_like(d), 1.0, d) == d
+    assert axpy(zeros_like(d), 1.0, d) == d
     assert axpy(w, -1.0, d) == pv([0.0, 0.0])
 
 

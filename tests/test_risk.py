@@ -7,7 +7,7 @@ from diamrisk.data import Dataset
 from diamrisk.losses import LossModel, ReciprocalLoss, TentLoss
 from diamrisk.params import NormKind, ParamVector
 from diamrisk.risk import diametrical_risk_grid_1d, diametrical_risk_sampled
-from oracles import QuadraticLoss, quadratic_data
+from oracles import QuadraticLoss, quadratic_data, zeros_like
 
 KAPPA = 2.0
 GAMMA_LOSS = 0.5
@@ -30,7 +30,7 @@ class ConstantLoss(LossModel):
         return self.c
 
     def batch_grad(self, w, S):
-        return self.c, ParamVector.zeros_like(self.param_template)
+        return self.c, zeros_like(self.param_template)
 
 
 def test_empirical_risk_single_sample():
