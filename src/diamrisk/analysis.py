@@ -103,8 +103,8 @@ class _Window:
         lo, hi = float(interval[0]), float(interval[1])
         if not lo < hi:
             raise ValueError("interval must satisfy lo < hi")
-        if not np.isfinite(2.0 * gamma):
-            raise ValueError(f"the neighbourhood width 2 * gamma overflows at gamma={gamma}")
+        if not np.isfinite(max(abs(lo), abs(hi), gamma) + gamma):  # covers 2 * gamma and w +- gamma
+            raise ValueError(f"the neighbourhoods of [{lo}, {hi}] at gamma={gamma} pass the largest float")
         self.model = model
         self.w_grid = window_grid(model, lo, hi, gamma, grid_points)
         self.r_true = model.true_risk_curve(self.w_grid)

@@ -102,8 +102,8 @@ def _default_interval(args) -> tuple[float, float]:
     hi = args.w_hi if args.w_hi is not None else 2.0
     if not lo < hi:
         raise ConfigError(f"the parameter window [{lo}, {hi}] is empty")
-    if not math.isfinite(hi - lo):
-        raise ConfigError(f"the parameter window [{lo}, {hi}] is wider than the largest float")
+    if not (math.isfinite(hi - lo) and math.isfinite(max(abs(lo), abs(hi), args.gamma) + args.gamma)):
+        raise ConfigError(f"the parameter window [{lo}, {hi}] or its --gamma reach exceeds the largest float")
     return (lo, hi)
 
 

@@ -40,7 +40,8 @@ class LossModel:
     """Empirical risk, consumed by the risk and optimizer layers.
 
     Subclasses implement batch_risk (mean loss over the rows of a Dataset)
-    and, if a loop trains them, batch_grad (that mean and its gradient in w).
+    and, if a loop trains them, batch_grad (that mean, bit for bit, and its
+    gradient in w: the loops read a step's risk from it).
     """
 
     def batch_risk(self, w: ParamVector, S: Dataset) -> float:

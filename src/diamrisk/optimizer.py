@@ -7,26 +7,25 @@ Two loops share one skeleton:
                       sampling events (every sample_every-th iteration, or
                       with probability p) and the worst of each draw is
                       kept in a FIFO queue of capacity q; every iteration
-                      the gradient is taken at the worst queued
-                      perturbation.
+                      the gradient is taken at the worst queued row,
+                      picked by select_worst when there is a choice.
 
 Directions are flat rows (params.sphere_rows). A sampling event scores its
 r candidates into one risk array, at most risk._CHUNK at a time, and keeps
-only a copy of the winning row (draw_worst), which joins the queue.
-Vectors are built only for iterates, gradients and gradient points.
+only a copy of the winning row (draw_worst), which joins the queue. The
+gradient call, model.batch_grad, also supplies the risk at its point.
 
-simple_sgd_drm_run is sgd_drm_run with q = 1 and sampling every iteration.
-simple_sgd_drm_step, one such step on its own with one vector per direction
-and one np.argmax over all r, is the reference it is checked against.
+simple_sgd_drm_run is sgd_drm_run with q = 1 and sampling every iteration,
+bitwise equal to repeated simple_sgd_drm_step calls: one step on its own,
+with one vector per direction and one np.argmax over all r, the reference
+it is checked against. gamma = 0 reduces DRM to the ERM baseline bitwise.
 
 Both loops start from the caller's w0. Their randomness is split into
 streams of the config seed, tagged in the streams module: batching,
 perturbations, the sampling coin and the epoch-end evaluation directions.
 The r evaluation directions are drawn once per run and kept as one (r, n)
 array, so every epoch's sampled diametrical estimate, in both loops, is the
-max risk over one shared set. Runs that should coincide do so bitwise:
-gamma = 0 reduces DRM to the ERM baseline, and q = 1 with sampling every
-iteration reduces the queued loop to repeated simple steps.
+max risk over one shared set.
 """
 
 from __future__ import annotations
@@ -253,41 +252,41 @@ def _run_loop(
     t = 0
     epoch = 0
     while t < cfg.T:
-        batch_index_lists = make_batch_indices(m, cfg.batch_size, [cfg.seed, streams.BATCH, epoch])
         # Overflow shows as a non-finite risk or parameter, which raises DivergenceError.
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx in batch_index_lists:
+            for idx in make_batch_indices(m, cfg.batch_size, [cfg.seed, streams.BATCH, epoch]):
                 if t >= cfg.T:
                     break
                 digest.update(idx.astype(np.int64).tobytes())
                 batch = data[idx]
                 lr = cfg.lr_at(t)
                 event = _next_event(cfg, t, rng_coin)
-                batch_risk = model.batch_risk(w, batch)
+                batch_risk = model.batch_risk(w, batch) if algorithm == "drm" else None
                 try:
-                    if not math.isfinite(batch_risk):
-                        raise NonFiniteError("non-finite batch risk")
-                    if algorithm == "erm":
-                        perturbed_risk = batch_risk
-                        grad_point = w
-                    else:
+                    point, what = w, "batch risk"
+                    if algorithm == "drm":
+                        if not math.isfinite(batch_risk):
+                            raise NonFiniteError("non-finite batch risk")
                         if event:
-                            _, u_star, _ = draw_worst(
-                                model, w, batch, cfg.gamma, cfg.norm_kind, cfg.r, rng_perturb
-                            )
-                            queue.append(u_star)
-                        _, v_star, perturbed_risk = select_worst(model, w, batch, queue)
-                        if not math.isfinite(perturbed_risk):
-                            raise NonFiniteError("non-finite perturbed batch risk")
-                        grad_point = next(shifted(w, (v_star,)))
-
-                    _, grad = model.batch_grad(grad_point, batch)
+                            queue.append(draw_worst(model, w, batch, cfg.gamma, cfg.norm_kind, cfg.r,
+                                                    rng_perturb)[1])
+                        # A one-row queue leaves nothing to choose.
+                        v_star = select_worst(model, w, batch, queue)[1] if len(queue) > 1 else queue[0]
+                        point, what = next(shifted(w, (v_star,))), "perturbed batch risk"
+                    try:
+                        point_risk, grad = model.batch_grad(point, batch)
+                    except NonFiniteError as exc:  # a non-finite gradient, raised once its risk is checked
+                        point_risk, grad = model.batch_risk(point, batch), exc
+                    if algorithm == "erm":
+                        batch_risk = point_risk
+                    if not math.isfinite(point_risk):
+                        raise NonFiniteError(f"non-finite {what}")
+                    if isinstance(grad, NonFiniteError):
+                        raise grad
                     w = cfg.feasible.project(axpy(w, -lr, grad))
                 except NonFiniteError as exc:
                     raise DivergenceError(t, epoch, lr, batch_risk, exc) from exc
-                trace.rows.append(
-                    TraceRow(t, epoch, "sample" if event else "", lr, batch_risk, perturbed_risk)
-                )
+                trace.rows.append(TraceRow(t, epoch, "sample" if event else "", lr, batch_risk, point_risk))
                 t += 1
 
             train_risk = model.batch_risk(w, data)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -559,6 +560,18 @@ def test_windows_too_wide_for_floats_raise():
         window_grid(TentLoss(KAPPA, GAMMA_LOSS), -1e308, 1e308, GAMMA_LOSS, 9)
     with np.errstate(over="raise", invalid="raise"):  # the largest radius the command line takes
         assert np.isfinite(_Window(ReciprocalLoss(), (1.0, 2.0), 8.988465674311579e307, 9, 9).row_max).all()
+
+
+@pytest.mark.parametrize("loss", [TentLoss(KAPPA, GAMMA_LOSS), ReciprocalLoss()], ids=["tent", "reciprocal"])
+def test_windows_whose_neighbourhoods_pass_the_floats_raise(loss):
+    # Width 7e307 and 2 * gamma are finite, but w + gamma overflows to inf
+    # at the top of the window.
+    with pytest.raises(ValueError, match="gamma"):
+        _Window(loss, (1e308, 1.7e308), 8e307, 9, 9)
+    with pytest.raises(ValueError, match="gamma"):
+        _Window(loss, (-1.7e308, -1e308), 8e307, 9, 9)
+    with np.errstate(over="raise", invalid="raise"):  # the widest reach that stays finite
+        _Window(loss, (1.0, 1e308), sys.float_info.max - 1e308, 9, 9)
 
 
 def test_csv_writers_roundtrip_shapes():

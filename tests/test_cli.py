@@ -432,6 +432,10 @@ BAD_FLAGS = [
     # which both losses evaluate as 0.
     ("examples", ["--loss", "reciprocal", "--gamma", "1e308", "--w-lo", "1", "--w-hi", "2"], "--gamma"),
     ("rate", ["--w-lo=-1e308", "--w-hi", "1e308"], "window"),
+    # A window whose radius-gamma neighbourhoods pass the float range used to
+    # exit 0 with numpy overflow warnings from the neighbourhood points.
+    ("examples", ["--loss", "tent", "--w-lo", "1e308", "--w-hi", "1.7e308", "--gamma", "8e307"], "window"),
+    ("examples", ["--loss", "reciprocal", "--w-lo", "1e308", "--w-hi", "1.7e308", "--gamma", "8e307"], "window"),
 ]
 
 

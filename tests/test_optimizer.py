@@ -1,11 +1,12 @@
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamrisk import optimizer
+from diamrisk import mlp, optimizer
 from diamrisk.data import Dataset, flip_labels, gen_gaussian_blobs
 from diamrisk.losses import LossModel, TentLoss
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
@@ -268,25 +269,36 @@ def test_queue_law_capacity_and_fifo_during_run(monkeypatch):
     quad = QuadraticLoss(dim=1)
     data = quad_data(rng, m=16)
     cfg = quad_config(T=200, q=3, sample_every=2, batch_size=8, lr_schedule=((200, 0.01),))
-    snapshots = []
+    queues = []  # the queue after each row joins it
+    selections = []  # the candidates of each select_worst call
+
+    class RecordingDeque(deque):
+        def append(self, row):
+            super().append(row)
+            queues.append([u.tobytes() for u in self])
 
     def recording_select_worst(model, w, batch, candidates):
-        # Every DRM iteration selects from the queue itself, once.
-        snapshots.append([u.tobytes() for u in candidates])
+        selections.append([u.tobytes() for u in candidates])
         return select_worst(model, w, batch, candidates)
 
+    monkeypatch.setattr(optimizer, "deque", RecordingDeque)
     monkeypatch.setattr(optimizer, "select_worst", recording_select_worst)
     sgd_drm_run(quad, data, None, cfg, w0=quad.wrap(0.0))
-    assert len(snapshots) == 200
-    assert max(len(entries) for entries in snapshots) == 3
+    assert len(queues) == 100  # one row per sampling event, at every even t
+    assert max(len(entries) for entries in queues) == 3
     evictions = 0
-    for prev, cur in zip(snapshots, snapshots[1:]):
+    for prev, cur in zip(queues, queues[1:]):
         if len(cur) > len(prev):  # grew: old entries keep their positions
-            assert cur[: len(prev)] == prev
-        elif cur != prev:  # evicted: oldest dropped, newcomer appended
+            assert cur[:-1] == prev
+        else:  # evicted: oldest dropped, newcomer appended
             assert cur[:-1] == prev[1:]
             evictions += 1
     assert evictions > 0
+    # Iteration t steps from the queue as event t - t % 2 left it; a one-row
+    # queue leaves nothing to choose, and any longer one is selected from whole.
+    expected = [queues[t // 2] for t in range(200) if len(queues[t // 2]) > 1]
+    assert len(expected) == 198
+    assert selections == expected
 
 
 def test_sampling_events_follow_every_k_schedule():
@@ -462,6 +474,59 @@ def test_divergence_raises_typed_error_naming_the_iteration(run):
     assert (err.iteration, err.epoch, err.lr, err.batch_risk) == (1, 0, 1e200, float("inf"))
     assert "iteration 1 (epoch 0" in str(err)
     assert isinstance(err.__cause__, NonFiniteError)
+
+
+def test_mlp_non_finite_batch_risk_is_named_before_its_gradient():
+    # lr 1e200: at iteration 1 the logits overflow, so the risk at w is nan
+    # and its gradient is not finite either; the risk is reported first.
+    spec = MlpSpec(3, (4,), 3)
+    train = gen_gaussian_blobs(3, 12, 3, 4.0, seed=0)
+    cfg = DrmConfig(gamma=0.5, T=12, batch_size=4, lr_schedule=((12, 1e200),), r=3, seed=0)
+    with pytest.raises(DivergenceError) as info:
+        sgd_erm_run(MlpLossModel(spec), train, None, cfg, w0=init_params(spec, np.random.default_rng(0)))
+    err = info.value
+    assert (err.iteration, err.epoch, err.lr) == (1, 0, 1e200) and np.isnan(err.batch_risk)
+    assert str(err).endswith("batch risk nan): non-finite batch risk")
+    assert isinstance(err.__cause__, NonFiniteError)
+
+
+def test_mlp_finite_risk_with_a_non_finite_gradient_names_the_risk_and_the_layer():
+    spec = MlpSpec(3, (4, 5), 3)
+    train = gen_gaussian_blobs(3, 12, 3, 4.0, seed=2)
+    cfg = DrmConfig(gamma=0.5, T=12, batch_size=4, lr_schedule=((12, 1e56),), r=3, seed=2)
+    with pytest.raises(DivergenceError) as info:
+        sgd_erm_run(MlpLossModel(spec), train, None, cfg, w0=init_params(spec, np.random.default_rng(2)))
+    err = info.value
+    assert (err.iteration, err.epoch, err.lr, err.batch_risk) == (3, 1, 1e56, 3.38279959952297e275)
+    assert str(err).endswith("batch risk 3.38279959952297e+275): non-finite values in layer 'W0'")
+    assert isinstance(err.__cause__, NonFiniteError)
+
+
+@pytest.mark.parametrize("run", [sgd_erm_run, sgd_drm_run])
+def test_each_training_point_takes_one_forward_pass(run, monkeypatch):
+    # The gradient call supplies the risk at its point, and a one-row queue
+    # (q = 1) is never scored again. Per iteration: ERM 1 pass, at w; DRM 2,
+    # at w and at w + v, plus r per sampling event. Per epoch end: 2 + r, the
+    # train risk, the test accuracy and the r-direction estimate.
+    spec = MlpSpec(3, (4,), 2)
+    train = gen_gaussian_blobs(2, 12, 3, 4.0, seed=0)
+    test = gen_gaussian_blobs(2, 8, 3, 4.0, seed=1)
+    cfg = DrmConfig(gamma=0.5, T=7, batch_size=4, lr_schedule=((7, 0.05),), r=5, q=1, sample_every=3, seed=0)
+    w0 = init_params(spec, np.random.default_rng(0))
+    passes = []
+    forward = mlp._forward
+
+    def counting_forward(*args):
+        passes.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(mlp, "_forward", counting_forward)
+    _, trace = run(MlpLossModel(spec), train, test, cfg, w0=w0)
+    events = sum(row.event == "sample" for row in trace.rows)
+    assert (len(trace.epochs), events) == (3, 3)  # epochs of 3, 3 and 1 iterations; t = 0, 3, 6
+    epoch_ends = 3 * (2 + cfg.r)
+    expected = 7 + epoch_ends if run is sgd_erm_run else 2 * 7 + events * cfg.r + epoch_ends
+    assert len(passes) == expected == (28 if run is sgd_erm_run else 50)
 
 
 ONE_ROW = Dataset.from_labels([0])
