@@ -148,7 +148,13 @@ class ParamVector:
     # -- serialization: {layer name -> {shape: [...], data: [row-major floats]}} --
 
     def to_json(self) -> str:
-        return json.dumps({n: {"shape": list(a.shape), "data": a.ravel().tolist()} for n, a in self})
+        """json.dumps of {name: {"shape": ..., "data": ...}}, byte for byte. A
+        layer's data is written as the repr of its float list, which is its
+        JSON text since every value is finite, without json's list of one
+        string per number."""
+        layers = (f'{json.dumps(n)}: {{"shape": {list(a.shape)}, "data": {a.ravel().tolist()}}}'
+                  for n, a in self)
+        return "{" + ", ".join(layers) + "}"
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

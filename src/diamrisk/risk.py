@@ -12,9 +12,9 @@ matching what the training algorithms do. The sampled estimate never exceeds
 the true supremum.
 
 Directions are rows of the flat coordinate order. neighborhood_risks scores
-a stack of them; neighborhood_chunks draws and scores r of them at most
-_CHUNK rows at a time into the caller's risk array. A seed is anything
-np.random.default_rng takes, a Generator included.
+a stack of them; direction_chunks draws r of them at most _CHUNK rows at
+a time, and neighborhood_chunks scores those chunks into the caller's risk
+array. A seed is anything np.random.default_rng takes, a Generator included.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .data import Dataset
 from .losses import LossModel
 from .params import NormKind, ParamVector, sample_sphere, shifted, sphere_rows
 
-# Directions drawn and scored at a time by neighborhood_chunks.
-_CHUNK = 16
+# Rows per chunk: direction_chunks draws, and neighborhood_chunks scores, this many at a time.
+_CHUNK = 4
 
 
 def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> np.ndarray:
@@ -58,6 +58,17 @@ def neighborhood_risks(model: LossModel, w: ParamVector, U, S: Dataset) -> np.nd
     return np.array(values, dtype=np.float64)
 
 
+def direction_chunks(
+    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The r norm-gamma directions that sphere_rows draws from rng, in draw
+    order, at most _CHUNK rows U at a time; yields (start, U). All chunks
+    share one buffer: U holds only until the next step."""
+    buf = np.empty((min(_CHUNK, r), template.size))
+    for start in range(0, r, _CHUNK):
+        yield start, sphere_rows(template, gamma, kind, min(_CHUNK, r - start), rng, out=buf)
+
+
 def neighborhood_chunks(
     model: LossModel,
     centers: Sequence[ParamVector],
@@ -67,14 +78,10 @@ def neighborhood_chunks(
     rng: np.random.Generator,
     out: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Draw r = out.shape[1] norm-gamma directions (sphere_rows, in draw
-    order) at most _CHUNK rows U at a time; write the risks at w + u into
-    out[:, start:start + len(U)], one row per center, then yield (start, U).
-    All chunks share one buffer: U holds only until the next step."""
-    r = out.shape[1]
-    buf = np.empty((min(_CHUNK, r), centers[0].size))
-    for start in range(0, r, _CHUNK):
-        U = sphere_rows(centers[0], gamma, kind, min(_CHUNK, r - start), rng, out=buf)
+    """Draw r = out.shape[1] directions (direction_chunks); write the risks
+    at w + u of each chunk U into out[:, start:start + len(U)], one row per
+    center, then yield (start, U)."""
+    for start, U in direction_chunks(centers[0], gamma, kind, out.shape[1], rng):
         for w, row in zip(centers, out):
             row[start : start + len(U)] = neighborhood_risks(model, w, U, S)
         yield start, U

@@ -16,7 +16,7 @@ INIT = 0  # the initial weights w0
 BATCH = 1  # each epoch's batch order
 PERTURB = 2  # the DRM perturbation directions
 COIN = 3  # the probabilistic sampling coin
-EVAL = 4  # the epoch-end evaluation directions, drawn once per run
+EVAL = 4  # the epoch-end evaluation directions, redrawn from one key at each scored epoch
 HIST = 5  # the landscape histogram directions around both final solutions
 
 # dataset.seed

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamrisk import risk
 from diamrisk.data import Dataset
 from diamrisk.losses import LossModel, ReciprocalLoss, TentLoss
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
@@ -55,7 +56,7 @@ def test_neighborhood_risks_match_per_direction_evaluation(seed, n, gamma, kind)
     assert values.tolist() == expected
 
 
-@pytest.mark.parametrize("r", [1, 15, 16, 17, 40])
+@pytest.mark.parametrize("r", [1, 3, 4, 5, 15, 16, 17, 40])
 def test_neighborhood_chunks_fill_out_as_one_stack_of_rows_would(r):
     spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
     model = MlpLossModel(spec)
@@ -70,7 +71,7 @@ def test_neighborhood_chunks_fill_out_as_one_stack_of_rows_would(r):
     U = sphere_rows(centers[0], 0.7, kind, r, stack_rng)
     expected = np.array([neighborhood_risks(model, w, U, batch) for w in centers])
     assert out.tobytes() == expected.tobytes()
-    assert [start for start, _ in chunks] == list(range(0, r, 16))
+    assert [start for start, _ in chunks] == list(range(0, r, risk._CHUNK))
     assert np.concatenate([rows for _, rows in chunks]).tobytes() == U.tobytes()
     assert chunks_rng.bit_generator.state == stack_rng.bit_generator.state
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamrisk import mlp, optimizer
+from diamrisk import mlp, optimizer, risk
 from diamrisk.data import Dataset, flip_labels, gen_gaussian_blobs
+from diamrisk.harness import build_datasets, default_experiment_dict, experiment_config_from_dict
 from diamrisk.losses import LossModel, TentLoss
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.optimizer import (
@@ -315,7 +317,7 @@ def test_trace_shape_and_monotonicity():
     rng = np.random.default_rng(7)
     quad = QuadraticLoss(dim=1)
     data = quad_data(rng, m=10)
-    cfg = quad_config(T=17, batch_size=4, sample_every=3, lr_schedule=((17, 0.01),))
+    cfg = quad_config(T=17, batch_size=4, sample_every=3, lr_schedule=((17, 0.01),), eval_every=1)
     _, trace = sgd_drm_run(quad, data, None, cfg, w0=quad.wrap(0.0))
     iters = [row.iter for row in trace.rows if row.event != "epoch"]
     assert iters == list(range(17))
@@ -396,6 +398,7 @@ def test_epoch_estimate_is_max_over_one_direction_set_per_run(run, overrides, mo
     # epoch e's estimate is the max risk over them at that epoch's iterate,
     # which a rerun with T cut to the epoch's end returns as its final w.
     # Every loop is checked against the one set, so ERM and DRM share it.
+    # Every epoch is scored (eval_every=1), and r = 6 spans two chunks.
     spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
     model = MlpLossModel(spec)
     train = gen_gaussian_blobs(3, 18, 3, 4.0, seed=14)
@@ -405,30 +408,72 @@ def test_epoch_estimate_is_max_over_one_direction_set_per_run(run, overrides, mo
         T=15,
         batch_size=5,
         lr_schedule=((15, 0.05),),
-        r=4,
+        r=6,
         norm_kind=NormKind.LAYERWISE_FROBENIUS,
         seed=17,
+        eval_every=1,
         **overrides,
     )
     w0 = init_params(spec, np.random.default_rng(2))
     rng = np.random.default_rng([cfg.seed, 4])
     directions = np.array([sample_sphere(w0, cfg.gamma, cfg.norm_kind, rng).flat() for _ in range(cfg.r)])
 
-    evaluated = []  # direction sets scored on the full train set, as bytes
+    evaluated = []  # chunks of directions scored on the full train set, in order
 
     def spy(model_, w, dirs, S):
         if S is train:
-            evaluated.append(np.asarray(dirs).tobytes())
+            evaluated.append(np.array(dirs))
         return neighborhood_risks(model_, w, dirs, S)
 
-    monkeypatch.setattr("diamrisk.optimizer.neighborhood_risks", spy)
+    monkeypatch.setattr("diamrisk.risk.neighborhood_risks", spy)
     _, trace = run(model, train, test, cfg, w0=w0)
     assert [e.iter for e in trace.epochs] == [3, 7, 11, 14]
-    assert evaluated == [directions.tobytes()] * len(trace.epochs)
+    assert max(len(U) for U in evaluated) == risk._CHUNK < cfg.r
+    assert np.concatenate(evaluated).tobytes() == np.tile(directions, (len(trace.epochs), 1)).tobytes()
     monkeypatch.undo()
     for e in trace.epochs:
         w_e, _ = run(model, train, test, DrmConfig(**{**cfg.__dict__, "T": e.iter + 1}), w0=w0)
         assert e.diam_risk_est == float(neighborhood_risks(model, w_e, directions, train).max())
+
+
+@pytest.mark.parametrize("run, overrides", [(sgd_erm_run, {}), (sgd_drm_run, {"q": 3, "p": 0.3})],
+                         ids=["erm", "drm_queued"])
+def test_estimate_is_scored_at_epoch_0_every_eval_every_th_epoch_and_the_last(run, overrides):
+    # 12 rows in batches of 4: 3 iterations an epoch, and T = 23 ends in a
+    # short epoch 7. eval_every=3 scores epochs 0, 2, 5 and 7 (the last).
+    spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
+    model = MlpLossModel(spec)
+    train = gen_gaussian_blobs(3, 12, 3, 4.0, seed=14)
+    test = gen_gaussian_blobs(3, 9, 3, 4.0, seed=15)
+    cfg = DrmConfig(gamma=0.7, T=23, batch_size=4, lr_schedule=((23, 0.05),), r=6, seed=17, **overrides)
+    w0 = init_params(spec, np.random.default_rng(2))
+    final_1, every = run(model, train, test, dataclasses.replace(cfg, eval_every=1), w0=w0)
+    final_3, cadenced = run(model, train, test, dataclasses.replace(cfg, eval_every=3), w0=w0)
+    scored = [e.epoch for e in cadenced.epochs if e.diam_risk_est is not None]
+    assert [e.epoch for e in cadenced.epochs] == list(range(8)) and scored == [0, 2, 5, 7]
+    assert all(e.diam_risk_est is not None for e in every.epochs)
+    blanked = [row._replace(diam_risk_est=None) if row.event == "epoch" and row.epoch not in scored else row
+               for row in every.rows]
+    assert cadenced.rows == blanked
+    assert final_1 == final_3 and cadenced.batch_digest == every.batch_digest
+
+
+def test_one_epoch_at_r_1000_holds_no_direction_set():
+    # The default net at r = 1000: the whole set of directions would take
+    # 1000 x 129 KB = 123 MiB; streamed, a run holds one 4-row chunk at a time.
+    cfg = experiment_config_from_dict(default_experiment_dict(0))
+    train, test = build_datasets(cfg)
+    model = MlpLossModel(cfg.mlp_spec())
+    w0 = init_params(cfg.mlp_spec(), np.random.default_rng(0))
+    drm = dataclasses.replace(cfg.drm, r=1000, T=len(train) // cfg.drm.batch_size)
+    tracemalloc.start()
+    try:
+        _, trace = sgd_drm_run(model, train, test, drm, w0=w0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.epochs) == 1 and trace.epochs[0].diam_risk_est is not None
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("run", [sgd_erm_run, sgd_drm_run])
@@ -507,11 +552,13 @@ def test_each_training_point_takes_one_forward_pass(run, monkeypatch):
     # The gradient call supplies the risk at its point, and a one-row queue
     # (q = 1) is never scored again. Per iteration: ERM 1 pass, at w; DRM 2,
     # at w and at w + v, plus r per sampling event. Per epoch end: 2 + r, the
-    # train risk, the test accuracy and the r-direction estimate.
+    # train risk, the test accuracy and the r-direction estimate (every
+    # epoch is scored: eval_every=1).
     spec = MlpSpec(3, (4,), 2)
     train = gen_gaussian_blobs(2, 12, 3, 4.0, seed=0)
     test = gen_gaussian_blobs(2, 8, 3, 4.0, seed=1)
-    cfg = DrmConfig(gamma=0.5, T=7, batch_size=4, lr_schedule=((7, 0.05),), r=5, q=1, sample_every=3, seed=0)
+    cfg = DrmConfig(gamma=0.5, T=7, batch_size=4, lr_schedule=((7, 0.05),), r=5, q=1, sample_every=3, seed=0,
+                    eval_every=1)
     w0 = init_params(spec, np.random.default_rng(0))
     passes = []
     forward = mlp._forward
@@ -561,8 +608,9 @@ def assert_draw_worst_is_argmax(table, seed=0):
 
 
 def test_draw_worst_tie_across_a_chunk_boundary_goes_to_the_earlier_row():
+    assert 16 % risk._CHUNK == 0  # row 16 starts a chunk
     table = [0.0] * 40
-    table[15] = table[16] = table[39] = 2.0  # rows 15 and 16 sit in chunks 0 and 1
+    table[15] = table[16] = table[39] = 2.0  # rows 15 and 16 sit in chunks 3 and 4 (rows 12-15, 16-19)
     assert_draw_worst_is_argmax(table)
 
 
@@ -591,7 +639,7 @@ def test_draw_worst_matches_argmax_over_the_whole_set(table, seed):
 
 
 def test_simple_run_matches_simple_steps_across_chunks():
-    # r = 40 spans three draw chunks; the oracle scores all 40 vectors at
+    # r = 40 spans ten draw chunks; the oracle scores all 40 vectors at
     # once (criterion 5's reduction law, with chunked selection).
     spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
     model = MlpLossModel(spec)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -331,3 +332,17 @@ def test_json_roundtrip(tmp_path):
     v.save(path)
     assert path.read_text() == v.to_json()
     assert ParamVector.load(path) == v
+
+
+def test_to_json_is_json_dumps_of_the_layer_dict():
+    rng = np.random.default_rng(5)
+    edges = [-0.0, 5e-324, -5e-324, 1e-300, 0.1, 1.0, 1e16, 1e308, -1.7976931348623157e308]
+    v = ParamVector([
+        ("W0", np.array(edges)),
+        ("b0", rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-300, 300, (3, 4))),
+        ('la"yer é', np.zeros((0, 2))),
+        ("s", np.array(2.5)),
+    ])
+    layers = {n: {"shape": list(a.shape), "data": a.ravel().tolist()} for n, a in v}
+    assert v.to_json() == json.dumps(layers)
+    assert ParamVector([]).to_json() == json.dumps({})
