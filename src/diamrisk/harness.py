@@ -100,7 +100,6 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "r": _Key(int, 20, 1, MAX_COUNT),
         "q": _Key(int, 1, 1, MAX_COUNT),
         "sample_every": _Key(int, 5, 1, MAX_COUNT),
-        "eval_every": _Key(int, 10, 1, MAX_COUNT),  # epochs between diametrical estimates
         "p": _Key(float, None, 0.0, 1.0),
         "epochs": _Key(int, 400, 1, MAX_COUNT),
         "batch_size": _Key(int, 30, 1, MAX_COUNT),
@@ -242,7 +241,6 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
             gamma=drm["gamma"], T=T, batch_size=drm["batch_size"], lr_schedule=lr_schedule, r=drm["r"],
             q=drm["q"], sample_every=drm["sample_every"], p=drm["p"],
             norm_kind=NormKind(drm["norm_kind"]), feasible=feasible, seed=drm["seed"],
-            eval_every=drm["eval_every"],
         )
     except ValueError as exc:
         raise ConfigError(f"drm: {exc}") from None

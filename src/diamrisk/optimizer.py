@@ -23,12 +23,12 @@ it is checked against. gamma = 0 reduces DRM to the ERM baseline bitwise.
 Both loops start from the caller's w0. Their randomness is split into
 streams of the config seed, tagged in the streams module: batching,
 perturbations, the sampling coin and the epoch-end evaluation directions.
-The sampled diametrical estimate is scored at epoch 0, every eval_every-th
-epoch and the last one. Each scored epoch redraws the r evaluation
-directions from one key, chunk by chunk (risk.neighborhood_chunks), so in
-both loops every estimate is the max risk over one shared set, and no more
-of it than one chunk is ever held. The set is drawn once before training,
-only to check that it is finite.
+The sampled diametrical estimate is scored at epoch 0, every
+_EVAL_EVERY-th epoch and the last one. Each scored epoch redraws the r
+evaluation directions from one key, chunk by chunk
+(risk.neighborhood_chunks), so in both loops every estimate is the max risk
+over one shared set, and no more of it than one chunk is ever held. The set
+is drawn once before training, only to check that it is finite.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ from .losses import LossModel
 from .params import Box, NonFiniteError, NormKind, ParamVector
 from .params import axpy, sample_sphere, shifted
 from .risk import direction_chunks, neighborhood_chunks, neighborhood_risks
+
+# The epoch-end estimate is scored at epoch 0, at each epoch e with
+# (e + 1) % _EVAL_EVERY == 0, and at the last epoch.
+_EVAL_EVERY = 10
+
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite batch risk, direction or parameter
@@ -70,8 +75,6 @@ class DrmConfig:
     a coin of probability p decides for each iteration. lr_schedule is
     piecewise constant: a list of (until_iteration, rate) pairs, each rate
     applying to iterations below its bound; the schedule must cover [0, T].
-    The epoch-end diametrical estimate is scored at epoch 0, at each epoch
-    e with (e + 1) % eval_every == 0, and at the last epoch.
     """
 
     gamma: float
@@ -85,12 +88,11 @@ class DrmConfig:
     norm_kind: NormKind = NormKind.LAYERWISE_FROBENIUS
     feasible: Box = Box()
     seed: int = 0
-    eval_every: int = 10
 
     def __post_init__(self):
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        for name in ("T", "batch_size", "r", "q", "sample_every", "eval_every"):
+        for name in ("T", "batch_size", "r", "q", "sample_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
@@ -299,7 +301,7 @@ def _run_loop(
             train_risk = model.batch_risk(w, data)
             test_acc = measure_acc(w, test) if (measure_acc and test is not None and len(test)) else None
             diam = None
-            if epoch == 0 or (epoch + 1) % cfg.eval_every == 0 or t >= cfg.T:
+            if epoch == 0 or (epoch + 1) % _EVAL_EVERY == 0 or t >= cfg.T:
                 risks = np.empty((1, cfg.r))
                 rng_eval = np.random.default_rng(eval_key)
                 for _ in neighborhood_chunks(model, [w], cfg.gamma, cfg.norm_kind, data, rng_eval, risks):

@@ -288,11 +288,6 @@ BAD_VALUES = [
     ("dataset", "seed", -1),
     ("mlp", "seed", -1),
     ("drm", "seed", -3),
-    # The epochs between diametrical estimates: an integer in [1, MAX_COUNT].
-    ("drm", "eval_every", 0),
-    ("drm", "eval_every", 2.5),
-    ("drm", "eval_every", True),
-    ("drm", "eval_every", MAX_COUNT + 1),
 ]
 
 

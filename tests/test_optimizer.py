@@ -313,11 +313,12 @@ def test_sampling_events_follow_every_k_schedule():
     assert events == [0, 5, 10, 15, 20]
 
 
-def test_trace_shape_and_monotonicity():
+def test_trace_shape_and_monotonicity(monkeypatch):
+    monkeypatch.setattr(optimizer, "_EVAL_EVERY", 1)  # every epoch row carries an estimate
     rng = np.random.default_rng(7)
     quad = QuadraticLoss(dim=1)
     data = quad_data(rng, m=10)
-    cfg = quad_config(T=17, batch_size=4, sample_every=3, lr_schedule=((17, 0.01),), eval_every=1)
+    cfg = quad_config(T=17, batch_size=4, sample_every=3, lr_schedule=((17, 0.01),))
     _, trace = sgd_drm_run(quad, data, None, cfg, w0=quad.wrap(0.0))
     iters = [row.iter for row in trace.rows if row.event != "epoch"]
     assert iters == list(range(17))
@@ -398,7 +399,7 @@ def test_epoch_estimate_is_max_over_one_direction_set_per_run(run, overrides, mo
     # epoch e's estimate is the max risk over them at that epoch's iterate,
     # which a rerun with T cut to the epoch's end returns as its final w.
     # Every loop is checked against the one set, so ERM and DRM share it.
-    # Every epoch is scored (eval_every=1), and r = 6 spans two chunks.
+    # Every epoch is scored (_EVAL_EVERY = 1), and r = 6 spans two chunks.
     spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
     model = MlpLossModel(spec)
     train = gen_gaussian_blobs(3, 18, 3, 4.0, seed=14)
@@ -411,7 +412,6 @@ def test_epoch_estimate_is_max_over_one_direction_set_per_run(run, overrides, mo
         r=6,
         norm_kind=NormKind.LAYERWISE_FROBENIUS,
         seed=17,
-        eval_every=1,
         **overrides,
     )
     w0 = init_params(spec, np.random.default_rng(2))
@@ -425,6 +425,7 @@ def test_epoch_estimate_is_max_over_one_direction_set_per_run(run, overrides, mo
             evaluated.append(np.array(dirs))
         return neighborhood_risks(model_, w, dirs, S)
 
+    monkeypatch.setattr(optimizer, "_EVAL_EVERY", 1)
     monkeypatch.setattr("diamrisk.risk.neighborhood_risks", spy)
     _, trace = run(model, train, test, cfg, w0=w0)
     assert [e.iter for e in trace.epochs] == [3, 7, 11, 14]
@@ -438,17 +439,19 @@ def test_epoch_estimate_is_max_over_one_direction_set_per_run(run, overrides, mo
 
 @pytest.mark.parametrize("run, overrides", [(sgd_erm_run, {}), (sgd_drm_run, {"q": 3, "p": 0.3})],
                          ids=["erm", "drm_queued"])
-def test_estimate_is_scored_at_epoch_0_every_eval_every_th_epoch_and_the_last(run, overrides):
+def test_estimate_is_scored_at_epoch_0_on_the_cadence_and_at_the_last_epoch(run, overrides, monkeypatch):
     # 12 rows in batches of 4: 3 iterations an epoch, and T = 23 ends in a
-    # short epoch 7. eval_every=3 scores epochs 0, 2, 5 and 7 (the last).
+    # short epoch 7. A cadence of 3 scores epochs 0, 2, 5 and 7 (the last).
     spec = MlpSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
     model = MlpLossModel(spec)
     train = gen_gaussian_blobs(3, 12, 3, 4.0, seed=14)
     test = gen_gaussian_blobs(3, 9, 3, 4.0, seed=15)
     cfg = DrmConfig(gamma=0.7, T=23, batch_size=4, lr_schedule=((23, 0.05),), r=6, seed=17, **overrides)
     w0 = init_params(spec, np.random.default_rng(2))
-    final_1, every = run(model, train, test, dataclasses.replace(cfg, eval_every=1), w0=w0)
-    final_3, cadenced = run(model, train, test, dataclasses.replace(cfg, eval_every=3), w0=w0)
+    monkeypatch.setattr(optimizer, "_EVAL_EVERY", 1)
+    final_1, every = run(model, train, test, cfg, w0=w0)
+    monkeypatch.setattr(optimizer, "_EVAL_EVERY", 3)
+    final_3, cadenced = run(model, train, test, cfg, w0=w0)
     scored = [e.epoch for e in cadenced.epochs if e.diam_risk_est is not None]
     assert [e.epoch for e in cadenced.epochs] == list(range(8)) and scored == [0, 2, 5, 7]
     assert all(e.diam_risk_est is not None for e in every.epochs)
@@ -553,12 +556,12 @@ def test_each_training_point_takes_one_forward_pass(run, monkeypatch):
     # (q = 1) is never scored again. Per iteration: ERM 1 pass, at w; DRM 2,
     # at w and at w + v, plus r per sampling event. Per epoch end: 2 + r, the
     # train risk, the test accuracy and the r-direction estimate (every
-    # epoch is scored: eval_every=1).
+    # epoch is scored: _EVAL_EVERY = 1).
     spec = MlpSpec(3, (4,), 2)
     train = gen_gaussian_blobs(2, 12, 3, 4.0, seed=0)
     test = gen_gaussian_blobs(2, 8, 3, 4.0, seed=1)
-    cfg = DrmConfig(gamma=0.5, T=7, batch_size=4, lr_schedule=((7, 0.05),), r=5, q=1, sample_every=3, seed=0,
-                    eval_every=1)
+    cfg = DrmConfig(gamma=0.5, T=7, batch_size=4, lr_schedule=((7, 0.05),), r=5, q=1, sample_every=3, seed=0)
+    monkeypatch.setattr(optimizer, "_EVAL_EVERY", 1)
     w0 = init_params(spec, np.random.default_rng(0))
     passes = []
     forward = mlp._forward
