@@ -17,6 +17,7 @@ comparison is paired.
 from __future__ import annotations
 
 import hashlib
+from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -25,7 +26,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossModel, rho_m
 from .params import NormKind, ParamVector, axpy, sample_sphere
-from .risk import neighborhood_chunks, window_grid
+from .risk import ahead, direction_chunks, score_chunks, window_grid
 
 
 def csv_text(meta: dict, header: Optional[str], rows) -> str:
@@ -401,6 +402,14 @@ def sample_directions(
     return [sample_sphere(template, gamma, kind, rng) for _ in range(n)]
 
 
+def _digested(chunks, digest):
+    """The (start, U) of chunks, each U added to digest as it passes
+    (contiguous rows: the bytes of each row in turn)."""
+    for start, U in chunks:
+        digest.update(U)
+        yield start, U
+
+
 def landscape_histogram(
     model: LossModel,
     w_center: Union[ParamVector, Sequence[ParamVector]],
@@ -416,16 +425,21 @@ def landscape_histogram(
 
     w_center is one vector, or a sequence of centers that are all evaluated
     on the same directions (one Histogram each, so histograms around
-    different centers are directly comparable). Directions are drawn as rows
-    and scored risk._CHUNK at a time into the risk array on the calling
-    thread (risk.neighborhood_chunks, one reused chunk buffer), so no other
-    memory grows with n_samples. max_workers > 1 draws all directions at once as
-    vectors (sample_directions) and fans the evaluations out to a thread pool
-    instead (measured slower; only the benchmark's span tests use it);
-    results are written by draw index, so the histogram does not depend on
-    scheduling. Both paths draw the same values in the same order, and the
-    digest is the sha256 of those row bytes. A non-finite neighborhood risk
-    raises ValueError.
+    different centers are directly comparable). Directions are drawn as rows,
+    half of risk._CHUNK at a time, into two chunk buffers that take turns,
+    so no other memory grows with n_samples. One worker thread draws each chunk
+    (risk.direction_chunks) and adds its bytes to the digest, while the
+    calling thread scores the chunk before it around every center
+    (risk.score_chunks, risk.ahead), so the forward passes stay there. Only
+    that worker touches rng, in draw order, so values and digest are those
+    of drawing and scoring one chunk after the other, and an error raised
+    by a draw or a score surfaces where it would there. max_workers > 1
+    draws all directions at once as vectors (sample_directions) and fans
+    the evaluations out to a thread pool instead (measured slower; only the
+    benchmark's span tests use it); results are written by draw index, so
+    the histogram does not depend on scheduling. Both paths draw the same
+    values in the same order, and the digest is the sha256 of those row
+    bytes. A non-finite neighborhood risk raises ValueError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -451,10 +465,11 @@ def landscape_histogram(
         for u in directions:
             digest.update(u.flat().tobytes())
     else:
-        # Overflow shows as a non-finite value, checked below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _, U in neighborhood_chunks(model, centers, gamma, kind, S, rng, rows):
-                digest.update(U)  # contiguous rows: the bytes of each row in turn
+        chunks = direction_chunks(centers[0], gamma, kind, n_samples, rng, buffers=2)
+        # closing joins the worker on any exit. Overflow shows as a non-finite value, checked below.
+        with closing(ahead(_digested(chunks, digest))) as drawn, np.errstate(over="ignore", invalid="ignore"):
+            for _ in score_chunks(model, centers, drawn, S, rows):
+                pass
 
     if not np.isfinite(rows).all():
         raise ValueError(f"non-finite neighborhood risk at gamma={gamma:g}")

@@ -46,7 +46,7 @@ from .analysis import csv_text
 from .data import Dataset
 from .losses import LossModel
 from .params import Box, NonFiniteError, NormKind, ParamVector
-from .params import axpy, sample_sphere, shifted
+from .params import Shifter, axpy, sample_sphere
 from .risk import direction_chunks, neighborhood_chunks, neighborhood_risks
 
 # The epoch-end estimate is scored at epoch 0, at each epoch e with
@@ -281,7 +281,7 @@ def _run_loop(
                                                     rng_perturb)[1])
                         # A one-row queue leaves nothing to choose.
                         v_star = select_worst(model, w, batch, queue)[1] if len(queue) > 1 else queue[0]
-                        point, what = next(shifted(w, (v_star,))), "perturbed batch risk"
+                        point, what = next(Shifter(w).points((v_star,))), "perturbed batch risk"
                     try:
                         point_risk, grad = model.batch_grad(point, batch)
                     except NonFiniteError as exc:  # a non-finite gradient, raised once its risk is checked

@@ -6,13 +6,14 @@ is frozen and checked to be finite; every operation is one array operation
 on buffers and returns a new vector, so vectors can be shared freely.
 
 Perturbation directions are plain rows, not vectors: sphere_rows draws a
-(k, n) stack of norm-gamma rows in the flat coordinate order, and shifted
-walks w + u over such rows through one reused buffer, so evaluating a
-neighborhood builds no vector per direction.
+(k, n) stack of norm-gamma rows in the flat coordinate order, and a
+Shifter walks w + u over such rows through one buffer it builds once, so
+evaluating a neighborhood builds no vector per direction or per stack.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -204,18 +205,39 @@ def _array_norm(a: np.ndarray, kind: NormKind) -> float:
     raise ValueError(f"unknown norm kind: {kind}")
 
 
-def shifted(w: ParamVector, U) -> Iterator[ParamVector]:
-    """w + u for each row u of U (a (k, n) array or a sequence of rows), in
-    order. Every sum is written into one buffer behind one vector with w's
-    layers, so each yielded vector is the same object and holds only until
-    the next step. The sums are bitwise those of axpy(w, 1.0, u), and a
-    non-finite sum raises NonFiniteError as axpy does."""
-    buf = np.zeros(w.size)
-    point = w._like(buf[:])  # the vector freezes its view; buf stays writable
-    for u in U:
-        np.add(w.flat(), u, out=buf)
-        _check_finite(w.names, w.shapes, buf)
-        yield point
+class Shifter:
+    """The points w + u for rows u, written into one buffer behind one
+    vector with w's layers, both built once: points(U) yields that vector
+    once per row of U (a (k, n) array or a sequence of rows), in order,
+    holding that row's sum until the next step. One Shifter serves any
+    number of walks, one at a time. The sums are bitwise those of
+    axpy(w, 1.0, u), and a non-finite sum raises NonFiniteError as axpy
+    does."""
+
+    __slots__ = ("_w", "_buf", "_point")
+
+    def __init__(self, w: ParamVector):
+        self._w = w
+        self._buf = w.flat().copy()
+        self._point = w._like(self._buf[:])  # the vector freezes its view; _buf stays writable
+
+    def points(self, U) -> Iterator[ParamVector]:
+        w, buf = self._w, self._buf
+        for u in U:
+            np.add(w.flat(), u, out=buf)
+            _check_finite(w.names, w.shapes, buf)
+            yield self._point
+
+
+@functools.lru_cache(maxsize=16)
+def _segments(shapes: tuple, kind: NormKind) -> tuple[NormKind, tuple[tuple[int, int], ...]]:
+    """The norm sphere_rows rescales by and the (lo, hi) coordinate ranges
+    it rescales one at a time: each non-empty layer under
+    LAYERWISE_FROBENIUS (by the Euclidean norm), else the whole row."""
+    if kind is NormKind.LAYERWISE_FROBENIUS:
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+        return NormKind.EUCLIDEAN, tuple((lo, hi) for lo, hi in zip([0, *ends], ends) if hi > lo)
+    return kind, ((0, sum(math.prod(shape) for shape in shapes)),)
 
 
 def sphere_rows(
@@ -249,12 +271,7 @@ def sphere_rows(
     if gamma == 0.0:
         out.fill(0.0)
         return out
-    if kind is NormKind.LAYERWISE_FROBENIUS:
-        ends = list(itertools.accumulate(math.prod(shape) for shape in template.shapes))
-        bounds = [(lo, hi) for lo, hi in zip([0, *ends], ends) if hi > lo]
-        kind = NormKind.EUCLIDEAN
-    else:
-        bounds = [(0, template.size)]
+    kind, bounds = _segments(template.shapes, kind)
     # An overflowing radius shows as a non-finite row, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         for row in out:

@@ -13,22 +13,31 @@ the true supremum.
 
 Directions are rows of the flat coordinate order. neighborhood_risks scores
 a stack of them; direction_chunks draws r of them at most _CHUNK rows at
-a time, and neighborhood_chunks scores those chunks into the caller's risk
-array. A seed is anything np.random.default_rng takes, a Generator included.
+a time, and score_chunks scores such chunks into the caller's risk array,
+through one params.Shifter buffer per center for the whole call.
+neighborhood_chunks draws and scores on the calling thread, as training
+does. The landscape histogram instead passes its chunks through ahead,
+which draws each one on a worker thread while the caller scores the one
+before it. A seed is anything np.random.default_rng takes, a Generator
+included.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union
+import threading
+from typing import Iterator, Sequence, TypeVar, Union
 
 import numpy as np
 
 from .data import Dataset
 from .losses import LossModel
-from .params import NormKind, ParamVector, sample_sphere, shifted, sphere_rows
+from .params import NormKind, ParamVector, Shifter, sample_sphere, sphere_rows
 
-# Rows per chunk: direction_chunks draws, and neighborhood_chunks scores, this many at a time.
+# Rows of directions held at once: direction_chunks draws, and score_chunks
+# scores, this many at a time, or half as many in each of two buffers.
 _CHUNK = 4
+
+T = TypeVar("T")
 
 
 def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> np.ndarray:
@@ -50,23 +59,92 @@ def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> 
     return np.unique(np.concatenate(pts))
 
 
-def neighborhood_risks(model: LossModel, w: ParamVector, U, S: Dataset) -> np.ndarray:
+def neighborhood_risks(model: LossModel, w: Union[ParamVector, Shifter], U, S: Dataset) -> np.ndarray:
     """Empirical risk at w + u for each row u of U (a (k, n) array or a
-    sequence of rows), in order, through one reused buffer (params.shifted).
-    Callers take np.argmax, which breaks ties to the lowest index."""
-    values = [model.batch_risk(point, S) for point in shifted(w, U)]
+    sequence of rows), in order, through one reused buffer: that of w when
+    it is a params.Shifter, else a fresh one. Callers take np.argmax, which
+    breaks ties to the lowest index."""
+    shift = w if isinstance(w, Shifter) else Shifter(w)
+    values = [model.batch_risk(point, S) for point in shift.points(U)]
     return np.array(values, dtype=np.float64)
 
 
 def direction_chunks(
-    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator
+    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator, buffers: int = 1
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The r norm-gamma directions that sphere_rows draws from rng, in draw
-    order, at most _CHUNK rows U at a time; yields (start, U). All chunks
-    share one buffer: U holds only until the next step."""
-    buf = np.empty((min(_CHUNK, r), template.size))
-    for start in range(0, r, _CHUNK):
-        yield start, sphere_rows(template, gamma, kind, min(_CHUNK, r - start), rng, out=buf)
+    order, at most k = _CHUNK // buffers rows U at a time; yields (start,
+    U). The chunks take turns in `buffers` buffers of k rows, so no more
+    than _CHUNK rows are held, and U holds until `buffers` more steps."""
+    k = _CHUNK // buffers
+    bufs = [np.empty((min(k, r), template.size)) for _ in range(buffers)]
+    for i, start in enumerate(range(0, r, k)):
+        yield start, sphere_rows(template, gamma, kind, min(k, r - start), rng, out=bufs[i % buffers])
+
+
+def ahead(items: Iterator[T]) -> Iterator[T]:
+    """The items of an iterator, in order, each made on one worker thread
+    while the caller handles the item before it. The worker starts an item
+    only once the caller has taken the one before, so an item may reuse the
+    buffer of the item two before it. An exception the iterator raises
+    reaches the caller, unchanged, when it asks for that item. The worker
+    is joined however the iteration ends: exhausted, raising, or closed
+    (or dropped) early, as a caller whose own loop raises should do."""
+    take = threading.Semaphore(1)  # the worker may make one more item
+    made = threading.Semaphore(0)  # an item, or the end, is in box
+    box = []  # (True, item), (False, exception) or None at the end
+    stopping = False
+
+    def work() -> None:
+        while True:
+            take.acquire()
+            if stopping:
+                return
+            try:
+                got = (True, next(items))
+            except StopIteration:
+                got = None
+            except BaseException as exc:  # the caller raises it
+                got = (False, exc)
+            box.append(got)
+            made.release()
+            if got is None or not got[0]:
+                return
+
+    worker = threading.Thread(target=work, name="diamrisk-ahead", daemon=True)
+    worker.start()
+    try:
+        while True:
+            made.acquire()
+            got = box.pop()
+            if got is None:
+                return
+            ok, item = got
+            if not ok:
+                raise item
+            take.release()
+            yield item
+    finally:
+        stopping = True
+        take.release()
+        worker.join()
+
+
+def score_chunks(
+    model: LossModel,
+    centers: Sequence[ParamVector],
+    chunks: Iterator[tuple[int, np.ndarray]],
+    S: Dataset,
+    out: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """For each (start, U) of chunks, write the risks at w + u into
+    out[:, start:start + len(U)], one row per center, then yield (start, U).
+    Each center's points go through one buffer for the whole call."""
+    shifts = [Shifter(w) for w in centers]
+    for start, U in chunks:
+        for shift, row in zip(shifts, out):
+            row[start : start + len(U)] = neighborhood_risks(model, shift, U, S)
+        yield start, U
 
 
 def neighborhood_chunks(
@@ -78,13 +156,9 @@ def neighborhood_chunks(
     rng: np.random.Generator,
     out: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Draw r = out.shape[1] directions (direction_chunks); write the risks
-    at w + u of each chunk U into out[:, start:start + len(U)], one row per
-    center, then yield (start, U)."""
-    for start, U in direction_chunks(centers[0], gamma, kind, out.shape[1], rng):
-        for w, row in zip(centers, out):
-            row[start : start + len(U)] = neighborhood_risks(model, w, U, S)
-        yield start, U
+    """Draw r = out.shape[1] directions (direction_chunks) and score them
+    around every center (score_chunks), on the calling thread."""
+    return score_chunks(model, centers, direction_chunks(centers[0], gamma, kind, out.shape[1], rng), S, out)
 
 
 def diametrical_risk_grid_1d(

@@ -81,6 +81,28 @@ def test_importing_the_cli_loads_no_thread_pool_or_logging():
     assert _python(code, _env()).strip() == "[]"
 
 
+LANDSCAPE_THEN_COUNT = """
+import os, sys
+from diamrisk.cli import cli_main
+code = cli_main(["landscape", "--config", "config.json", "--checkpoint", "w.json",
+                 "--gamma", "5", "--n", "40", "--out", "out"])
+print(code, len(os.listdir("/proc/self/task")), sorted({"concurrent.futures", "logging"} & set(sys.modules)))
+"""
+
+
+@needs_proc
+def test_landscape_ends_on_one_thread_without_a_pool_or_logging(tmp_path):
+    # The histogram's draws run on one worker thread, which must be joined
+    # before the command returns; no executor (and so no logging) is loaded.
+    config = default_experiment_dict(0)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    init_params(experiment_config_from_dict(config).mlp_spec(), np.random.default_rng(0)).save(tmp_path / "w.json")
+    done = subprocess.run([sys.executable, "-c", LANDSCAPE_THEN_COUNT], cwd=tmp_path, env=_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 1 []"
+
+
 def test_landscape_histogram_is_the_same_under_any_thread_count(tmp_path):
     config = default_experiment_dict(0)
     (tmp_path / "config.json").write_text(json.dumps(config))
