@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossModel, rho_m
 from .params import NormKind, ParamVector, axpy, sample_sphere
-from .risk import ahead, direction_chunks, score_chunks, window_grid
+from .risk import digested_chunks, score_chunks, window_grid
 
 
 def csv_text(meta: dict, header: Optional[str], rows) -> str:
@@ -402,14 +402,6 @@ def sample_directions(
     return [sample_sphere(template, gamma, kind, rng) for _ in range(n)]
 
 
-def _digested(chunks, digest):
-    """The (start, U) of chunks, each U added to digest as it passes
-    (contiguous rows: the bytes of each row in turn)."""
-    for start, U in chunks:
-        digest.update(U)
-        yield start, U
-
-
 def landscape_histogram(
     model: LossModel,
     w_center: Union[ParamVector, Sequence[ParamVector]],
@@ -426,20 +418,21 @@ def landscape_histogram(
     w_center is one vector, or a sequence of centers that are all evaluated
     on the same directions (one Histogram each, so histograms around
     different centers are directly comparable). Directions are drawn as rows,
-    half of risk._CHUNK at a time, into two chunk buffers that take turns,
-    so no other memory grows with n_samples. One worker thread draws each chunk
-    (risk.direction_chunks) and adds its bytes to the digest, while the
-    calling thread scores the chunk before it around every center
-    (risk.score_chunks, risk.ahead), so the forward passes stay there. Only
-    that worker touches rng, in draw order, so values and digest are those
-    of drawing and scoring one chunk after the other, and an error raised
-    by a draw or a score surfaces where it would there. max_workers > 1
-    draws all directions at once as vectors (sample_directions) and fans
-    the evaluations out to a thread pool instead (measured slower; only the
-    benchmark's span tests use it); results are written by draw index, so
-    the histogram does not depend on scheduling. Both paths draw the same
-    values in the same order, and the digest is the sha256 of those row
-    bytes. A non-finite neighborhood risk raises ValueError.
+    risk._AHEAD_CHUNK at a time, into two chunk buffers that take turns, so
+    no other memory grows with n_samples. One worker thread fills each chunk
+    with Gaussians and adds its bytes to the digest, while the calling
+    thread rescales it and scores it around every center
+    (risk.digested_chunks, risk.score_chunks), so the forward passes stay
+    there. Only that worker touches rng, in draw order, so values and
+    digest are those of drawing and scoring one chunk after the other, and
+    an error raised by a draw or a score surfaces where it would there.
+    max_workers > 1 draws all directions at once as vectors
+    (sample_directions) and fans the evaluations out to a thread pool
+    instead (measured slower; only the benchmark's span tests use it);
+    results are written by draw index, so the histogram does not depend on
+    scheduling. Both paths draw the same values in the same order, and the
+    digest is the sha256 of those row bytes. A non-finite neighborhood risk
+    raises ValueError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -465,9 +458,9 @@ def landscape_histogram(
         for u in directions:
             digest.update(u.flat().tobytes())
     else:
-        chunks = direction_chunks(centers[0], gamma, kind, n_samples, rng, buffers=2)
+        chunks = digested_chunks(centers[0], gamma, kind, n_samples, rng, digest)
         # closing joins the worker on any exit. Overflow shows as a non-finite value, checked below.
-        with closing(ahead(_digested(chunks, digest))) as drawn, np.errstate(over="ignore", invalid="ignore"):
+        with closing(chunks) as drawn, np.errstate(over="ignore", invalid="ignore"):
             for _ in score_chunks(model, centers, drawn, S, rows):
                 pass
 

@@ -6,7 +6,8 @@ is frozen and checked to be finite; every operation is one array operation
 on buffers and returns a new vector, so vectors can be shared freely.
 
 Perturbation directions are plain rows, not vectors: sphere_rows draws a
-(k, n) stack of norm-gamma rows in the flat coordinate order, and a
+(k, n) stack of norm-gamma rows in the flat coordinate order (normal_rows
+draws it, scale_rows rescales it, so two threads can split the two), and a
 Shifter walks w + u over such rows through one buffer it builds once, so
 evaluating a neighborhood builds no vector per direction or per stack.
 """
@@ -231,7 +232,7 @@ class Shifter:
 
 @functools.lru_cache(maxsize=16)
 def _segments(shapes: tuple, kind: NormKind) -> tuple[NormKind, tuple[tuple[int, int], ...]]:
-    """The norm sphere_rows rescales by and the (lo, hi) coordinate ranges
+    """The norm scale_rows rescales by and the (lo, hi) coordinate ranges
     it rescales one at a time: each non-empty layer under
     LAYERWISE_FROBENIUS (by the Euclidean norm), else the whole row."""
     if kind is NormKind.LAYERWISE_FROBENIUS:
@@ -252,30 +253,48 @@ def sphere_rows(
     (k, template.size) float64 array: the first k rows of out when it is
     given (a reusable buffer), else a new array.
 
-    Each row is one standard-normal fill of template.size values, rescaled
-    in place while it is in cache: each non-empty layer segment under
-    LAYERWISE_FROBENIUS, the whole row under EUCLIDEAN/SUP, by gamma over
-    the segment's norm. So a row is uniform on the gamma-sphere under
-    EUCLIDEAN, each layer segment on its own under LAYERWISE_FROBENIUS; a
-    SUP row lies on the sup-sphere but is not uniform on it (in 2-D its
-    density along a face peaks at the face's centre). Row i holds exactly
-    the values of the i-th of k successive sample_sphere calls on rng.
-    gamma = 0 gives zero rows without consuming any randomness. A segment
-    whose draw is all zeros (probability ~2^-53 per value) raises
-    RuntimeError; a gamma so large that a row overflows raises
-    NonFiniteError naming its layer.
+    The rows are one standard-normal fill of k * template.size values
+    (normal_rows), each row then rescaled in place (scale_rows): each
+    non-empty layer segment under LAYERWISE_FROBENIUS, the whole row under
+    EUCLIDEAN/SUP, by gamma over the segment's norm. So a row is uniform on
+    the gamma-sphere under EUCLIDEAN, each layer segment on its own under
+    LAYERWISE_FROBENIUS; a SUP row lies on the sup-sphere but is not
+    uniform on it (in 2-D its density along a face peaks at the face's
+    centre). Row i holds exactly the values of the i-th of k successive
+    sample_sphere calls on rng. gamma = 0 gives zero rows without consuming
+    any randomness. A segment whose draw is all zeros (probability ~2^-53
+    per value) raises RuntimeError; a gamma so large that a row overflows
+    raises NonFiniteError naming its layer.
     """
+    return scale_rows(template, gamma, kind, normal_rows(template, gamma, k, rng, out))
+
+
+def normal_rows(
+    template: ParamVector, gamma: float, k: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The draw half of sphere_rows: k rows of template.size standard
+    normals from rng, in the first k rows of out when it is given, else in
+    a new array; zero rows, drawing nothing, when gamma = 0."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     out = np.empty((k, template.size)) if out is None else out[:k]
     if gamma == 0.0:
         out.fill(0.0)
-        return out
+    else:
+        rng.standard_normal(out=out)
+    return out
+
+
+def scale_rows(template: ParamVector, gamma: float, kind: NormKind, rows: np.ndarray) -> np.ndarray:
+    """The rescale half of sphere_rows: each row of normal_rows' output
+    rescaled in place to norm gamma, row by row; returns rows. Raises the
+    errors sphere_rows names, at the first row that has one."""
+    if gamma == 0.0:
+        return rows
     kind, bounds = _segments(template.shapes, kind)
     # An overflowing radius shows as a non-finite row, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in out:
-            rng.standard_normal(out=row)
+        for row in rows:
             for lo, hi in bounds:
                 segment = row[lo:hi]
                 denom = _array_norm(segment, kind)
@@ -283,7 +302,7 @@ def sphere_rows(
                     raise RuntimeError("degenerate Gaussian draw: a zero-norm segment")
                 segment *= gamma / denom
             _check_finite(template.names, template.shapes, row)
-    return out
+    return rows
 
 
 def sample_sphere(

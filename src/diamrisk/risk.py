@@ -16,28 +16,31 @@ a stack of them; direction_chunks draws r of them at most _CHUNK rows at
 a time, and score_chunks scores such chunks into the caller's risk array,
 through one params.Shifter buffer per center for the whole call.
 neighborhood_chunks draws and scores on the calling thread, as training
-does. The landscape histogram instead passes its chunks through ahead,
-which draws each one on a worker thread while the caller scores the one
-before it. A seed is anything np.random.default_rng takes, a Generator
+does. The landscape histogram instead takes its chunks from
+digested_chunks, which hands the long, GIL-free steps (the Gaussian fill
+and the digest update) to one worker thread while the caller rescales and
+scores. A seed is anything np.random.default_rng takes, a Generator
 included.
 """
 
 from __future__ import annotations
 
+import collections
 import threading
-from typing import Iterator, Sequence, TypeVar, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .data import Dataset
 from .losses import LossModel
-from .params import NormKind, ParamVector, Shifter, sample_sphere, sphere_rows
+from .params import NormKind, ParamVector, Shifter, normal_rows, sample_sphere, scale_rows, sphere_rows
 
-# Rows of directions held at once: direction_chunks draws, and score_chunks
-# scores, this many at a time, or half as many in each of two buffers.
+# Rows per chunk: direction_chunks draws, and score_chunks scores, this many at a time.
 _CHUNK = 4
-
-T = TypeVar("T")
+# Rows per chunk of digested_chunks. Each chunk costs its two threads a few
+# sleeps and wake-ups, which cost CPU time that varies with the machine's
+# load; 8 rows halve them against 4 for 1 MB more on the default net.
+_AHEAD_CHUNK = 8
 
 
 def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> np.ndarray:
@@ -70,64 +73,84 @@ def neighborhood_risks(model: LossModel, w: Union[ParamVector, Shifter], U, S: D
 
 
 def direction_chunks(
-    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator, buffers: int = 1
+    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The r norm-gamma directions that sphere_rows draws from rng, in draw
-    order, at most k = _CHUNK // buffers rows U at a time; yields (start,
-    U). The chunks take turns in `buffers` buffers of k rows, so no more
-    than _CHUNK rows are held, and U holds until `buffers` more steps."""
-    k = _CHUNK // buffers
-    bufs = [np.empty((min(k, r), template.size)) for _ in range(buffers)]
-    for i, start in enumerate(range(0, r, k)):
-        yield start, sphere_rows(template, gamma, kind, min(k, r - start), rng, out=bufs[i % buffers])
+    order, at most _CHUNK rows U at a time; yields (start, U). All chunks
+    share one buffer: U holds only until the next step."""
+    buf = np.empty((min(_CHUNK, r), template.size))
+    for start in range(0, r, _CHUNK):
+        yield start, sphere_rows(template, gamma, kind, min(_CHUNK, r - start), rng, out=buf)
 
 
-def ahead(items: Iterator[T]) -> Iterator[T]:
-    """The items of an iterator, in order, each made on one worker thread
-    while the caller handles the item before it. The worker starts an item
-    only once the caller has taken the one before, so an item may reuse the
-    buffer of the item two before it. An exception the iterator raises
-    reaches the caller, unchanged, when it asks for that item. The worker
-    is joined however the iteration ends: exhausted, raising, or closed
-    (or dropped) early, as a caller whose own loop raises should do."""
-    take = threading.Semaphore(1)  # the worker may make one more item
-    made = threading.Semaphore(0)  # an item, or the end, is in box
-    box = []  # (True, item), (False, exception) or None at the end
-    stopping = False
+def digested_chunks(
+    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator, digest
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The r directions of direction_chunks, bit for bit, _AHEAD_CHUNK rows
+    U at a time; yields (start, U) and adds each U to digest (contiguous
+    rows: the bytes of each row in turn). One worker thread fills the next
+    chunk with normal_rows while the caller holds this one; the caller
+    rescales each chunk (scale_rows) here, hands it to the worker to
+    digest, and then holds it. Both steps of the worker are single long
+    calls that release the GIL, so the two threads seldom wait for each
+    other.
+
+    Chunks take turns in two buffers of _AHEAD_CHUNK rows; U holds until the
+    caller asks for the next one. Only the worker touches rng, in draw
+    order, and a draw error raises here at its chunk, as it does in
+    direction_chunks. The worker is joined however the iteration ends:
+    exhausted, raising, or closed (or dropped) early, as a caller whose
+    own loop raises should do."""
+    starts = range(0, r, _AHEAD_CHUNK)
+    bufs = [np.empty((min(_AHEAD_CHUNK, r), template.size)) for _ in range(2)]
+    tasks = collections.deque()  # (call, chunk) in order; None stops the worker
+    queued = threading.Semaphore(0)  # one release per task
+    filled = threading.Semaphore(0)  # one release per finished fill
+    errors = []  # what a task raised, for the caller to raise
+
+    def chunk(i: int) -> np.ndarray:
+        return bufs[i % 2][: min(_AHEAD_CHUNK, r - starts[i])]
+
+    def fill(U: np.ndarray) -> None:
+        normal_rows(template, gamma, len(U), rng, out=U)
 
     def work() -> None:
         while True:
-            take.acquire()
-            if stopping:
+            queued.acquire()
+            task = tasks.popleft()
+            if task is None:
                 return
+            call, U = task
             try:
-                got = (True, next(items))
-            except StopIteration:
-                got = None
+                call(U)
             except BaseException as exc:  # the caller raises it
-                got = (False, exc)
-            box.append(got)
-            made.release()
-            if got is None or not got[0]:
-                return
+                errors.append(exc)
+            if call is fill:
+                filled.release()
 
-    worker = threading.Thread(target=work, name="diamrisk-ahead", daemon=True)
+    def submit(task) -> None:
+        tasks.append(task)
+        queued.release()
+
+    worker = threading.Thread(target=work, name="diamrisk-draw", daemon=True)
     worker.start()
     try:
-        while True:
-            made.acquire()
-            got = box.pop()
-            if got is None:
-                return
-            ok, item = got
-            if not ok:
-                raise item
-            take.release()
-            yield item
+        for i in range(min(2, len(starts))):
+            submit((fill, chunk(i)))
+        for i, start in enumerate(starts):
+            filled.acquire()
+            if errors:
+                raise errors[0]
+            U = scale_rows(template, gamma, kind, chunk(i))
+            submit((digest.update, U))
+            yield start, U
+            if i + 2 < len(starts):
+                submit((fill, chunk(i + 2)))  # after this chunk's digest: the worker runs tasks in order
     finally:
-        stopping = True
-        take.release()
+        submit(None)
         worker.join()
+    if errors:
+        raise errors[0]
 
 
 def score_chunks(

@@ -1,10 +1,13 @@
-"""The landscape histogram draws its directions on one worker thread while
-the calling thread scores them (risk.ahead). These tests pin that this
+"""The landscape histogram fills and digests its directions on one worker
+thread while the calling thread rescales and scores them
+(risk.digested_chunks). These tests pin that this
 changes nothing a caller sees: the values, reference and digest equal a
 one-vector-per-direction oracle bit for bit, every error surfaces with the
 type and message the one-thread order gives, and the worker never outlives
 the call."""
 
+import hashlib
+import sys
 import threading
 
 import numpy as np
@@ -37,7 +40,7 @@ def _oracle(model, centers, gamma, kind, n, S, rng):
 
 @pytest.mark.parametrize("kind", list(NormKind))
 @pytest.mark.parametrize("n_centers", [1, 2])
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 9, 33])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 33])
 def test_histogram_equals_the_one_vector_per_direction_oracle(n, n_centers, kind):
     model, centers, S = _mlp_problem()
     centers = centers[:n_centers]
@@ -68,6 +71,10 @@ class CountingLoss(LossModel):
         if self.calls == self.raise_at:
             raise RuntimeError(f"scoring failed at call {self.calls}")
         return float(w.flat().sum())
+
+
+def on_main():
+    return threading.current_thread() is threading.main_thread()
 
 
 def _error(call):
@@ -106,28 +113,36 @@ def test_a_draw_that_overflows_in_the_first_chunk_raises_before_any_score():
 
 def test_a_draw_error_in_a_later_chunk_surfaces_after_the_chunks_before_it(monkeypatch):
     model, centers, S = _mlp_problem()
-    real = risk.sphere_rows
-    draws = []
+    draws = []  # (rows, on the main thread) of every spied draw
 
-    def third_call_fails(*args, **kwargs):
-        draws.append((args[3], threading.current_thread() is threading.main_thread()))  # (rows, on main)
-        if len(draws) == 3:
-            raise NonFiniteError("non-finite values in layer 'b2'")
-        return real(*args, **kwargs)
+    def third_call_fails(real):
+        # sphere_rows(template, gamma, kind, k, ...) draws serially, scale_rows(template, gamma, kind, rows) pipelined.
+        def spy(*args, **kwargs):
+            draws.append((args[3] if isinstance(args[3], int) else len(args[3]), on_main()))
+            if len(draws) == 3:
+                raise NonFiniteError("non-finite values in layer 'b2'")
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(risk, "sphere_rows", third_call_fails)
+        return spy
+
+    fills = []
+    real_fill = risk.normal_rows
+    monkeypatch.setattr(risk, "sphere_rows", third_call_fails(risk.sphere_rows))
+    monkeypatch.setattr(risk, "scale_rows", third_call_fails(risk.scale_rows))
+    monkeypatch.setattr(risk, "normal_rows", lambda *args, **kwargs: fills.append(on_main()) or real_fill(*args, **kwargs))
     baseline = threading.active_count()
     scored = []
     original = model.batch_risk
     monkeypatch.setattr(model, "batch_risk", lambda w, S: scored.append(1) or original(w, S))
     expected = _serial_error(model, centers, 0.8, NormKind.EUCLIDEAN, 33, S, 3)
     assert len(scored) == sum(rows for rows, _ in draws[:2]) * len(centers)
-    scored[:], draws[:] = [], []
+    scored[:], draws[:], fills[:] = [], [], []
     got = _error(lambda: landscape_histogram(model, centers, 0.8, NormKind.EUCLIDEAN, 33, S, 3))
     assert got == expected == (NonFiniteError, "non-finite values in layer 'b2'")
     # The first two chunks were scored around both centers, and nothing after them.
     assert len(scored) == sum(rows for rows, _ in draws[:2]) * len(centers) > 0
-    assert [on_main for _, on_main in draws] == [False, False, False]  # every draw ran on the worker
+    assert [on_main for _, on_main in draws] == [True, True, True]  # every rescale ran on the caller
+    assert fills and not any(fills)  # every fill ran on the worker
     assert threading.active_count() == baseline
 
 
@@ -156,66 +171,68 @@ def test_scores_run_on_the_calling_thread_beside_at_most_one_worker():
     assert threading.active_count() == baseline
 
 
-class Recorder:
-    """An iterator of 0, 1, ..., n - 1 that records how many items it has
-    started when each starts, and raises ValueError at item fail_at."""
-
-    def __init__(self, n, fail_at=None):
-        self.n, self.fail_at = n, fail_at
-        self.started = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if self.started == self.n:
-            raise StopIteration
-        self.started += 1
-        if self.started - 1 == self.fail_at:
-            raise ValueError(f"item {self.fail_at}")
-        return self.started - 1
+def _rows(chunks):
+    """The rows of chunks stacked in order, checking that each starts where the last ended."""
+    rows = []
+    for start, U in chunks:
+        assert start == len(rows)
+        rows += list(U.copy())
+    return np.array(rows)
 
 
-def test_ahead_yields_every_item_in_order_and_runs_one_item_ahead():
-    items = Recorder(6)
-    seen = []
-    for i in risk.ahead(items):
-        seen.append((i, items.started))
-    assert [i for i, _ in seen] == list(range(6))
-    # While the caller holds item i, the worker may have started item i + 1, never i + 2.
-    assert all(started <= i + 2 for i, started in seen)
+@pytest.mark.parametrize("r", [1, 3, 8, 9, 16, 33])
+@pytest.mark.parametrize("gamma", [0.0, 0.8])
+def test_digested_chunks_are_direction_chunks_and_their_digest(r, gamma):
+    model, centers, _ = _mlp_problem()
+    kind = NormKind.LAYERWISE_FROBENIUS
+    rng, serial_rng = np.random.default_rng(5), np.random.default_rng(5)
+    digest, serial_digest = hashlib.sha256(), hashlib.sha256()
+    got = _rows(risk.digested_chunks(centers[0], gamma, kind, r, rng, digest))
+    expected = _rows(risk.direction_chunks(centers[0], gamma, kind, r, serial_rng))
+    serial_digest.update(expected)
+    assert got.shape == (r, centers[0].size) and got.tobytes() == expected.tobytes()
+    assert digest.hexdigest() == serial_digest.hexdigest()
+    assert rng.bit_generator.state == serial_rng.bit_generator.state
 
 
-def test_ahead_hands_an_error_to_the_caller_at_its_item():
-    baseline = threading.active_count()
-    got = []
-    with pytest.raises(ValueError, match="item 3"):
-        for i in risk.ahead(Recorder(6, fail_at=3)):
-            got.append(i)
-    assert got == [0, 1, 2]
-    assert threading.active_count() == baseline
+def test_digested_chunks_hold_under_frequent_thread_switches():
+    model, centers, _ = _mlp_problem()
+    kind = NormKind.LAYERWISE_FROBENIUS
+    serial_rng, serial_digest = np.random.default_rng(9), hashlib.sha256()
+    expected = _rows(risk.direction_chunks(centers[0], 0.8, kind, 65, serial_rng))
+    serial_digest.update(expected)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            digest = hashlib.sha256()
+            got = _rows(risk.digested_chunks(centers[0], 0.8, kind, 65, np.random.default_rng(9), digest))
+            assert got.tobytes() == expected.tobytes()
+            assert digest.hexdigest() == serial_digest.hexdigest()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("taken", [0, 1, 3])
-def test_ahead_joins_its_worker_when_closed_early_or_dropped(taken):
+def test_digested_chunks_join_their_worker_when_closed_early_or_dropped(taken):
+    model, centers, _ = _mlp_problem()
     baseline = threading.active_count()
     for finish in ("close", "drop"):
-        items = risk.ahead(Recorder(10))
+        chunks = risk.digested_chunks(centers[0], 0.8, NormKind.EUCLIDEAN, 33, np.random.default_rng(0), hashlib.sha256())
         for _ in range(taken):
-            next(items)
+            next(chunks)
         if finish == "close":
-            items.close()
+            chunks.close()
         else:
-            del items  # collected at once: its finally joins the worker
+            del chunks  # collected at once: its finally joins the worker
         assert threading.active_count() == baseline
 
 
-def test_ahead_stops_when_the_callers_loop_raises():
+def test_digested_chunks_stop_when_the_callers_loop_raises():
+    model, centers, _ = _mlp_problem()
     baseline = threading.active_count()
-    items = Recorder(10)
     with pytest.raises(KeyError):
-        for i in risk.ahead(items):
-            if i == 2:
-                raise KeyError(i)
+        for start, _ in risk.digested_chunks(centers[0], 0.8, NormKind.SUP, 33, np.random.default_rng(0), hashlib.sha256()):
+            if start == 8:
+                raise KeyError(start)
     assert threading.active_count() == baseline
-    assert items.started <= 4
