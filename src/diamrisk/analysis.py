@@ -11,12 +11,14 @@ studies share one window, _Window, which checks that lo < hi and that its
 neighbourhoods fit in the floats, and its trial loop. landscape_histogram
 and flatness_report compare how sharply the empirical risk rises around
 two trained solutions, using one shared set of random directions so the
-comparison is paired.
+comparison is paired; a histogram's direction_digest, the sha256 of the
+draw's recipe, tells whether two histograms share their directions.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
@@ -418,21 +420,21 @@ def landscape_histogram(
     w_center is one vector, or a sequence of centers that are all evaluated
     on the same directions (one Histogram each, so histograms around
     different centers are directly comparable). Directions are drawn as rows,
-    risk._AHEAD_CHUNK at a time, into two chunk buffers that take turns, so
-    no other memory grows with n_samples. One worker thread fills each chunk
-    with Gaussians and adds its bytes to the digest, while the calling
-    thread rescales it and scores it around every center
+    risk._CHUNK at a time, into two chunk buffers that take turns, so only
+    the (centers, n_samples) risk array grows with n_samples. One worker
+    thread fills each chunk with Gaussians, one chunk ahead, while the
+    calling thread rescales it and scores it around every center
     (risk.digested_chunks, risk.score_chunks), so the forward passes stay
     there. Only that worker touches rng, in draw order, so values and
-    digest are those of drawing and scoring one chunk after the other, and
-    an error raised by a draw or a score surfaces where it would there.
+    errors are those of drawing and scoring one chunk after the other.
     max_workers > 1 draws all directions at once as vectors
     (sample_directions) and fans the evaluations out to a thread pool
     instead (measured slower; only the benchmark's span tests use it);
     results are written by draw index, so the histogram does not depend on
     scheduling. Both paths draw the same values in the same order, and the
-    digest is the sha256 of those row bytes. A non-finite neighborhood risk
-    raises ValueError.
+    digest is the sha256 of the draw's recipe, read before it: the JSON list
+    [rng.bit_generator.state, n_samples, gamma, kind.value, layer shapes].
+    A non-finite neighborhood risk raises ValueError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -440,8 +442,11 @@ def landscape_histogram(
     if not centers:
         raise ValueError("need at least one center")
     rng = np.random.default_rng(rng)
+    recipe = [rng.bit_generator.state, n_samples, float(gamma), kind.value, centers[0].shapes]
+    # Keys sorted; the arrays in MT19937's and Philox's states written as lists.
+    text = json.dumps(recipe, sort_keys=True, default=lambda a: a.tolist())
+    digest = hashlib.sha256(text.encode()).hexdigest()
     rows = np.empty((len(centers), n_samples))
-    digest = hashlib.sha256()
     if max_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported here: no subcommand runs a pool
 
@@ -455,10 +460,8 @@ def landscape_histogram(
 
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
                 list(pool.map(_evaluate, range(n_samples)))
-        for u in directions:
-            digest.update(u.flat().tobytes())
     else:
-        chunks = digested_chunks(centers[0], gamma, kind, n_samples, rng, digest)
+        chunks = digested_chunks(centers[0], gamma, kind, n_samples, rng)
         # closing joins the worker on any exit. Overflow shows as a non-finite value, checked below.
         with closing(chunks) as drawn, np.errstate(over="ignore", invalid="ignore"):
             for _ in score_chunks(model, centers, drawn, S, rows):
@@ -467,7 +470,7 @@ def landscape_histogram(
     if not np.isfinite(rows).all():
         raise ValueError(f"non-finite neighborhood risk at gamma={gamma:g}")
     hists = [
-        Histogram(values, float(model.batch_risk(w, S)), gamma, kind, digest.hexdigest())
+        Histogram(values, float(model.batch_risk(w, S)), gamma, kind, digest)
         for w, values in zip(centers, rows)
     ]
     return hists[0] if isinstance(w_center, ParamVector) else hists

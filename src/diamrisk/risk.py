@@ -17,15 +17,14 @@ a time, and score_chunks scores such chunks into the caller's risk array,
 through one params.Shifter buffer per center for the whole call.
 neighborhood_chunks draws and scores on the calling thread, as training
 does. The landscape histogram instead takes its chunks from
-digested_chunks, which hands the long, GIL-free steps (the Gaussian fill
-and the digest update) to one worker thread while the caller rescales and
+digested_chunks, which hands the long, GIL-free Gaussian fill of each
+chunk to one worker thread, one chunk ahead, while the caller rescales and
 scores. A seed is anything np.random.default_rng takes, a Generator
 included.
 """
 
 from __future__ import annotations
 
-import collections
 import threading
 from typing import Iterator, Sequence, Union
 
@@ -35,12 +34,8 @@ from .data import Dataset
 from .losses import LossModel
 from .params import NormKind, ParamVector, Shifter, normal_rows, sample_sphere, scale_rows, sphere_rows
 
-# Rows per chunk: direction_chunks draws, and score_chunks scores, this many at a time.
+# Rows per chunk that direction_chunks and digested_chunks draw and score_chunks scores.
 _CHUNK = 4
-# Rows per chunk of digested_chunks. Each chunk costs its two threads a few
-# sleeps and wake-ups, which cost CPU time that varies with the machine's
-# load; 8 rows halve them against 4 for 1 MB more on the default net.
-_AHEAD_CHUNK = 8
 
 
 def window_grid(model, lo: float, hi: float, gamma: float, grid_points: int) -> np.ndarray:
@@ -84,73 +79,55 @@ def direction_chunks(
 
 
 def digested_chunks(
-    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator, digest
+    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The r directions of direction_chunks, bit for bit, _AHEAD_CHUNK rows
-    U at a time; yields (start, U) and adds each U to digest (contiguous
-    rows: the bytes of each row in turn). One worker thread fills the next
-    chunk with normal_rows while the caller holds this one; the caller
-    rescales each chunk (scale_rows) here, hands it to the worker to
-    digest, and then holds it. Both steps of the worker are single long
-    calls that release the GIL, so the two threads seldom wait for each
-    other.
+    """The r directions of direction_chunks, bit for bit, at most _CHUNK
+    rows U at a time; yields (start, U). One worker thread fills each chunk
+    with normal_rows (one long call that releases the GIL), one chunk ahead
+    of the caller, who rescales it here (scale_rows) and then holds it.
 
-    Chunks take turns in two buffers of _AHEAD_CHUNK rows; U holds until the
+    Chunks take turns in two buffers of _CHUNK rows; U holds until the
     caller asks for the next one. Only the worker touches rng, in draw
     order, and a draw error raises here at its chunk, as it does in
     direction_chunks. The worker is joined however the iteration ends:
     exhausted, raising, or closed (or dropped) early, as a caller whose
     own loop raises should do."""
-    starts = range(0, r, _AHEAD_CHUNK)
-    bufs = [np.empty((min(_AHEAD_CHUNK, r), template.size)) for _ in range(2)]
-    tasks = collections.deque()  # (call, chunk) in order; None stops the worker
-    queued = threading.Semaphore(0)  # one release per task
+    starts = range(0, r, _CHUNK)
+    bufs = [np.empty((min(_CHUNK, r), template.size)) for _ in range(2)]
+    free = threading.Semaphore(2)  # one release per buffer the worker may fill
     filled = threading.Semaphore(0)  # one release per finished fill
-    errors = []  # what a task raised, for the caller to raise
+    stopped = threading.Event()
+    errors = {}  # chunk index -> what its fill raised, for the caller to raise
 
     def chunk(i: int) -> np.ndarray:
-        return bufs[i % 2][: min(_AHEAD_CHUNK, r - starts[i])]
-
-    def fill(U: np.ndarray) -> None:
-        normal_rows(template, gamma, len(U), rng, out=U)
+        return bufs[i % 2][: min(_CHUNK, r - starts[i])]
 
     def work() -> None:
-        while True:
-            queued.acquire()
-            task = tasks.popleft()
-            if task is None:
+        for i in range(len(starts)):
+            free.acquire()
+            if stopped.is_set():
                 return
-            call, U = task
             try:
-                call(U)
+                normal_rows(template, gamma, len(chunk(i)), rng, out=chunk(i))
             except BaseException as exc:  # the caller raises it
-                errors.append(exc)
-            if call is fill:
+                errors[i] = exc
+                return
+            finally:
                 filled.release()
-
-    def submit(task) -> None:
-        tasks.append(task)
-        queued.release()
 
     worker = threading.Thread(target=work, name="diamrisk-draw", daemon=True)
     worker.start()
     try:
-        for i in range(min(2, len(starts))):
-            submit((fill, chunk(i)))
         for i, start in enumerate(starts):
             filled.acquire()
-            if errors:
-                raise errors[0]
-            U = scale_rows(template, gamma, kind, chunk(i))
-            submit((digest.update, U))
-            yield start, U
-            if i + 2 < len(starts):
-                submit((fill, chunk(i + 2)))  # after this chunk's digest: the worker runs tasks in order
+            if i in errors:
+                raise errors[i]
+            yield start, scale_rows(template, gamma, kind, chunk(i))
+            free.release()  # chunk i's buffer takes chunk i + 2
     finally:
-        submit(None)
+        stopped.set()
+        free.release()
         worker.join()
-    if errors:
-        raise errors[0]
 
 
 def score_chunks(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import sys
 from typing import Sequence
@@ -165,13 +166,25 @@ def norm(v: ParamVector, kind: NormKind):
     return _array_norm(v.flat(), kind)
 
 
-def directions_digest(directions: Sequence[ParamVector]) -> str:
-    """sha256 of the directions' flat bytes in order: the digest a Histogram
-    records for the directions it was built from."""
-    h = hashlib.sha256()
-    for u in directions:
-        h.update(u.flat().tobytes())
-    return h.hexdigest()
+def _plain(value):
+    """value with every numpy array or scalar in it, at any depth, replaced
+    by the Python list or number it holds, and every tuple by a list."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+
+
+def directions_digest(
+    rng: np.random.Generator, n: int, gamma: float, kind: NormKind, template: ParamVector
+) -> str:
+    """sha256 of the recipe of n norm-gamma directions shaped like template,
+    about to be drawn from rng: the sorted-key JSON list of its bit-generator
+    state, n, gamma, the norm kind's name and the layer shapes. It is the
+    digest a Histogram records for the directions it was built from."""
+    recipe = [_plain(rng.bit_generator.state), n, float(gamma), kind.value, _plain(template.shapes)]
+    return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
 
 
 # The command line's flag converters before flags were checked by the config

@@ -396,11 +396,11 @@ def test_landscape_histogram_1d_quadratic_sphere_is_two_points():
 def test_landscape_histogram_shared_directions_reuse():
     quad = QuadraticLoss(dim=1)
     S = quadratic_data([[1.0]], [0.0])
-    dirs = sample_directions(quad.param_template, 0.7, NormKind.EUCLIDEAN, 50, rng=12)
+    digest = directions_digest(np.random.default_rng(12), 50, 0.7, NormKind.EUCLIDEAN, quad.param_template)
     h1, h2 = landscape_histogram(
         quad, [quad.wrap(0.0), quad.wrap(1.0)], 0.7, NormKind.EUCLIDEAN, 50, S, rng=12
     )
-    assert h1.direction_digest == h2.direction_digest == directions_digest(dirs)
+    assert h1.direction_digest == h2.direction_digest == digest
     with pytest.raises(ValueError):
         landscape_histogram(quad, [], 0.7, NormKind.EUCLIDEAN, 50, S, rng=12)
 
@@ -413,6 +413,45 @@ def test_landscape_histogram_threaded_matches_serial():
         quad, quad.wrap(0.2), 0.4, NormKind.EUCLIDEAN, 64, S, rng=13, max_workers=4
     )
     assert np.array_equal(serial.values, threaded.values)
+    assert serial.direction_digest == threaded.direction_digest
+
+
+SHAPES = ((2, 3), (3,))
+
+
+def _layers(shapes):
+    return ParamVector([(f"l{i}", np.zeros(shape)) for i, shape in enumerate(shapes)])
+
+
+def _digest(rng=0, n=5, gamma=0.5, kind=NormKind.EUCLIDEAN, shapes=SHAPES):
+    """The direction_digest of a histogram around a vector of the given layer shapes."""
+    return landscape_histogram(ConstantLoss(), _layers(shapes), gamma, kind, n, ONE_ROW, rng).direction_digest
+
+
+def test_direction_digest_is_that_of_the_draws_recipe():
+    advanced = np.random.default_rng(0)
+    advanced.standard_normal()
+    base = _digest()
+    assert _digest() == base
+    changed = [
+        _digest(rng=1),
+        _digest(rng=advanced),
+        _digest(n=6),
+        _digest(gamma=0.25),
+        _digest(kind=NormKind.SUP),
+        _digest(shapes=((3, 2), (3,))),
+    ]
+    assert len({base, *changed}) == 1 + len(changed)
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
+)
+def test_direction_digest_takes_every_bit_generator(bit_generator):
+    # MT19937's state holds a uint32 array, Philox's and SFC64's uint64 arrays.
+    expected = directions_digest(np.random.Generator(bit_generator(0)), 5, 0.5, NormKind.EUCLIDEAN, _layers(SHAPES))
+    assert _digest(rng=np.random.Generator(bit_generator(0))) == expected
+    assert _digest(rng=np.random.Generator(bit_generator(1))) != expected
 
 
 def test_sup_dominance_with_zero_direction_appended():
@@ -457,10 +496,11 @@ def test_flatness_report_flags_flatter_center():
 
 def _oracle_histograms(model, centers, gamma, kind, n, S, rng):
     """All n directions drawn as one list, then each center evaluated on it."""
+    digest = directions_digest(rng, n, gamma, kind, centers[0])
     dirs = sample_directions(centers[0], gamma, kind, n, rng)
     rows = [u.flat() for u in dirs]
     out = [(neighborhood_risks(model, w, rows, S), model.batch_risk(w, S)) for w in centers]
-    return out, directions_digest(dirs)
+    return out, digest
 
 
 def _problem(which, dim, seed):

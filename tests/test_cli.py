@@ -6,6 +6,8 @@ import re
 import struct
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +376,47 @@ def test_landscape_non_finite_risk_exits_1_and_writes_nothing(tmp_path, capsys):
     errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and "non-finite neighborhood risk" in errors[0]
     assert not (tmp_path / "X").exists()
+
+
+LANDSCAPE_RADII = ["0", "5e-324", "1e-306", "1", "1e150", "1e154", "1e200", "1e308", repr(sys.float_info.max)]
+
+
+def test_landscape_boundary_sweep(tmp_path, capsys):
+    # Each --gamma and --n on a tiny net exits 0, or 1 with one error line and
+    # no hist.csv; none leaks a warning or leaves the draw worker running.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "schema_version": 1,
+        "dataset": {"n_train": 20, "n_test": 20, "input_dim": 3},
+        "mlp": {"hidden_dims": [4]},
+    }))
+    spec = experiment_config_from_dict(json.loads(cfg_path.read_text())).mlp_spec()
+    checkpoint = tmp_path / "w.json"
+    init_params(spec, np.random.default_rng(0)).save(checkpoint)
+    baseline = threading.active_count()
+    errors = {}  # (gamma, n) -> the error line of an exit 1
+    for gamma in LANDSCAPE_RADII:
+        for n in ("1", "5"):
+            out = tmp_path / f"out-{gamma}-{n}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli_main(["landscape", "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+                                 "--gamma", gamma, "--n", n, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 1), (gamma, n, err)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (gamma, n)
+            assert threading.active_count() == baseline, (gamma, n)
+            if code == 0:
+                assert err == "" and (out / "hist.csv").is_file(), (gamma, n, err)
+            else:
+                assert len(err.splitlines()) == 1 and not out.exists(), (gamma, n, err)
+                errors[gamma, n] = err
+    # Radii from 1e154 overflow the forward pass; at the largest float, five
+    # draws also overflow a layer's rescale first.
+    assert {gamma for gamma, _ in errors} == {"1e154", "1e200", "1e308", repr(sys.float_info.max)}
+    assert len(errors) == 8
+    assert "non-finite values in layer 'b1'" in errors[repr(sys.float_info.max), "5"]
+    assert "non-finite neighborhood risk" in errors[repr(sys.float_info.max), "1"]
 
 
 SMALL_STUDY = ["--loss", "tent", "--trials", "30", "--grid", "65", "--inner", "65"]

@@ -1,12 +1,10 @@
-"""The landscape histogram fills and digests its directions on one worker
-thread while the calling thread rescales and scores them
-(risk.digested_chunks). These tests pin that this
-changes nothing a caller sees: the values, reference and digest equal a
-one-vector-per-direction oracle bit for bit, every error surfaces with the
-type and message the one-thread order gives, and the worker never outlives
-the call."""
+"""The landscape histogram fills its directions on one worker thread while
+the calling thread rescales and scores them (risk.digested_chunks). These
+tests pin that this changes nothing a caller sees: the values and reference
+equal a one-vector-per-direction oracle bit for bit and the digest is that
+of the draw's recipe, every error surfaces with the type and message the
+one-thread order gives, and the worker never outlives the call."""
 
-import hashlib
 import sys
 import threading
 
@@ -33,9 +31,10 @@ def _mlp_problem(seed=0):
 
 def _oracle(model, centers, gamma, kind, n, S, rng):
     """One sample_sphere vector per direction, each scored at axpy(w, 1, u)."""
+    digest = directions_digest(rng, n, gamma, kind, centers[0])
     dirs = [sample_sphere(centers[0], gamma, kind, rng) for _ in range(n)]
     values = [np.array([model.batch_risk(axpy(w, 1.0, u), S) for u in dirs]) for w in centers]
-    return values, [model.batch_risk(w, S) for w in centers], directions_digest(dirs)
+    return values, [model.batch_risk(w, S) for w in centers], digest
 
 
 @pytest.mark.parametrize("kind", list(NormKind))
@@ -186,29 +185,22 @@ def test_digested_chunks_are_direction_chunks_and_their_digest(r, gamma):
     model, centers, _ = _mlp_problem()
     kind = NormKind.LAYERWISE_FROBENIUS
     rng, serial_rng = np.random.default_rng(5), np.random.default_rng(5)
-    digest, serial_digest = hashlib.sha256(), hashlib.sha256()
-    got = _rows(risk.digested_chunks(centers[0], gamma, kind, r, rng, digest))
+    got = _rows(risk.digested_chunks(centers[0], gamma, kind, r, rng))
     expected = _rows(risk.direction_chunks(centers[0], gamma, kind, r, serial_rng))
-    serial_digest.update(expected)
     assert got.shape == (r, centers[0].size) and got.tobytes() == expected.tobytes()
-    assert digest.hexdigest() == serial_digest.hexdigest()
     assert rng.bit_generator.state == serial_rng.bit_generator.state
 
 
 def test_digested_chunks_hold_under_frequent_thread_switches():
     model, centers, _ = _mlp_problem()
     kind = NormKind.LAYERWISE_FROBENIUS
-    serial_rng, serial_digest = np.random.default_rng(9), hashlib.sha256()
-    expected = _rows(risk.direction_chunks(centers[0], 0.8, kind, 65, serial_rng))
-    serial_digest.update(expected)
+    expected = _rows(risk.direction_chunks(centers[0], 0.8, kind, 65, np.random.default_rng(9)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            digest = hashlib.sha256()
-            got = _rows(risk.digested_chunks(centers[0], 0.8, kind, 65, np.random.default_rng(9), digest))
+            got = _rows(risk.digested_chunks(centers[0], 0.8, kind, 65, np.random.default_rng(9)))
             assert got.tobytes() == expected.tobytes()
-            assert digest.hexdigest() == serial_digest.hexdigest()
     finally:
         sys.setswitchinterval(interval)
 
@@ -218,7 +210,7 @@ def test_digested_chunks_join_their_worker_when_closed_early_or_dropped(taken):
     model, centers, _ = _mlp_problem()
     baseline = threading.active_count()
     for finish in ("close", "drop"):
-        chunks = risk.digested_chunks(centers[0], 0.8, NormKind.EUCLIDEAN, 33, np.random.default_rng(0), hashlib.sha256())
+        chunks = risk.digested_chunks(centers[0], 0.8, NormKind.EUCLIDEAN, 33, np.random.default_rng(0))
         for _ in range(taken):
             next(chunks)
         if finish == "close":
@@ -232,7 +224,7 @@ def test_digested_chunks_stop_when_the_callers_loop_raises():
     model, centers, _ = _mlp_problem()
     baseline = threading.active_count()
     with pytest.raises(KeyError):
-        for start, _ in risk.digested_chunks(centers[0], 0.8, NormKind.SUP, 33, np.random.default_rng(0), hashlib.sha256()):
+        for start, _ in risk.digested_chunks(centers[0], 0.8, NormKind.SUP, 33, np.random.default_rng(0)):
             if start == 8:
                 raise KeyError(start)
     assert threading.active_count() == baseline
