@@ -295,10 +295,15 @@ def write_artifacts(out: Path, files: dict[str, str]) -> None:
     """Write each named text into the directory out, all or none: the files
     are staged beside out and moved into place after the last one is written,
     so a failure or Ctrl-C leaves no partial set and earlier files unchanged.
+    A name that exists in out as a directory raises ConfigError before any
+    file moves (a symlink is no clash: os.replace replaces the link itself).
     The stage sits inside mkdtemp's private (0o700) directory so that it gets
     the mode mkdir gives. Text is written as UTF-8 whatever the locale; a
     command-line path the locale could not decode (surrogate escapes) is
     written back as the bytes given."""
+    for name in files:
+        if (out / name).is_dir() and not (out / name).is_symlink():
+            raise ConfigError(f"output path {out}: {out / name} exists and is a directory")
     out.parent.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
     stage = scratch / "out"

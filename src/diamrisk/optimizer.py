@@ -10,9 +10,10 @@ Two loops share one skeleton:
                       the gradient is taken at the worst queued row,
                       picked by select_worst when there is a choice.
 
-Directions are flat rows (params.sphere_rows). A sampling event scores its
-r candidates into one risk array, at most risk._CHUNK at a time, and keeps
-only a copy of the winning row (draw_worst), which joins the queue. The
+Directions are flat rows (params.sphere_rows). draw_worst is the one "worst
+of r fresh directions": it draws and scores them at most risk._CHUNK at a
+time into one risk array and keeps only a copy of the winning row. A
+sampling event queues that row; the epoch-end estimate keeps its risk. The
 gradient call, model.batch_grad, also supplies the risk at its point.
 
 simple_sgd_drm_run is sgd_drm_run with q = 1 and sampling every iteration,
@@ -25,10 +26,10 @@ streams of the config seed, tagged in the streams module: batching,
 perturbations, the sampling coin and the epoch-end evaluation directions.
 The sampled diametrical estimate is scored at epoch 0, every
 _EVAL_EVERY-th epoch and the last one. Each scored epoch redraws the r
-evaluation directions from one key, chunk by chunk
-(risk.neighborhood_chunks), so in both loops every estimate is the max risk
-over one shared set, and no more of it than one chunk is ever held. The set
-is drawn once before training, only to check that it is finite.
+evaluation directions from one key (draw_worst on the full train set), so
+in both loops every estimate is the max risk over one shared set, and no
+more of it than one chunk is ever held. The set is drawn once before
+training, only to check that it is finite.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .data import Dataset
 from .losses import LossModel
 from .params import Box, NonFiniteError, NormKind, ParamVector
 from .params import Shifter, axpy, sample_sphere
-from .risk import direction_chunks, neighborhood_chunks, neighborhood_risks
+from .risk import direction_chunks, neighborhood_risks, score_chunks
 
 # The epoch-end estimate is scored at epoch 0, at each epoch e with
 # (e + 1) % _EVAL_EVERY == 0, and at the last epoch.
@@ -187,12 +188,13 @@ def draw_worst(
 ) -> tuple[int, np.ndarray, float]:
     """The worst on batch of r fresh norm-gamma directions drawn from rng:
     the (index, row, value) that np.argmax over all r risks picks. The
-    directions are drawn and scored in chunks (risk.neighborhood_chunks);
-    all r risks are kept, but of the rows only a copy of the winner so far."""
+    directions are drawn and scored in chunks (risk.direction_chunks,
+    risk.score_chunks); all r risks are kept, but of the rows only a copy
+    of the winner so far."""
     if r < 1:
         raise ValueError("r must be >= 1")
     values = np.empty((1, r))
-    for start, U in neighborhood_chunks(model, [w], gamma, kind, batch, rng, values):
+    for start, U in score_chunks(model, [w], direction_chunks(w, gamma, kind, r, rng), batch, values):
         i = int(np.argmax(values[0, : start + len(U)]))
         if i >= start:
             best = (i, U[i - start].copy())
@@ -302,11 +304,8 @@ def _run_loop(
             test_acc = measure_acc(w, test) if (measure_acc and test is not None and len(test)) else None
             diam = None
             if epoch == 0 or (epoch + 1) % _EVAL_EVERY == 0 or t >= cfg.T:
-                risks = np.empty((1, cfg.r))
                 rng_eval = np.random.default_rng(eval_key)
-                for _ in neighborhood_chunks(model, [w], cfg.gamma, cfg.norm_kind, data, rng_eval, risks):
-                    pass
-                diam = float(risks.max())
+                diam = draw_worst(model, w, data, cfg.gamma, cfg.norm_kind, cfg.r, rng_eval)[2]
         for name, value in (("train risk", train_risk), ("diametrical risk estimate", diam)):
             if value is not None and not math.isfinite(value):
                 reason = f"non-finite {name} {value!r} at the end of the epoch"

@@ -3,28 +3,23 @@
 The diametrical risk of w at radius gamma is the supremum of the empirical
 risk over all parameter perturbations of norm at most gamma. The empirical
 risk itself is the loss model's: model.batch_risk at one parameter vector,
-and model.risk_curve along a 1-D grid. Two estimators
-are provided, each returning the estimate as a float: an exact-by-construction
-1-D grid oracle (the grid is augmented with every breakpoint of piecewise
-losses, so piecewise-linear suprema are exact), and a sampled outer
-approximation that maximizes over random directions of norm exactly gamma,
-matching what the training algorithms do. The sampled estimate never exceeds
-the true supremum.
+and model.risk_curve along a 1-D grid. Two estimators return the estimate
+as a float: an exact-by-construction 1-D grid oracle (the grid holds every
+breakpoint of piecewise losses, so piecewise-linear suprema are exact), and
+a sampled outer approximation that maximizes over random directions of norm
+exactly gamma, as training draws them, and never exceeds the supremum.
 
 Directions are rows of the flat coordinate order. neighborhood_risks scores
-a stack of them; direction_chunks draws r of them at most _CHUNK rows at
-a time, and score_chunks scores such chunks into the caller's risk array,
-through one params.Shifter buffer per center for the whole call.
-neighborhood_chunks draws and scores on the calling thread, as training
-does. The landscape histogram instead takes its chunks from
-digested_chunks, which hands the long, GIL-free Gaussian fill of each
-chunk to one worker thread, one chunk ahead, while the caller rescales and
-scores. A seed is anything np.random.default_rng takes, a Generator
-included.
+a stack of them; score_chunks scores chunks of at most _CHUNK rows into the
+caller's risk array, through one params.Shifter buffer per center. Training
+draws its chunks on the calling thread (direction_chunks); the landscape
+histogram draws the same chunks with each Gaussian fill on a worker thread
+(digested_chunks). A seed is anything np.random.default_rng takes.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 from typing import Iterator, Sequence, Union
 
@@ -86,47 +81,41 @@ def digested_chunks(
     with normal_rows (one long call that releases the GIL), one chunk ahead
     of the caller, who rescales it here (scale_rows) and then holds it.
 
-    Chunks take turns in two buffers of _CHUNK rows; U holds until the
-    caller asks for the next one. Only the worker touches rng, in draw
-    order, and a draw error raises here at its chunk, as it does in
-    direction_chunks. The worker is joined however the iteration ends:
-    exhausted, raising, or closed (or dropped) early, as a caller whose
-    own loop raises should do."""
+    The worker takes the index of each chunk to fill from todo, and None to
+    stop; done takes each fill's result, None or the exception it raised.
+    Fill i + 1 is queued once chunk i is taken, so chunks take turns in two
+    buffers of _CHUNK rows, and U holds until the caller asks for the next
+    one. Only the worker touches rng, in draw order; a draw error raises
+    here at its chunk, as in direction_chunks. The worker is joined however
+    the iteration ends: exhausted, raising, or closed (or dropped) early."""
     starts = range(0, r, _CHUNK)
     bufs = [np.empty((min(_CHUNK, r), template.size)) for _ in range(2)]
-    free = threading.Semaphore(2)  # one release per buffer the worker may fill
-    filled = threading.Semaphore(0)  # one release per finished fill
-    stopped = threading.Event()
-    errors = {}  # chunk index -> what its fill raised, for the caller to raise
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
 
     def chunk(i: int) -> np.ndarray:
         return bufs[i % 2][: min(_CHUNK, r - starts[i])]
 
     def work() -> None:
-        for i in range(len(starts)):
-            free.acquire()
-            if stopped.is_set():
-                return
+        for i in iter(todo.get, None):
             try:
                 normal_rows(template, gamma, len(chunk(i)), rng, out=chunk(i))
-            except BaseException as exc:  # the caller raises it
-                errors[i] = exc
-                return
-            finally:
-                filled.release()
+                done.put(None)
+            except BaseException as exc:  # the caller raises it, then stops the worker
+                done.put(exc)
 
     worker = threading.Thread(target=work, name="diamrisk-draw", daemon=True)
     worker.start()
     try:
+        todo.put(0 if starts else None)  # an empty draw fills nothing
         for i, start in enumerate(starts):
-            filled.acquire()
-            if i in errors:
-                raise errors[i]
+            error = done.get()
+            if error is not None:
+                raise error
+            if i + 1 < len(starts):
+                todo.put(i + 1)  # into the buffer chunk i - 1 held
             yield start, scale_rows(template, gamma, kind, chunk(i))
-            free.release()  # chunk i's buffer takes chunk i + 2
     finally:
-        stopped.set()
-        free.release()
+        todo.put(None)
         worker.join()
 
 
@@ -145,20 +134,6 @@ def score_chunks(
         for shift, row in zip(shifts, out):
             row[start : start + len(U)] = neighborhood_risks(model, shift, U, S)
         yield start, U
-
-
-def neighborhood_chunks(
-    model: LossModel,
-    centers: Sequence[ParamVector],
-    gamma: float,
-    kind: NormKind,
-    S: Dataset,
-    rng: np.random.Generator,
-    out: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Draw r = out.shape[1] directions (direction_chunks) and score them
-    around every center (score_chunks), on the calling thread."""
-    return score_chunks(model, centers, direction_chunks(centers[0], gamma, kind, out.shape[1], rng), S, out)
 
 
 def diametrical_risk_grid_1d(

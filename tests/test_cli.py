@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import itertools
 import json
 import os
 import re
@@ -494,6 +495,40 @@ def test_bad_numeric_flags_exit_2_before_work(tmp_path, capsys, command, extra, 
     assert not out.exists()
 
 
+# The 1-D boundary sweep: signed window bounds from the smallest subnormal to
+# near the largest float, radii from 0 past the largest a 1-D study takes.
+SWEEP_BOUNDS = sorted(s * v for v in (5e-324, 1.0, 1e308, 1.7e308) for s in (-1, 1))
+SWEEP_RADII = [0.0, 5e-324, 1.0, 1e307, 8e307, 1.7e308]
+SWEEP_SIZES = {
+    "rate": ["--m", "4", "--trials", "30"],
+    "confidence": ["--m", "4", "--trials", "2"],
+    "examples": ["--m", "4", "--trials", "2"],
+}
+
+
+def test_1d_boundary_sweep_exits_cleanly_or_writes_nothing(tmp_path, capsys):
+    # Every window lo < hi of the bounds, at every radius, for both losses and
+    # each 1-D command (1,008 calls): no numpy warning, an exit code of 0, 1
+    # or 2, one stderr line on exit 1, and nothing written on a non-zero exit.
+    problems, written = [], set()
+    cases = itertools.product(SWEEP_SIZES, ("tent", "reciprocal"),
+                              itertools.combinations(SWEEP_BOUNDS, 2), SWEEP_RADII)
+    for i, (command, loss, (lo, hi), gamma) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        argv = [command, *SWEEP_SIZES[command], "--loss", loss, "--grid", "3", "--inner", "3",
+                f"--w-lo={lo!r}", f"--w-hi={hi!r}", f"--gamma={gamma!r}", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(argv)
+        err = capsys.readouterr().err
+        if code == 0:
+            written.add(out.name)
+        if caught or code not in (0, 1, 2) or (code == 1 and len(err.splitlines()) != 1) or (code and out.exists()):
+            problems.append((argv, code, [str(w.message) for w in caught], err))
+    assert problems == []
+    assert {p.name for p in tmp_path.iterdir()} == written  # no staging directory left behind
+
+
 # Every size flag and the commands that take it.
 COUNT_FLAGS = [
     ("rate", "--m"), ("rate", "--trials"), ("rate", "--grid"), ("rate", "--inner"),
@@ -723,6 +758,38 @@ def test_failed_write_leaves_an_earlier_rate_csv_unchanged(tmp_path, capsys, mon
     assert (out / "rate.csv").read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["rate"]  # no .rate.* staging directory
     assert [p.name for p in out.iterdir()] == ["rate.csv"]
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under root with its bytes (None for a directory or a symlink)."""
+    return {
+        str(p.relative_to(root)): None if p.is_dir() or p.is_symlink() else p.read_bytes()
+        for p in root.rglob("*")
+    }
+
+
+def test_a_target_name_that_is_a_directory_exits_2_and_replaces_nothing(tmp_path, capsys):
+    config = tiny_config(tmp_path)
+    out = tmp_path / "exp"
+    assert cli_main(["run", "--config", str(config), "--seed", "0", "--out", str(out)]) == 0
+    (out / "summary.json").unlink()
+    (out / "summary.json").mkdir()
+    (out / "summary.json" / "x").write_text("kept")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(config), "--seed", "5", "--out", str(out)]) == 2
+    assert "summary.json exists and is a directory" in capsys.readouterr().err
+    assert _tree(tmp_path) == before  # every earlier artifact byte-unchanged, and no staging directory
+
+
+def test_a_target_name_that_is_a_symlink_to_a_directory_is_replaced(tmp_path, capsys):
+    out = tmp_path / "rate"
+    (tmp_path / "elsewhere").mkdir()
+    out.mkdir()
+    (out / "rate.csv").symlink_to(tmp_path / "elsewhere")
+    assert cli_main([*_small_argv(tmp_path, "rate"), "--out", str(out)]) == 0
+    assert not (out / "rate.csv").is_symlink() and (out / "rate.csv").read_text().startswith("#")
+    assert list((tmp_path / "elsewhere").iterdir()) == []
 
 
 def test_rate_without_out_writes_only_rate_csv_in_the_working_directory(tmp_path, capsys, monkeypatch):

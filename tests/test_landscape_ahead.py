@@ -84,12 +84,13 @@ def _error(call):
 
 def _serial_error(model, centers, gamma, kind, n, S, seed):
     """The error of drawing and scoring one chunk after the other, on the
-    calling thread (risk.neighborhood_chunks)."""
+    calling thread (risk.direction_chunks, risk.score_chunks)."""
 
     def run():
         out = np.empty((len(centers), n))
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in risk.neighborhood_chunks(model, centers, gamma, kind, S, np.random.default_rng(seed), out):
+            chunks = risk.direction_chunks(centers[0], gamma, kind, n, np.random.default_rng(seed))
+            for _ in risk.score_chunks(model, centers, chunks, S, out):
                 pass
 
     return _error(run)

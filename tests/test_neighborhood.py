@@ -14,8 +14,9 @@ from diamrisk.params import NormKind, ParamVector, axpy, sample_sphere, sphere_r
 from diamrisk.risk import (
     diametrical_risk_grid_1d,
     diametrical_risk_sampled,
-    neighborhood_chunks,
+    direction_chunks,
     neighborhood_risks,
+    score_chunks,
 )
 from oracles import zeros_like
 
@@ -66,7 +67,7 @@ def test_neighborhood_chunks_fill_out_as_one_stack_of_rows_would(r):
     kind = NormKind.LAYERWISE_FROBENIUS
     out = np.full((2, r), np.nan)
     chunks_rng, stack_rng = np.random.default_rng(9), np.random.default_rng(9)
-    chunks = neighborhood_chunks(model, centers, 0.7, kind, batch, chunks_rng, out)
+    chunks = score_chunks(model, centers, direction_chunks(centers[0], 0.7, kind, r, chunks_rng), batch, out)
     chunks = [(start, U.copy()) for start, U in chunks]
     U = sphere_rows(centers[0], 0.7, kind, r, stack_rng)
     expected = np.array([neighborhood_risks(model, w, U, batch) for w in centers])
