@@ -129,7 +129,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    out = check_out_path(args.out or ".")
+    out = check_out_path(args.out or ".", ["rate.csv"])
     model = _loss_from_args(args)
     result = rate_study(
         model,
@@ -160,7 +160,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_confidence(args) -> int:
-    out = check_out_path(args.out or ".")
+    out = check_out_path(args.out or ".", ["confidence.csv"])
     model = _loss_from_args(args)
     result = confidence_region_check(
         model,
@@ -184,7 +184,7 @@ def _cmd_confidence(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
-    out = check_out_path(args.out or ".")
+    out = check_out_path(args.out or ".", ["hist.csv"])
     cfg = load_experiment_config(args.config)
     try:
         w = ParamVector.load(args.checkpoint)
@@ -216,7 +216,7 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    out = check_out_path(args.out) if args.out else None
+    out = check_out_path(args.out, ["examples.csv"]) if args.out else None
     model = _loss_from_args(args)
     interval = _default_interval(args)
     table = erm_drm_gap_table(

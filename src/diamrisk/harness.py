@@ -19,7 +19,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,9 @@ from .optimizer import (
 from .params import Box, NormKind
 
 SCHEMA_VERSION = 1
+# The files run_label_noise_experiment writes, in the order it lists them.
+RUN_FILES = ("trace_erm.csv", "trace_drm.csv", "checkpoint_erm.json", "checkpoint_drm.json",
+             "hist_erm.csv", "hist_drm.csv", "config.json", "summary.json")
 # Upper bound of every size and count key, so that absurd sizes exit 2 in the
 # parser instead of failing in numpy, or overflowing a float, after set-up.
 MAX_COUNT = 2**31 - 1
@@ -280,14 +283,20 @@ def default_experiment_dict(seed: int = 0, out_dir: Optional[str] = None) -> dic
     return obj
 
 
-def check_out_path(out) -> Path:
+def check_out_path(out, names: Sequence[str]) -> Path:
     """The output directory out as a Path, checked before any work: neither
-    it nor a parent may exist as a non-directory. A symlink counts as
-    existing even when it dangles or loops, and then is not a directory."""
+    it nor a parent may exist as a non-directory, and none of the file
+    names the command writes there may exist in it as a directory (a
+    symlink is no clash: os.replace replaces the link itself). A symlink
+    counts as existing even when it dangles or loops, and then is not a
+    directory."""
     out = Path(out)
     existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not existing.is_dir():
         raise ConfigError(f"output path {out}: {existing} exists and is not a directory")
+    for name in names:
+        if (out / name).is_dir() and not (out / name).is_symlink():
+            raise ConfigError(f"output path {out}: {out / name} exists and is a directory")
     return out
 
 
@@ -295,15 +304,13 @@ def write_artifacts(out: Path, files: dict[str, str]) -> None:
     """Write each named text into the directory out, all or none: the files
     are staged beside out and moved into place after the last one is written,
     so a failure or Ctrl-C leaves no partial set and earlier files unchanged.
-    A name that exists in out as a directory raises ConfigError before any
-    file moves (a symlink is no clash: os.replace replaces the link itself).
-    The stage sits inside mkdtemp's private (0o700) directory so that it gets
-    the mode mkdir gives. Text is written as UTF-8 whatever the locale; a
-    command-line path the locale could not decode (surrogate escapes) is
-    written back as the bytes given."""
-    for name in files:
-        if (out / name).is_dir() and not (out / name).is_symlink():
-            raise ConfigError(f"output path {out}: {out / name} exists and is a directory")
+    out is checked again first (check_out_path), so a name that came to
+    exist as a directory during the work raises ConfigError before any file
+    moves. The stage sits inside mkdtemp's private (0o700) directory so that
+    it gets the mode mkdir gives. Text is written as UTF-8 whatever the
+    locale; a command-line path the locale could not decode (surrogate
+    escapes) is written back as the bytes given."""
+    check_out_path(out, list(files))
     out.parent.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
     stage = scratch / "out"
@@ -377,7 +384,7 @@ def run_label_noise_experiment(
     target = out_dir if out_dir is not None else cfg.out_dir
     if target is None:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")
-    out = check_out_path(target)
+    out = check_out_path(target, RUN_FILES)
 
     train, test = build_datasets(cfg)
     spec = cfg.mlp_spec()
@@ -406,16 +413,10 @@ def run_label_noise_experiment(
         "drm": drm_summary.__dict__,
         "flatness": report.__dict__,
     }
-    write_artifacts(out, {
-        "trace_erm.csv": erm_trace.to_csv_text(),
-        "trace_drm.csv": drm_trace.to_csv_text(),
-        "checkpoint_erm.json": erm_final.to_json(),
-        "checkpoint_drm.json": drm_final.to_json(),
-        "hist_erm.csv": hist_csv(hist_erm, solution="erm"),
-        "hist_drm.csv": hist_csv(hist_drm, solution="drm"),
-        "config.json": json.dumps(cfg.raw, indent=2, sort_keys=True),
-        "summary.json": json.dumps(summary, indent=2, sort_keys=True),
-    })
+    texts = (erm_trace.to_csv_text(), drm_trace.to_csv_text(), erm_final.to_json(), drm_final.to_json(),
+             hist_csv(hist_erm, solution="erm"), hist_csv(hist_drm, solution="drm"),
+             json.dumps(cfg.raw, indent=2, sort_keys=True), json.dumps(summary, indent=2, sort_keys=True))
+    write_artifacts(out, dict(zip(RUN_FILES, texts)))
 
     return ExperimentResult(
         out_dir=out,

@@ -11,10 +11,17 @@ Two loops share one skeleton:
                       picked by select_worst when there is a choice.
 
 Directions are flat rows (params.sphere_rows). draw_worst is the one "worst
-of r fresh directions": it draws and scores them at most risk._CHUNK at a
-time into one risk array and keeps only a copy of the winning row. A
+of r fresh directions": it scores them as they come, at most risk._CHUNK at
+a time, into one risk array and keeps only a copy of the winning row. A
 sampling event queues that row; the epoch-end estimate keeps its risk. The
 gradient call, model.batch_grad, also supplies the risk at its point.
+A DRM run's sampling events draw from one risk.RowRing that lasts the run:
+its worker thread fills the perturbation stream's rows into _DEPTH chunk
+buffers, on into the next event during the iterations between events,
+while the calling thread rescales and scores them. The stream is one
+sequence of rows however the events fall, so the run is bit for bit that
+of drawing each event on the calling thread. The ring is closed, and its
+worker joined, however the run ends; an ERM run starts no thread.
 
 simple_sgd_drm_run is sgd_drm_run with q = 1 and sampling every iteration,
 bitwise equal to repeated simple_sgd_drm_step calls: one step on its own,
@@ -37,8 +44,9 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +56,11 @@ from .data import Dataset
 from .losses import LossModel
 from .params import Box, NonFiniteError, NormKind, ParamVector
 from .params import Shifter, axpy, sample_sphere
-from .risk import direction_chunks, neighborhood_risks, score_chunks
+from .risk import RowRing, direction_chunks, neighborhood_risks, score_chunks
+
+# Chunk buffers of the training ring, so chunks its worker may fill ahead. Measured:
+# 2 gains no wall time, and more than 3 only adds memory.
+_DEPTH = 3
 
 # The epoch-end estimate is scored at epoch 0, at each epoch e with
 # (e + 1) % _EVAL_EVERY == 0, and at the last epoch.
@@ -178,23 +190,17 @@ def select_worst(
 
 
 def draw_worst(
-    model: LossModel,
-    w: ParamVector,
-    batch: Dataset,
-    gamma: float,
-    kind: NormKind,
-    r: int,
-    rng: np.random.Generator,
+    model: LossModel, w: ParamVector, batch: Dataset, r: int, chunks: Iterator[tuple[int, np.ndarray]]
 ) -> tuple[int, np.ndarray, float]:
-    """The worst on batch of r fresh norm-gamma directions drawn from rng:
-    the (index, row, value) that np.argmax over all r risks picks. The
-    directions are drawn and scored in chunks (risk.direction_chunks,
-    risk.score_chunks); all r risks are kept, but of the rows only a copy
-    of the winner so far."""
+    """The worst on batch of the r fresh directions that chunks yields as
+    (start, U) (risk.direction_chunks, or a draw of risk.RowRing): the
+    (index, row, value) that np.argmax over all r risks picks. Each chunk is
+    scored (risk.score_chunks) as it comes; all r risks are kept, but of the
+    rows only a copy of the winner so far."""
     if r < 1:
         raise ValueError("r must be >= 1")
     values = np.empty((1, r))
-    for start, U in score_chunks(model, [w], direction_chunks(w, gamma, kind, r, rng), batch, values):
+    for start, U in score_chunks(model, [w], chunks, batch, values):
         i = int(np.argmax(values[0, : start + len(U)]))
         if i >= start:
             best = (i, U[i - start].copy())
@@ -245,7 +251,6 @@ def _run_loop(
     if len(data) == 0:
         raise ValueError("empty training data")
 
-    rng_perturb = np.random.default_rng([cfg.seed, streams.PERTURB])
     rng_coin = np.random.default_rng([cfg.seed, streams.COIN])
     w = cfg.feasible.project(w0)
     eval_key = [cfg.seed, streams.EVAL]  # each scored epoch redraws the set from it
@@ -262,57 +267,62 @@ def _run_loop(
     m = len(data)
     t = 0
     epoch = 0
-    while t < cfg.T:
-        # Overflow shows as a non-finite risk or parameter, which raises DivergenceError.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for idx in make_batch_indices(m, cfg.batch_size, [cfg.seed, streams.BATCH, epoch]):
-                if t >= cfg.T:
-                    break
-                digest.update(idx.astype(np.int64).tobytes())
-                batch = data[idx]
-                lr = cfg.lr_at(t)
-                event = _next_event(cfg, t, rng_coin)
-                batch_risk = model.batch_risk(w, batch) if algorithm == "drm" else None
-                try:
-                    point, what = w, "batch risk"
-                    if algorithm == "drm":
-                        if not math.isfinite(batch_risk):
-                            raise NonFiniteError("non-finite batch risk")
-                        if event:
-                            queue.append(draw_worst(model, w, batch, cfg.gamma, cfg.norm_kind, cfg.r,
-                                                    rng_perturb)[1])
-                        # A one-row queue leaves nothing to choose.
-                        v_star = select_worst(model, w, batch, queue)[1] if len(queue) > 1 else queue[0]
-                        point, what = next(Shifter(w).points((v_star,))), "perturbed batch risk"
+    # A DRM run's sampling events, at most T, draw from one ring; closing joins its worker on any exit.
+    rng_perturb = np.random.default_rng([cfg.seed, streams.PERTURB])
+    drm = algorithm == "drm"
+    perturb = RowRing(w, cfg.gamma, cfg.norm_kind, cfg.r, cfg.T, rng_perturb, _DEPTH) if drm else None
+    with closing(perturb) if drm else nullcontext():
+        while t < cfg.T:
+            # Overflow shows as a non-finite risk or parameter, which raises DivergenceError.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for idx in make_batch_indices(m, cfg.batch_size, [cfg.seed, streams.BATCH, epoch]):
+                    if t >= cfg.T:
+                        break
+                    digest.update(idx.astype(np.int64).tobytes())
+                    batch = data[idx]
+                    lr = cfg.lr_at(t)
+                    event = _next_event(cfg, t, rng_coin)
+                    batch_risk = model.batch_risk(w, batch) if drm else None
                     try:
-                        point_risk, grad = model.batch_grad(point, batch)
-                    except NonFiniteError as exc:  # a non-finite gradient, raised once its risk is checked
-                        point_risk, grad = model.batch_risk(point, batch), exc
-                    if algorithm == "erm":
-                        batch_risk = point_risk
-                    if not math.isfinite(point_risk):
-                        raise NonFiniteError(f"non-finite {what}")
-                    if isinstance(grad, NonFiniteError):
-                        raise grad
-                    w = cfg.feasible.project(axpy(w, -lr, grad))
-                except NonFiniteError as exc:
-                    raise DivergenceError(t, epoch, lr, batch_risk, exc) from exc
-                trace.rows.append(TraceRow(t, epoch, "sample" if event else "", lr, batch_risk, point_risk))
-                t += 1
+                        point, what = w, "batch risk"
+                        if drm:
+                            if not math.isfinite(batch_risk):
+                                raise NonFiniteError("non-finite batch risk")
+                            if event:
+                                queue.append(draw_worst(model, w, batch, cfg.r, perturb.draw())[1])
+                            # A one-row queue leaves nothing to choose.
+                            v_star = select_worst(model, w, batch, queue)[1] if len(queue) > 1 else queue[0]
+                            point, what = next(Shifter(w).points((v_star,))), "perturbed batch risk"
+                        try:
+                            point_risk, grad = model.batch_grad(point, batch)
+                        except NonFiniteError as exc:  # a non-finite gradient, raised once its risk is checked
+                            point_risk, grad = model.batch_risk(point, batch), exc
+                        if not drm:
+                            batch_risk = point_risk
+                        if not math.isfinite(point_risk):
+                            raise NonFiniteError(f"non-finite {what}")
+                        if isinstance(grad, NonFiniteError):
+                            raise grad
+                        w = cfg.feasible.project(axpy(w, -lr, grad))
+                    except NonFiniteError as exc:
+                        raise DivergenceError(t, epoch, lr, batch_risk, exc) from exc
+                    trace.rows.append(TraceRow(t, epoch, "sample" if event else "", lr, batch_risk, point_risk))
+                    t += 1
 
-            train_risk = model.batch_risk(w, data)
-            test_acc = measure_acc(w, test) if (measure_acc and test is not None and len(test)) else None
-            diam = None
-            if epoch == 0 or (epoch + 1) % _EVAL_EVERY == 0 or t >= cfg.T:
-                rng_eval = np.random.default_rng(eval_key)
-                diam = draw_worst(model, w, data, cfg.gamma, cfg.norm_kind, cfg.r, rng_eval)[2]
-        for name, value in (("train risk", train_risk), ("diametrical risk estimate", diam)):
-            if value is not None and not math.isfinite(value):
-                reason = f"non-finite {name} {value!r} at the end of the epoch"
-                raise DivergenceError(t - 1, epoch, lr, batch_risk, reason)
-        trace.rows.append(TraceRow(t - 1, epoch, "epoch", train_risk=train_risk, test_acc=test_acc,
-                                   diam_risk_est=diam))
-        epoch += 1
+                train_risk = model.batch_risk(w, data)
+                test_acc = measure_acc(w, test) if (measure_acc and test is not None and len(test)) else None
+                diam = None
+                if epoch == 0 or (epoch + 1) % _EVAL_EVERY == 0 or t >= cfg.T:
+                    rng_eval = np.random.default_rng(eval_key)
+                    chunks = direction_chunks(w, cfg.gamma, cfg.norm_kind, cfg.r, rng_eval)
+                    diam = draw_worst(model, w, data, cfg.r, chunks)[2]
+            for name, value in (("train risk", train_risk), ("diametrical risk estimate", diam)):
+                if value is not None and not math.isfinite(value):
+                    reason = f"non-finite {name} {value!r} at the end of the epoch"
+                    raise DivergenceError(t - 1, epoch, lr, batch_risk, reason)
+            trace.rows.append(TraceRow(t - 1, epoch, "epoch", train_risk=train_risk, test_acc=test_acc,
+                                       diam_risk_est=diam))
+            epoch += 1
 
     trace.batch_digest = digest.hexdigest()
     return w, trace

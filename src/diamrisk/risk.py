@@ -11,16 +11,20 @@ exactly gamma, as training draws them, and never exceeds the supremum.
 
 Directions are rows of the flat coordinate order. neighborhood_risks scores
 a stack of them; score_chunks scores chunks of at most _CHUNK rows into the
-caller's risk array, through one params.Shifter buffer per center. Training
-draws its chunks on the calling thread (direction_chunks); the landscape
-histogram draws the same chunks with each Gaussian fill on a worker thread
-(digested_chunks). A seed is anything np.random.default_rng takes.
+caller's risk array, through one params.Shifter buffer per center.
+direction_chunks draws chunks on the calling thread, for training's
+pre-training check and epoch-end estimate. RowRing draws the same chunks
+with each Gaussian fill on its one worker thread, into a ring of buffers,
+for any number of draws: a DRM run's sampling events draw from one ring
+that lasts the run, and the landscape histogram is one draw of a two-buffer
+ring (digested_chunks). A seed is anything np.random.default_rng takes.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+from contextlib import closing
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -29,7 +33,7 @@ from .data import Dataset
 from .losses import LossModel
 from .params import NormKind, ParamVector, Shifter, normal_rows, sample_sphere, scale_rows, sphere_rows
 
-# Rows per chunk that direction_chunks and digested_chunks draw and score_chunks scores.
+# Rows per chunk that direction_chunks and RowRing draw and score_chunks scores.
 _CHUNK = 4
 
 
@@ -73,50 +77,75 @@ def direction_chunks(
         yield start, sphere_rows(template, gamma, kind, min(_CHUNK, r - start), rng, out=buf)
 
 
+class RowRing:
+    """Successive draws of r norm-gamma directions from rng, at most draws
+    of them, each the r rows of direction_chunks bit for bit, at most
+    _CHUNK rows U at a time. One worker thread fills chunk after chunk with
+    normal_rows (one long call that releases the GIL) into depth buffers,
+    ahead of the caller and on into the next draw; draw() rescales each
+    chunk on the calling thread (scale_rows) and yields it.
+
+    The worker takes each chunk index to fill from todo (None to stop) and
+    puts each fill's result, None or the exception raised, on done. Chunk i
+    is queued once the caller asks for the chunk after i - depth, whose
+    buffer it reuses, so U holds until the caller asks for the next one.
+    Only the worker touches rng, in draw order, never past the last draw. A
+    draw error raises in draw() at its chunk, as in direction_chunks, and
+    ends the ring's use. close() stops and joins the worker; call it however
+    the use ends."""
+
+    def __init__(self, template: ParamVector, gamma: float, kind: NormKind, r: int, draws: int,
+                 rng: np.random.Generator, depth: int):
+        self._template, self._gamma, self._kind, self._rng = template, gamma, kind, rng
+        self._starts = range(0, r, _CHUNK)
+        self._sizes = [min(_CHUNK, r - start) for start in self._starts]
+        self._bufs = [np.empty((min(_CHUNK, r), template.size)) for _ in range(depth)]
+        self._count, self._taken = len(self._starts) * draws, 0  # chunks in all draws, chunks handed out
+        self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._worker = threading.Thread(target=self._work, name="diamrisk-draw", daemon=True)
+        self._worker.start()
+        for i in range(min(depth, self._count)):
+            self._todo.put(i)
+
+    def _chunk(self, i: int) -> np.ndarray:
+        return self._bufs[i % len(self._bufs)][: self._sizes[i % len(self._sizes)]]
+
+    def _work(self) -> None:
+        for i in iter(self._todo.get, None):
+            try:
+                chunk = self._chunk(i)
+                normal_rows(self._template, self._gamma, len(chunk), self._rng, out=chunk)
+                self._done.put(None)
+            except BaseException as exc:  # the caller raises it, then stops the worker
+                self._done.put(exc)
+
+    def draw(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The next draw's r directions; yields (start, U)."""
+        for start in self._starts:
+            i = self._taken
+            error = self._done.get()
+            if error is not None:
+                raise error
+            yield start, scale_rows(self._template, self._gamma, self._kind, self._chunk(i))
+            self._taken = i + 1
+            if i + len(self._bufs) < self._count:
+                self._todo.put(i + len(self._bufs))  # into the buffer chunk i held
+
+    def close(self) -> None:
+        self._todo.put(None)
+        self._worker.join()
+
+
 def digested_chunks(
     template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The r directions of direction_chunks, bit for bit, at most _CHUNK
-    rows U at a time; yields (start, U). One worker thread fills each chunk
-    with normal_rows (one long call that releases the GIL), one chunk ahead
-    of the caller, who rescales it here (scale_rows) and then holds it.
-
-    The worker takes the index of each chunk to fill from todo, and None to
-    stop; done takes each fill's result, None or the exception it raised.
-    Fill i + 1 is queued once chunk i is taken, so chunks take turns in two
-    buffers of _CHUNK rows, and U holds until the caller asks for the next
-    one. Only the worker touches rng, in draw order; a draw error raises
-    here at its chunk, as in direction_chunks. The worker is joined however
+    rows U at a time; yields (start, U). One draw of a RowRing of two
+    buffers: each fill runs on its worker one chunk ahead of the caller,
+    who rescales it here and then holds it. The worker is joined however
     the iteration ends: exhausted, raising, or closed (or dropped) early."""
-    starts = range(0, r, _CHUNK)
-    bufs = [np.empty((min(_CHUNK, r), template.size)) for _ in range(2)]
-    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def chunk(i: int) -> np.ndarray:
-        return bufs[i % 2][: min(_CHUNK, r - starts[i])]
-
-    def work() -> None:
-        for i in iter(todo.get, None):
-            try:
-                normal_rows(template, gamma, len(chunk(i)), rng, out=chunk(i))
-                done.put(None)
-            except BaseException as exc:  # the caller raises it, then stops the worker
-                done.put(exc)
-
-    worker = threading.Thread(target=work, name="diamrisk-draw", daemon=True)
-    worker.start()
-    try:
-        todo.put(0 if starts else None)  # an empty draw fills nothing
-        for i, start in enumerate(starts):
-            error = done.get()
-            if error is not None:
-                raise error
-            if i + 1 < len(starts):
-                todo.put(i + 1)  # into the buffer chunk i - 1 held
-            yield start, scale_rows(template, gamma, kind, chunk(i))
-    finally:
-        todo.put(None)
-        worker.join()
+    with closing(RowRing(template, gamma, kind, r, 1, rng, 2)) as ring:
+        yield from ring.draw()
 
 
 def score_chunks(

@@ -2,8 +2,8 @@
 
 Here are the independent oracles the tests check the package against: a
 finite-difference gradient checker, scalar reference losses, a label
-counter, a direction digest and the hand-written flag converters that the
-config schema's checker replaced. Here too are a convex quadratic fixture,
+counter, a direction digest, a worker-free training row source and the
+hand-written flag converters that the config schema's checker replaced. Here too are a convex quadratic fixture,
 the zero vector that the constant-loss fixtures return as their gradient,
 and the table of bad config values that both the config parser and the
 command line must refuse. A quadratic dataset carries its regression
@@ -27,6 +27,7 @@ from diamrisk.harness import MAX_COUNT
 from diamrisk.losses import LossModel
 from diamrisk.mlp import _nll_rows
 from diamrisk.params import NormKind, ParamVector, _array_norm
+from diamrisk.risk import direction_chunks
 
 
 def zeros_like(template: ParamVector) -> ParamVector:
@@ -185,6 +186,21 @@ def directions_digest(
     digest a Histogram records for the directions it was built from."""
     recipe = [_plain(rng.bit_generator.state), n, float(gamma), kind.value, _plain(template.shapes)]
     return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
+
+
+class SerialRows:
+    """risk.RowRing with no worker: each draw is risk.direction_chunks on
+    the calling thread, as training drew before its ring, so a run with
+    optimizer.RowRing set to this class is the serial reference."""
+
+    def __init__(self, template, gamma, kind, r, draws, rng, depth):
+        self.args = (template, gamma, kind, r, rng)
+
+    def draw(self):
+        return direction_chunks(*self.args)
+
+    def close(self):
+        pass
 
 
 # The command line's flag converters before flags were checked by the config

@@ -782,6 +782,25 @@ def test_a_target_name_that_is_a_directory_exits_2_and_replaces_nothing(tmp_path
     assert _tree(tmp_path) == before  # every earlier artifact byte-unchanged, and no staging directory
 
 
+@pytest.mark.parametrize("command, name, work", [
+    ("run", "summary.json", (harness, "sgd_erm_run")),
+    ("run", "trace_erm.csv", (harness, "build_datasets")),
+    ("rate", "rate.csv", (cli, "rate_study")),
+    ("confidence", "confidence.csv", (cli, "confidence_region_check")),
+    ("landscape", "hist.csv", (cli, "landscape_histogram")),
+    ("examples", "examples.csv", (cli, "erm_drm_gap_table")),
+])
+def test_a_target_name_that_is_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                                   name, work):
+    out = tmp_path / "exp"
+    (out / name).mkdir(parents=True)
+    calls = []
+    monkeypatch.setattr(*work, lambda *args, **kwargs: calls.append(args))
+    assert cli_main([*_small_argv(tmp_path, command), "--seed", "5", "--out", str(out)]) == 2
+    assert f"{name} exists and is a directory" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_a_target_name_that_is_a_symlink_to_a_directory_is_replaced(tmp_path, capsys):
     out = tmp_path / "rate"
     (tmp_path / "elsewhere").mkdir()

@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 from collections import deque
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -598,16 +599,19 @@ class TableLoss(LossModel):
 
 
 def assert_draw_worst_is_argmax(table, seed=0):
-    model = TableLoss(table)
-    w = ParamVector.from_flat(model.param_template, np.arange(5.0))
-    r = len(table)
-    idx, row, value = draw_worst(model, w, ONE_ROW, 0.5, NormKind.LAYERWISE_FROBENIUS, r, np.random.default_rng(seed))
+    """On the serial chunks and on a draw of a worker-filled ring alike."""
+    w = ParamVector.from_flat(TableLoss(table).param_template, np.arange(5.0))
+    r, kind = len(table), NormKind.LAYERWISE_FROBENIUS
     best = int(np.argmax(np.array(table)))
-    all_rows = sphere_rows(w, 0.5, NormKind.LAYERWISE_FROBENIUS, r, np.random.default_rng(seed))
-    assert model.calls == r
-    assert idx == best
-    assert row.tobytes() == all_rows[best].tobytes()
-    assert np.array_equal(value, table[best], equal_nan=True)
+    all_rows = sphere_rows(w, 0.5, kind, r, np.random.default_rng(seed))
+    with closing(risk.RowRing(w, 0.5, kind, r, 1, np.random.default_rng(seed), 2)) as ring:
+        for chunks in (risk.direction_chunks(w, 0.5, kind, r, np.random.default_rng(seed)), ring.draw()):
+            model = TableLoss(table)
+            idx, row, value = draw_worst(model, w, ONE_ROW, r, chunks)
+            assert model.calls == r
+            assert idx == best
+            assert row.tobytes() == all_rows[best].tobytes()
+            assert np.array_equal(value, table[best], equal_nan=True)
 
 
 def test_draw_worst_tie_across_a_chunk_boundary_goes_to_the_earlier_row():

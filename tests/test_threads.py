@@ -103,6 +103,27 @@ def test_landscape_ends_on_one_thread_without_a_pool_or_logging(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 1 []"
 
 
+RUN_THEN_COUNT = """
+import os, sys
+from diamrisk.cli import cli_main
+code = cli_main(["run", "--config", "config.json", "--out", "out"])
+print(code, len(os.listdir("/proc/self/task")), sorted({"concurrent.futures", "logging"} & set(sys.modules)))
+"""
+
+
+@needs_proc
+def test_run_ends_on_one_thread_without_a_pool_or_logging(tmp_path):
+    # The DRM run fills its rows on one worker thread and each histogram
+    # draw on another; each must be joined before the command returns.
+    config = {"schema_version": 1, "dataset": {"n_train": 30, "n_test": 30, "input_dim": 3},
+              "mlp": {"hidden_dims": [4]}, "drm": {"epochs": 2, "r": 5}, "landscape": {"n_samples": 9}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    done = subprocess.run([sys.executable, "-c", RUN_THEN_COUNT], cwd=tmp_path, env=_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 1 []"
+
+
 def test_landscape_histogram_is_the_same_under_any_thread_count(tmp_path):
     config = default_experiment_dict(0)
     (tmp_path / "config.json").write_text(json.dumps(config))
