@@ -8,6 +8,7 @@ Batches are Datasets: the network reads the feature matrix X and labels y.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,23 +55,37 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParamVector:
     )
 
 
-def _forward(spec: MlpSpec, w: ParamVector, X) -> tuple[list[np.ndarray], np.ndarray]:
+def _forward(spec: MlpSpec, w: ParamVector, X, scratch=None) -> tuple[list[np.ndarray], np.ndarray]:
     """Inputs of each affine layer (X, then each hidden ReLU output) and the
-    logits, for a (k, input_dim) batch."""
+    logits of a (k, input_dim) batch, fresh or in views of scratch (_logits)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise ValueError(f"expected (k, {spec.input_dim}) inputs, got {X.shape}")
     if w.shapes != spec.param_shapes():
         raise ValueError("parameter shapes do not match the network spec")
     Ws, bs = w.arrays[0::2], w.arrays[1::2]
-    inputs, h = [], X
+    inputs, h, used = [], X, 0
     for i, (W, b) in enumerate(zip(Ws, bs)):
-        if i:  # ReLU of the previous layer's fresh product, in place
+        if i:  # ReLU of the previous layer's product, this pass's own array, in place
             np.maximum(h, 0.0, out=h)
         inputs.append(h)
-        h = h @ W.T
+        out = None if scratch is None else scratch[used : used + len(X) * len(W)].reshape(len(X), len(W))
+        h = np.matmul(h, W.T, out=out)
+        used += h.size
         h += b
     return inputs, h
+
+
+_scratch = threading.local()
+
+
+def _logits(spec: MlpSpec, w: ParamVector, X) -> np.ndarray:
+    """Logits of a forward-only pass, as a view of this thread's scratch,
+    which its next pass reuses: fresh 300-600-row products refault each pass."""
+    need = len(X) * sum(fan_out for fan_out, _ in spec.layer_sizes())
+    if getattr(_scratch, "buf", np.empty(0)).size < need:
+        _scratch.buf = np.empty(need)
+    return _forward(spec, w, X, _scratch.buf)[1]
 
 
 def forward_batch(spec: MlpSpec, w: ParamVector, X: np.ndarray) -> np.ndarray:
@@ -110,8 +125,7 @@ def loss_and_grad(spec: MlpSpec, w: ParamVector, batch: Dataset) -> tuple[float,
 
 def batch_nll(spec: MlpSpec, w: ParamVector, batch: Dataset) -> float:
     """Mean NLL over the batch via a vectorized forward pass."""
-    _, logits = _forward(spec, w, batch.X)
-    return float(np.mean(_nll_rows(logits, batch.y)[0]))
+    return float(np.mean(_nll_rows(_logits(spec, w, batch.X), batch.y)[0]))
 
 
 def accuracy_on(spec: MlpSpec, w: ParamVector, data: Dataset) -> float:
@@ -119,7 +133,7 @@ def accuracy_on(spec: MlpSpec, w: ParamVector, data: Dataset) -> float:
     lowest class index) matches the label."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    return float(np.mean(np.argmax(forward_batch(spec, w, data.X), axis=1) == data.y))
+    return float(np.mean(np.argmax(_logits(spec, w, data.X), axis=1) == data.y))
 
 
 class MlpLossModel(LossModel):

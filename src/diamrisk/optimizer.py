@@ -15,13 +15,11 @@ of r fresh directions": it scores them as they come, at most risk._CHUNK at
 a time, into one risk array and keeps only a copy of the winning row. A
 sampling event queues that row; the epoch-end estimate keeps its risk. The
 gradient call, model.batch_grad, also supplies the risk at its point.
-A DRM run's sampling events draw from one risk.RowRing that lasts the run:
-its worker thread fills the perturbation stream's rows into _DEPTH chunk
-buffers, on into the next event during the iterations between events,
-while the calling thread rescales and scores them. The stream is one
-sequence of rows however the events fall, so the run is bit for bit that
-of drawing each event on the calling thread. The ring is closed, and its
-worker joined, however the run ends; an ERM run starts no thread.
+The loops draw every row from a risk.RowRing: its worker thread fills the
+rows, bit for bit a serial draw's, and the calling thread rescales and
+scores them; a ring is closed, and its worker joined, however its use
+ends. A DRM run's sampling events draw from one ring of _DEPTH chunk
+buffers that lasts the run, filled on into the next event between events.
 
 simple_sgd_drm_run is sgd_drm_run with q = 1 and sampling every iteration,
 bitwise equal to repeated simple_sgd_drm_step calls: one step on its own,
@@ -32,10 +30,10 @@ Both loops start from the caller's w0. Their randomness is split into
 streams of the config seed, tagged in the streams module: batching,
 perturbations, the sampling coin and the epoch-end evaluation directions.
 The sampled diametrical estimate is scored at epoch 0, every
-_EVAL_EVERY-th epoch and the last one. Each scored epoch redraws the r
-evaluation directions from one key (draw_worst on the full train set), so
-in both loops every estimate is the max risk over one shared set, and no
-more of it than one chunk is ever held. The set is drawn once before
+_EVAL_EVERY-th epoch and the last one, on the full train set. Each scored
+epoch redraws the r evaluation directions from one key, as one draw of a
+ring of its own (risk.digested_chunks), so in both loops every estimate
+is the max risk over one shared set. The set is drawn so once before
 training, only to check that it is finite.
 """
 
@@ -46,6 +44,7 @@ import math
 from collections import deque
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -56,7 +55,7 @@ from .data import Dataset
 from .losses import LossModel
 from .params import Box, NonFiniteError, NormKind, ParamVector
 from .params import Shifter, axpy, sample_sphere
-from .risk import RowRing, direction_chunks, neighborhood_risks, score_chunks
+from .risk import RowRing, digested_chunks, neighborhood_risks, score_chunks
 
 # Chunk buffers of the training ring, so chunks its worker may fill ahead. Measured:
 # 2 gains no wall time, and more than 3 only adds memory.
@@ -192,11 +191,10 @@ def select_worst(
 def draw_worst(
     model: LossModel, w: ParamVector, batch: Dataset, r: int, chunks: Iterator[tuple[int, np.ndarray]]
 ) -> tuple[int, np.ndarray, float]:
-    """The worst on batch of the r fresh directions that chunks yields as
-    (start, U) (risk.direction_chunks, or a draw of risk.RowRing): the
-    (index, row, value) that np.argmax over all r risks picks. Each chunk is
-    scored (risk.score_chunks) as it comes; all r risks are kept, but of the
-    rows only a copy of the winner so far."""
+    """The worst on batch of the r fresh directions that chunks (a draw of
+    risk.RowRing) yields as (start, U): the (index, row, value) that
+    np.argmax over all r risks picks. Each chunk is scored as it comes;
+    all r risks are kept, but of the rows only a copy of the winner."""
     if r < 1:
         raise ValueError("r must be >= 1")
     values = np.empty((1, r))
@@ -253,10 +251,12 @@ def _run_loop(
 
     rng_coin = np.random.default_rng([cfg.seed, streams.COIN])
     w = cfg.feasible.project(w0)
-    eval_key = [cfg.seed, streams.EVAL]  # each scored epoch redraws the set from it
-    try:  # draw the set once, only to check it
-        for _ in direction_chunks(w, cfg.gamma, cfg.norm_kind, cfg.r, np.random.default_rng(eval_key)):
-            pass
+    # Each scored epoch redraws the set from one key; w only shapes its rows.
+    eval_rows = partial(digested_chunks, w, cfg.gamma, cfg.norm_kind, cfg.r, [cfg.seed, streams.EVAL])
+    try:  # draw the set once, only to check it; closing joins the draw's worker on any exit
+        with closing(eval_rows()) as chunks:
+            for _ in chunks:
+                pass
     except NonFiniteError as exc:
         raise DivergenceError(0, 0, cfg.lr_at(0), None, f"evaluation directions: {exc}") from exc
 
@@ -313,9 +313,8 @@ def _run_loop(
                 test_acc = measure_acc(w, test) if (measure_acc and test is not None and len(test)) else None
                 diam = None
                 if epoch == 0 or (epoch + 1) % _EVAL_EVERY == 0 or t >= cfg.T:
-                    rng_eval = np.random.default_rng(eval_key)
-                    chunks = direction_chunks(w, cfg.gamma, cfg.norm_kind, cfg.r, rng_eval)
-                    diam = draw_worst(model, w, data, cfg.r, chunks)[2]
+                    with closing(eval_rows()) as chunks:
+                        diam = draw_worst(model, w, data, cfg.r, chunks)[2]
             for name, value in (("train risk", train_risk), ("diametrical risk estimate", diam)):
                 if value is not None and not math.isfinite(value):
                     reason = f"non-finite {name} {value!r} at the end of the epoch"

@@ -11,13 +11,12 @@ exactly gamma, as training draws them, and never exceeds the supremum.
 
 Directions are rows of the flat coordinate order. neighborhood_risks scores
 a stack of them; score_chunks scores chunks of at most _CHUNK rows into the
-caller's risk array, through one params.Shifter buffer per center.
-direction_chunks draws chunks on the calling thread, for training's
-pre-training check and epoch-end estimate. RowRing draws the same chunks
-with each Gaussian fill on its one worker thread, into a ring of buffers,
-for any number of draws: a DRM run's sampling events draw from one ring
-that lasts the run, and the landscape histogram is one draw of a two-buffer
-ring (digested_chunks). A seed is anything np.random.default_rng takes.
+caller's risk array, through one params.Shifter buffer per center. The
+commands draw rows only through RowRing, which fills each chunk's
+Gaussians on its one worker thread: a DRM run's sampling events draw from
+one ring that lasts the run, and the landscape histogram and training's
+pre-training check and epoch-end estimates are each one draw of a
+two-buffer ring (digested_chunks). A seed is anything default_rng takes.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossModel
-from .params import NormKind, ParamVector, Shifter, normal_rows, sample_sphere, scale_rows, sphere_rows
+from .params import NormKind, ParamVector, Shifter, normal_rows, sample_sphere, scale_rows
 
-# Rows per chunk that direction_chunks and RowRing draw and score_chunks scores.
+# Rows per chunk that RowRing draws and score_chunks scores.
 _CHUNK = 4
 
 
@@ -66,20 +65,9 @@ def neighborhood_risks(model: LossModel, w: Union[ParamVector, Shifter], U, S: D
     return np.array(values, dtype=np.float64)
 
 
-def direction_chunks(
-    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The r norm-gamma directions that sphere_rows draws from rng, in draw
-    order, at most _CHUNK rows U at a time; yields (start, U). All chunks
-    share one buffer: U holds only until the next step."""
-    buf = np.empty((min(_CHUNK, r), template.size))
-    for start in range(0, r, _CHUNK):
-        yield start, sphere_rows(template, gamma, kind, min(_CHUNK, r - start), rng, out=buf)
-
-
 class RowRing:
     """Successive draws of r norm-gamma directions from rng, at most draws
-    of them, each the r rows of direction_chunks bit for bit, at most
+    of them, each the r rows params.sphere_rows draws, bit for bit, at most
     _CHUNK rows U at a time. One worker thread fills chunk after chunk with
     normal_rows (one long call that releases the GIL) into depth buffers,
     ahead of the caller and on into the next draw; draw() rescales each
@@ -90,7 +78,7 @@ class RowRing:
     is queued once the caller asks for the chunk after i - depth, whose
     buffer it reuses, so U holds until the caller asks for the next one.
     Only the worker touches rng, in draw order, never past the last draw. A
-    draw error raises in draw() at its chunk, as in direction_chunks, and
+    draw error raises in draw() at its chunk, as in a serial draw, and
     ends the ring's use. close() stops and joins the worker; call it however
     the use ends."""
 
@@ -137,14 +125,13 @@ class RowRing:
 
 
 def digested_chunks(
-    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator
+    template: ParamVector, gamma: float, kind: NormKind, r: int, rng
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The r directions of direction_chunks, bit for bit, at most _CHUNK
-    rows U at a time; yields (start, U). One draw of a RowRing of two
-    buffers: each fill runs on its worker one chunk ahead of the caller,
-    who rescales it here and then holds it. The worker is joined however
-    the iteration ends: exhausted, raising, or closed (or dropped) early."""
-    with closing(RowRing(template, gamma, kind, r, 1, rng, 2)) as ring:
+    """The r directions params.sphere_rows draws from rng (a seed), at most
+    _CHUNK rows U at a time; yields (start, U). One draw of a two-buffer
+    RowRing, whose worker fills one chunk ahead of the caller and is joined
+    however the iteration ends: exhausted, raising, or closed (or dropped)."""
+    with closing(RowRing(template, gamma, kind, r, 1, np.random.default_rng(rng), 2)) as ring:
         yield from ring.draw()
 
 

@@ -2,7 +2,7 @@
 
 Here are the independent oracles the tests check the package against: a
 finite-difference gradient checker, scalar reference losses, a label
-counter, a direction digest, a worker-free training row source and the
+counter, a direction digest, a worker-free row source and the
 hand-written flag converters that the config schema's checker replaced. Here too are a convex quadratic fixture,
 the zero vector that the constant-loss fixtures return as their gradient,
 and the table of bad config values that both the config parser and the
@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from diamrisk.data import Dataset
 from diamrisk.harness import MAX_COUNT
 from diamrisk.losses import LossModel
 from diamrisk.mlp import _nll_rows
-from diamrisk.params import NormKind, ParamVector, _array_norm
-from diamrisk.risk import direction_chunks
+from diamrisk.params import NormKind, ParamVector, _array_norm, sphere_rows
+from diamrisk.risk import _CHUNK
 
 
 def zeros_like(template: ParamVector) -> ParamVector:
@@ -188,9 +188,22 @@ def directions_digest(
     return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()
 
 
+def direction_chunks(
+    template: ParamVector, gamma: float, kind: NormKind, r: int, rng: np.random.Generator
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The worker-free reference for a draw of risk.RowRing: the r
+    norm-gamma directions that sphere_rows draws from rng, in draw order,
+    at most risk._CHUNK rows U at a time, all on the calling thread; yields
+    (start, U). All chunks share one buffer: U holds only until the next
+    step."""
+    buf = np.empty((min(_CHUNK, r), template.size))
+    for start in range(0, r, _CHUNK):
+        yield start, sphere_rows(template, gamma, kind, min(_CHUNK, r - start), rng, out=buf)
+
+
 class SerialRows:
-    """risk.RowRing with no worker: each draw is risk.direction_chunks on
-    the calling thread, as training drew before its ring, so a run with
+    """risk.RowRing with no worker: each draw is direction_chunks on the
+    calling thread, as training drew before its ring, so a run with
     optimizer.RowRing set to this class is the serial reference."""
 
     def __init__(self, template, gamma, kind, r, draws, rng, depth):

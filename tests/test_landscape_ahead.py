@@ -17,6 +17,7 @@ from diamrisk.data import Dataset, gen_gaussian_blobs
 from diamrisk.losses import LossModel
 from diamrisk.mlp import MlpLossModel, MlpSpec, init_params
 from diamrisk.params import NonFiniteError, NormKind, ParamVector, axpy, sample_sphere
+import oracles
 from oracles import directions_digest
 
 ONE_ROW = Dataset.from_labels([0])
@@ -84,12 +85,12 @@ def _error(call):
 
 def _serial_error(model, centers, gamma, kind, n, S, seed):
     """The error of drawing and scoring one chunk after the other, on the
-    calling thread (risk.direction_chunks, risk.score_chunks)."""
+    calling thread (oracles.direction_chunks, risk.score_chunks)."""
 
     def run():
         out = np.empty((len(centers), n))
         with np.errstate(over="ignore", invalid="ignore"):
-            chunks = risk.direction_chunks(centers[0], gamma, kind, n, np.random.default_rng(seed))
+            chunks = oracles.direction_chunks(centers[0], gamma, kind, n, np.random.default_rng(seed))
             for _ in risk.score_chunks(model, centers, chunks, S, out):
                 pass
 
@@ -127,7 +128,7 @@ def test_a_draw_error_in_a_later_chunk_surfaces_after_the_chunks_before_it(monke
 
     fills = []
     real_fill = risk.normal_rows
-    monkeypatch.setattr(risk, "sphere_rows", third_call_fails(risk.sphere_rows))
+    monkeypatch.setattr(oracles, "sphere_rows", third_call_fails(oracles.sphere_rows))
     monkeypatch.setattr(risk, "scale_rows", third_call_fails(risk.scale_rows))
     monkeypatch.setattr(risk, "normal_rows", lambda *args, **kwargs: fills.append(on_main()) or real_fill(*args, **kwargs))
     baseline = threading.active_count()
@@ -187,7 +188,7 @@ def test_digested_chunks_are_direction_chunks_and_their_digest(r, gamma):
     kind = NormKind.LAYERWISE_FROBENIUS
     rng, serial_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = _rows(risk.digested_chunks(centers[0], gamma, kind, r, rng))
-    expected = _rows(risk.direction_chunks(centers[0], gamma, kind, r, serial_rng))
+    expected = _rows(oracles.direction_chunks(centers[0], gamma, kind, r, serial_rng))
     assert got.shape == (r, centers[0].size) and got.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == serial_rng.bit_generator.state
 
@@ -195,7 +196,7 @@ def test_digested_chunks_are_direction_chunks_and_their_digest(r, gamma):
 def test_digested_chunks_hold_under_frequent_thread_switches():
     model, centers, _ = _mlp_problem()
     kind = NormKind.LAYERWISE_FROBENIUS
-    expected = _rows(risk.direction_chunks(centers[0], 0.8, kind, 65, np.random.default_rng(9)))
+    expected = _rows(oracles.direction_chunks(centers[0], 0.8, kind, 65, np.random.default_rng(9)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

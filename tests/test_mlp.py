@@ -1,15 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diamrisk
 from diamrisk.data import Dataset
 from diamrisk.mlp import (
     MlpLossModel,
     MlpSpec,
     _forward,
+    _nll_rows,
     accuracy_on,
     batch_nll,
     forward_batch,
@@ -20,6 +26,7 @@ from diamrisk.params import ParamVector, _split_layers
 from oracles import gradient_check, nll_softmax
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SRC = str(Path(diamrisk.__file__).resolve().parents[1])
 
 
 def random_rows(rng, m, d, num_classes):
@@ -207,6 +214,55 @@ def test_in_place_forward_matches_oracle_bitwise(seed, input_dim, hidden_dims, n
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert logits.shape == ref_logits.shape and logits.tobytes() == ref_logits.tobytes()
     assert X.tobytes() == X_before.tobytes()  # the caller's inputs are not written
+    # Into a scratch that holds stale values past the products' end, bit for bit the same.
+    scratch = np.full(k * sum(out for out, _ in spec.layer_sizes()) + 7, np.nan)
+    inputs, logits = _forward(spec, w, X, scratch)
+    for got, want in zip(inputs, ref_inputs):
+        assert got.tobytes() == want.tobytes()
+    assert logits.tobytes() == ref_logits.tobytes()
+
+
+def test_forward_only_passes_reuse_their_scratch_and_return_what_fresh_arrays_give():
+    spec = MlpSpec(input_dim=4, hidden_dims=(6, 5), num_classes=3)
+    rng = np.random.default_rng(3)
+    w = ParamVector.from_flat(spec.param_template(), rng.standard_normal(spec.param_template().size))
+    sets = [random_rows(rng, k, 4, 3) for k in (7, 30, 2, 30)]  # growing, shrinking and regrowing the scratch
+    for S in sets + sets[::-1]:
+        logits = _forward(spec, w, S.X)[1]  # fresh arrays
+        assert batch_nll(spec, w, S) == float(np.mean(_nll_rows(logits, S.y)[0]))
+        assert accuracy_on(spec, w, S) == float(np.mean(np.argmax(logits, axis=1) == S.y))
+        held = forward_batch(spec, w, S.X)
+        batch_nll(spec, w, sets[1])
+        assert held.tobytes() == logits.tobytes()  # forward_batch's array is its own
+
+
+MINOR_FAULTS_OF_FORWARD_ONLY_PASSES = """
+import resource
+import numpy as np
+from diamrisk.data import gen_gaussian_blobs
+from diamrisk.harness import default_experiment_dict, experiment_config_from_dict
+from diamrisk.mlp import MlpLossModel, init_params
+spec = experiment_config_from_dict(default_experiment_dict(0)).mlp_spec()
+model, w = MlpLossModel(spec), init_params(spec, np.random.default_rng(0))
+train = gen_gaussian_blobs(2, 300, spec.input_dim, 4.0, seed=0)
+test = gen_gaussian_blobs(2, 600, spec.input_dim, 4.0, seed=1)
+model.batch_risk(w, train), model.accuracy(w, test)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    model.batch_risk(w, train), model.accuracy(w, test)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="counts minor page faults through resource.getrusage")
+def test_forward_only_passes_at_the_default_sizes_do_not_fault_their_products_back_in():
+    # Fresh (300-600, width) products on every pass cost ~25,000 minor faults
+    # here in a fresh interpreter, as glibc trims them and faults them back in.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", MINOR_FAULTS_OF_FORWARD_ONLY_PASSES], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 1000
 
 
 def test_forward_shape_mismatch_errors():

@@ -14,11 +14,10 @@ from diamrisk.params import NormKind, ParamVector, axpy, sample_sphere, sphere_r
 from diamrisk.risk import (
     diametrical_risk_grid_1d,
     diametrical_risk_sampled,
-    direction_chunks,
     neighborhood_risks,
     score_chunks,
 )
-from oracles import zeros_like
+from oracles import direction_chunks, zeros_like
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 KINDS = st.sampled_from(list(NormKind))

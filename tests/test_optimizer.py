@@ -28,7 +28,7 @@ from diamrisk.optimizer import (
 )
 from diamrisk.params import Box, NonFiniteError, NormKind, ParamVector, sample_sphere, sphere_rows
 from diamrisk.risk import neighborhood_risks
-from oracles import QuadraticLoss, quadratic_data, zeros_like
+from oracles import QuadraticLoss, direction_chunks, quadratic_data, zeros_like
 
 
 class ConstantLoss(LossModel):
@@ -605,7 +605,7 @@ def assert_draw_worst_is_argmax(table, seed=0):
     best = int(np.argmax(np.array(table)))
     all_rows = sphere_rows(w, 0.5, kind, r, np.random.default_rng(seed))
     with closing(risk.RowRing(w, 0.5, kind, r, 1, np.random.default_rng(seed), 2)) as ring:
-        for chunks in (risk.direction_chunks(w, 0.5, kind, r, np.random.default_rng(seed)), ring.draw()):
+        for chunks in (direction_chunks(w, 0.5, kind, r, np.random.default_rng(seed)), ring.draw()):
             model = TableLoss(table)
             idx, row, value = draw_worst(model, w, ONE_ROW, r, chunks)
             assert model.calls == r

@@ -3,7 +3,9 @@ for the whole run (risk.RowRing), ahead of each event, while the calling
 thread rescales and scores them. These tests pin that this changes nothing
 a caller sees: the final weights and trace equal those of the serial draws
 bit for bit, however often the threads switch, and the worker is joined on
-every way the run can end, while an ERM run starts no thread at all."""
+every way the run can end. An ERM run trains with no worker. In both loops
+the pre-training check and each epoch-end estimate draw on a worker of
+their own, which is joined before the run goes on."""
 
 import sys
 import threading
@@ -56,26 +58,41 @@ def _raise(exc):
 
 def _ends_on_the_baseline(run, cfg, method="batch_grad", k=0, fail=None, expected=None):
     """Run with model.<method> replaced on its call k (1-based) by fail();
-    expected is the error the run must end with, if any. Checks that a DRM
-    run had its worker, and nothing more, beside the caller at every call,
-    that an ERM run had none, and that the thread count ends at the baseline."""
+    expected is the error the run must end with, if any, and is returned.
+    Checks the threads beside the caller at every batch_grad and batch_risk
+    call: at a training call, a DRM run's worker and nothing more, and none
+    for an ERM run; at an epoch-end estimate's call, one more, the
+    estimate's own. A run that ends normally makes both kinds of call.
+    Checks that the thread count ends at the baseline."""
     model = MlpLossModel(SPEC)
-    real, seen = getattr(model, method), []
+    seen = {"batch_grad": [], "batch_risk": []}  # (an estimate's call, live threads) per call
 
-    def spy(*args):
-        seen.append(threading.active_count())
-        return fail() if len(seen) == k else real(*args)
+    def spying(name, real):
+        def spy(*args):
+            # The estimate scores the full set from draw_worst; _run_loop's own full-set call is the train risk.
+            estimate = args[1] is DATA and sys._getframe(1).f_code.co_name != "_run_loop"
+            seen[name].append((estimate, threading.active_count()))
+            return fail() if name == method and len(seen[name]) == k else real(*args)
 
-    setattr(model, method, spy)
+        return spy
+
+    for name in seen:
+        setattr(model, name, spying(name, getattr(model, name)))
     baseline = threading.active_count()
     w0 = init_params(SPEC, np.random.default_rng(0))
+    error = None
     if expected is None:
         run(model, DATA, DATA, cfg, w0)
     else:
-        with pytest.raises(expected):
+        with pytest.raises(expected) as info:
             run(model, DATA, DATA, cfg, w0)
-    assert set(seen) == {baseline + (run is sgd_drm_run)}
+        error = info.value
+    training = baseline + (run is sgd_drm_run)
+    calls = set(seen["batch_grad"] + seen["batch_risk"])
+    assert calls <= {(False, training), (True, training + 1)}
+    assert expected is not None or calls == {(False, training), (True, training + 1)}
     assert threading.active_count() == baseline
+    return error
 
 
 @pytest.mark.parametrize("run", [sgd_drm_run, sgd_erm_run])
@@ -94,6 +111,15 @@ def test_the_worker_is_joined_on_a_keyboard_interrupt_in_a_gradient(k):
                           KeyboardInterrupt)
 
 
-@pytest.mark.parametrize("k", [1, 2, 7, 40])
+@pytest.mark.parametrize("k", [1, 2, 7, 9, 40])  # call 9 scores epoch 0's estimate
 def test_the_worker_is_joined_on_an_error_in_a_risk(k):
     _ends_on_the_baseline(sgd_drm_run, _config(), "batch_risk", k, lambda: _raise(ValueError("risk")), ValueError)
+
+
+@pytest.mark.parametrize("run", [sgd_drm_run, sgd_erm_run])
+def test_the_pre_training_checks_draw_error_stops_at_iteration_0_and_joins_its_worker(run):
+    # As in CI's tiny gamma 1e308 run: the largest float overflows the rescale of any
+    # layer drawn with norm below 1, as some are among 20 evaluation directions.
+    error = _ends_on_the_baseline(run, _config(gamma=np.finfo(float).max, r=20), expected=DivergenceError)
+    assert (error.iteration, error.epoch, error.batch_risk) == (0, 0, None)
+    assert "evaluation directions: non-finite values in layer" in str(error)
